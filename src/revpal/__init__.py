@@ -16,8 +16,8 @@ from .experiments import (
 )
 from .verifier import Certificate, arch_length, certify_base, certify_range, f_eval, find_min_K
 from .revgoldbach import (
-    ParityClass,
     ScanResult,
+    TargetClass,
     estermann_count,
     parity_class,
     representations,

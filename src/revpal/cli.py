@@ -33,7 +33,10 @@ def _get_table(limit: int) -> sieve.FactorTable:
     if cache_dir:
         path = Path(cache_dir) / f"sieve_{limit}.bin"
         if path.exists():
-            return sieve.load_cache(path)
+            table = sieve.load_cache(path)
+            if table.limit != limit:
+                raise ValueError(f"{path} holds a table to {table.limit}, not {limit}")
+            return table
         table = sieve.build(limit)
         path.parent.mkdir(parents=True, exist_ok=True)
         sieve.save_cache(table, path)
@@ -41,60 +44,63 @@ def _get_table(limit: int) -> sieve.FactorTable:
     return sieve.build(limit)
 
 
-def emit_report(records: list, fmt: str, path: str | None, out=sys.stdout):
+def _write(text: str, path: str | None, out=None):
+    """The one place command results leave the program: the file at path if
+    given, else out, which defaults to sys.stdout as it is at call time."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        (sys.stdout if out is None else out).write(text)
+
+
+def _format_records(records: list, fmt: str) -> str:
     """Serialize CountReports or Certificates with a fixed field order."""
     if not records:
         raise UsageError("nothing to emit: empty record list")
     if isinstance(records[0], CountReport):
         if fmt == "csv":
-            text = reports_to_csv(records)
-        elif fmt == "json":
-            text = reports_to_json(records) + "\n"
-        else:
-            lines = []
-            for r in records:
-                d = r.to_dict()
-                lines.append(
-                    f"{d['label']}: b={d['b']} k={d['k']} N_or_x={d['N_or_x']} d={d['d']} "
-                    f"empirical={d['empirical']} main_term={_fmt(d['main_term'])} "
-                    f"ratio={'-' if d['ratio'] is None else _fmt(d['ratio'])}"
-                )
-            text = "\n".join(lines) + "\n"
+            return reports_to_csv(records)
+        if fmt == "json":
+            return reports_to_json(records) + "\n"
+        lines = [
+            f"{d['label']}: b={d['b']} k={d['k']} N_or_x={d['N_or_x']} d={d['d']} "
+            f"empirical={d['empirical']} main_term={_fmt(d['main_term'])} "
+            f"ratio={'-' if d['ratio'] is None else _fmt(d['ratio'])}"
+            for d in (r.to_dict() for r in records)
+        ]
     elif isinstance(records[0], Certificate):
         if fmt == "csv":
-            rows = ["b,K,max_bound,threshold,slack,passed,cb_estimate,alpha_estimate,worst_segment"]
-            for c in records:
-                rows.append(
-                    f"{c.b},{c.K},{_fmt(c.max_bound)},{_fmt(c.threshold)},{_fmt(c.slack)},"
-                    f"{c.passed},{_fmt(c.cb_estimate)},{_fmt(c.alpha_estimate)},{c.worst_segment}"
-                )
-            text = "\n".join(rows) + "\n"
+            lines = ["b,K,max_bound,threshold,slack,passed,cb_estimate,alpha_estimate,worst_segment"] + [
+                f"{c.b},{c.K},{_fmt(c.max_bound)},{_fmt(c.threshold)},{_fmt(c.slack)},"
+                f"{c.passed},{_fmt(c.cb_estimate)},{_fmt(c.alpha_estimate)},{c.worst_segment}"
+                for c in records
+            ]
         elif fmt == "json":
-            text = "\n".join(c.to_json() for c in records) + "\n"
+            lines = [c.to_json() for c in records]
         else:
-            text = "\n".join(
+            lines = [
                 f"b={c.b} K={c.K} max_bound={_fmt(c.max_bound)} "
                 f"threshold={_fmt(c.threshold)} passed={c.passed} "
                 f"alpha={_fmt(c.alpha_estimate)}"
                 for c in records
-            ) + "\n"
+            ]
     else:
         raise UsageError(f"cannot emit records of type {type(records[0]).__name__}")
-    if path:
-        Path(path).write_text(text)
-    else:
-        out.write(text)
+    return "\n".join(lines) + "\n"
+
+
+def emit_report(records: list, fmt: str, path: str | None, out=None):
+    """Serialize CountReports or Certificates and write them with _write."""
+    _write(_format_records(records, fmt), path, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="revpal", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, base=True, limit=False):
+    def common(sp, base=True):
         if base:
             sp.add_argument("--base", type=int, default=10)
-        if limit:
-            sp.add_argument("--limit", type=int, required=True)
         sp.add_argument("--format", choices=["json", "csv", "human"], default="json")
         sp.add_argument("--output", default=None)
 
@@ -166,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float, required=True)
 
     sp = sub.add_parser("hcabdlog", help="scan for unrepresentable targets")
-    common(sp, limit=True)
+    common(sp)
+    sp.add_argument("--limit", type=int, required=True)
 
     sp = sub.add_parser("estermann", help="prime + squarefree representation count")
     common(sp)
@@ -182,130 +189,69 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def dispatch(args: argparse.Namespace, out=sys.stdout) -> int:
-    cmd = args.cmd
+def dispatch(args: argparse.Namespace, out=None) -> int:
+    """Run the subcommand in args, write its output with _write, return the exit code."""
+    # certify, find-min-k and f-eval take the base as --b; certify-range takes none
+    b = getattr(args, "base", getattr(args, "b", None))
+    ctx = base_context(b) if b is not None else None
+    cmd, code = args.cmd, 0
     if cmd == "reverse":
-        ctx = base_context(args.base)
-        try:
-            out.write(f"{reverse(args.n, ctx)}\n")
-        except ValueError as e:
-            raise UsageError(str(e))
-        return 0
-
-    if cmd == "palindromes":
-        ctx = base_context(args.base)
+        text = f"{reverse(args.n, ctx)}\n"
+    elif cmd == "palindromes":
         pal = experiments.enumerate_palindromes(ctx, args.x, star=args.star)
-        text = json.dumps(pal) + "\n" if args.format != "human" else " ".join(map(str, pal)) + "\n"
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            out.write(text)
-        return 0
-
-    if cmd == "count-rev-kfree":
-        ctx = base_context(args.base)
-        table = _get_table(ctx.b ** args.N)
-        rep = experiments.count_rev_kfree_primes(ctx, args.k, args.N, table)
-        emit_report([rep], args.format, args.output, out)
-        return 0
-
-    if cmd == "rev-pi-star":
-        ctx = base_context(args.base)
-        table = _get_table(ctx.b ** args.N)
-        rep = experiments.rev_pi_star(ctx, args.N, args.d, table)
-        emit_report([rep], args.format, args.output, out)
-        return 0
-
-    if cmd == "count-palin-kfree":
-        ctx = base_context(args.base)
-        table = _get_table(args.x)
-        rep = experiments.count_kfree_palindromes(ctx, args.k, args.x, table)
-        emit_report([rep], args.format, args.output, out)
-        return 0
-
-    if cmd == "palin-div":
-        ctx = base_context(args.base)
-        c = experiments.count_palindromes_div_by(ctx, args.x, args.d, star=args.star)
-        out.write(f"{c}\n")
-        return 0
-
-    if cmd == "almost-prime":
-        ctx = base_context(args.base)
-        table = _get_table(args.x)
+        text = (json.dumps(pal) if args.format != "human" else " ".join(map(str, pal))) + "\n"
+    elif cmd == "count-rev-kfree":
+        rep = experiments.count_rev_kfree_primes(ctx, args.k, args.N, _get_table(ctx.b ** args.N))
+        text = _format_records([rep], args.format)
+    elif cmd == "rev-pi-star":
+        rep = experiments.rev_pi_star(ctx, args.N, args.d, _get_table(ctx.b ** args.N))
+        text = _format_records([rep], args.format)
+    elif cmd == "count-palin-kfree":
+        rep = experiments.count_kfree_palindromes(ctx, args.k, args.x, _get_table(args.x))
+        text = _format_records([rep], args.format)
+    elif cmd == "palin-div":
+        text = f"{experiments.count_palindromes_div_by(ctx, args.x, args.d, star=args.star)}\n"
+    elif cmd == "almost-prime":
         c = experiments.count_almost_prime_palindromes(
             ctx, args.x, args.omega_max, kfree_k=args.kfree_k,
-            rough_exponent=args.rough_exponent, table=table)
-        out.write(f"{c}\n")
-        return 0
-
-    if cmd == "sqrt-law":
-        ctx = base_context(args.base)
+            rough_exponent=args.rough_exponent, table=_get_table(args.x))
+        text = f"{c}\n"
+    elif cmd == "sqrt-law":
         rows = experiments.sqrt_law_check(ctx, args.x, star=args.star)
         if args.format == "csv":
             text = "x,count,count_over_sqrt_x\n" + "\n".join(
                 f"{x},{c},{_fmt(r)}" for x, c, r in rows) + "\n"
         else:
             text = json.dumps([{"x": x, "count": c, "normalized": r} for x, c, r in rows]) + "\n"
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            out.write(text)
-        return 0
-
-    if cmd == "certify":
-        cert = verifier.certify_base(base_context(args.b), args.K, args.slack)
-        emit_report([cert], args.format, args.output, out)
-        return 0 if cert.passed else 1
-
-    if cmd == "certify-range":
+    elif cmd == "certify":
+        cert = verifier.certify_base(ctx, args.K, args.slack)
+        text, code = _format_records([cert], args.format), 0 if cert.passed else 1
+    elif cmd == "certify-range":
         t0 = time.monotonic()
         certs = verifier.certify_range(args.b0, args.b1, args.K,
                                        slack=args.slack, workers=args.workers)
         elapsed = time.monotonic() - t0
+        passed = all(c.passed for c in certs)
+        code = 0 if passed else 1
         if args.format == "csv":
             # summary row in the shape of the published table
             text = ("b0,b1,K,all_passed,wall_clock_seconds\n"
-                    f"{args.b0},{args.b1},{args.K},{all(c.passed for c in certs)},{elapsed:.3f}\n")
-            if args.output:
-                Path(args.output).write_text(text)
-            else:
-                out.write(text)
+                    f"{args.b0},{args.b1},{args.K},{passed},{elapsed:.3f}\n")
         else:
-            emit_report(certs, args.format, args.output, out)
+            text = _format_records(certs, args.format)
         if args.timing:
             print(f"wall_clock_seconds={elapsed:.3f}", file=sys.stderr)
-        return 0 if all(c.passed for c in certs) else 1
-
-    if cmd == "find-min-k":
-        k = verifier.find_min_K(base_context(args.b), args.k_max, args.slack)
-        out.write(json.dumps({"b": args.b, "K_max": args.k_max, "min_K": k}) + "\n")
-        return 0 if k is not None else 1
-
-    if cmd == "f-eval":
-        v = verifier.f_eval(base_context(args.b), args.theta)
-        out.write(_fmt(v) + "\n")
-        return 0
-
-    if cmd == "hcabdlog":
-        ctx = base_context(args.base)
-        table = _get_table(args.limit)
-        res = revgoldbach.scan_exceptions(ctx, args.limit, table)
-        text = res.to_json() + "\n"
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            out.write(text)
-        return 0
-
-    if cmd == "estermann":
-        ctx = base_context(args.base)
-        table = _get_table(args.M)
-        c = revgoldbach.estermann_count(ctx, args.M, table)
-        out.write(f"{c}\n")
-        return 0
-
-    if cmd == "main-term":
-        ctx = base_context(args.base)
+    elif cmd == "find-min-k":
+        k = verifier.find_min_K(ctx, args.k_max, args.slack)
+        text = json.dumps({"b": args.b, "K_max": args.k_max, "min_K": k}) + "\n"
+        code = 0 if k is not None else 1
+    elif cmd == "f-eval":
+        text = _fmt(verifier.f_eval(ctx, args.theta)) + "\n"
+    elif cmd == "hcabdlog":
+        text = revgoldbach.scan_exceptions(ctx, args.limit, _get_table(args.limit)).to_json() + "\n"
+    elif cmd == "estermann":
+        text = f"{revgoldbach.estermann_count(ctx, args.M, _get_table(args.M))}\n"
+    elif cmd == "main-term":
         if args.which == "zeta":
             v = densities.zeta(args.k)
         elif args.which == "kfree-density":
@@ -318,10 +264,11 @@ def dispatch(args: argparse.Namespace, out=sys.stdout) -> int:
             if args.N is None or args.d is None:
                 raise UsageError("--N and --d are required for rev-pi")
             v = densities.rev_pi_main_term(ctx, args.d, args.N)
-        out.write(_fmt(v) + "\n")
-        return 0
-
-    raise UsageError(f"unknown subcommand {cmd}")
+        text = _fmt(v) + "\n"
+    else:
+        raise UsageError(f"unknown subcommand {cmd}")
+    _write(text, getattr(args, "output", None), out)
+    return code
 
 
 def main(argv=None) -> int:

@@ -3,16 +3,8 @@ leading asymptotics for the reversed-prime and palindrome counting functions.
 """
 
 import math
-from dataclasses import dataclass
 
 from .digits import BaseContext
-
-
-@dataclass(frozen=True)
-class MainTerm:
-    value: float
-    description: str
-    parameters: dict
 
 
 def zeta(k: int) -> float:

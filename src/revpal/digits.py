@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 
 def _trial_factor(n: int) -> list[int]:
     """Distinct prime factors of n by trial division, ascending."""
@@ -106,6 +108,28 @@ def reverse(n: int, ctx: BaseContext) -> int:
         n, d = divmod(n, b)
         r = r * b + d
     return r
+
+
+def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
+    """Digital reverse of every entry of ns in base ctx.b.
+
+    ns must be an ascending int64 array with no entry divisible by b, such as
+    primes from np.nonzero over prime flags.  Entries with equal digit counts
+    form contiguous blocks, found with np.searchsorted, and each block is
+    reversed into its slice of the output.
+    """
+    b = ctx.b
+    n_max = len(to_digits(int(ns[-1]), b)) if ns.size else 1
+    edges = [0, *np.searchsorted(ns, [b ** j for j in range(1, n_max)]).tolist(), ns.size]
+    out = np.zeros_like(ns)
+    for n_digits, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
+        m = ns[lo:hi].copy()
+        r = out[lo:hi]
+        for _ in range(n_digits):
+            r *= b
+            r += m % b
+            m //= b
+    return out
 
 
 def is_palindrome(n: int, ctx: BaseContext) -> bool:

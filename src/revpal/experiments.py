@@ -13,7 +13,7 @@ from math import gcd
 import numpy as np
 
 from . import densities
-from .digits import BaseContext
+from .digits import BaseContext, reverse, reverse_array
 from .sieve import FactorTable, is_k_free
 
 CSV_COLUMNS = ["label", "b", "k", "N_or_x", "d", "empirical", "main_term", "ratio"]
@@ -145,14 +145,6 @@ def sqrt_law_check(ctx: BaseContext, x_values: list[int], star: bool = False) ->
 # reversed primes
 # ---------------------------------------------------------------------------
 
-def _digit_count(n: int, b: int) -> int:
-    c = 0
-    while n:
-        n //= b
-        c += 1
-    return c
-
-
 def _primes_in_digit_class(ctx: BaseContext, N: int, table: FactorTable) -> np.ndarray:
     """Primes in B_N: N base-b digits, not divisible by b."""
     b = ctx.b
@@ -164,23 +156,12 @@ def _primes_in_digit_class(ctx: BaseContext, N: int, table: FactorTable) -> np.n
     return ps[ps % b != 0]
 
 
-def _reverse_vector(ns: np.ndarray, N: int, b: int) -> np.ndarray:
-    """Digit reversal of an array of N-digit integers (none divisible by b)."""
-    m = ns.astype(np.int64, copy=True)
-    r = np.zeros_like(m)
-    for _ in range(N):
-        r *= b
-        r += m % b
-        m //= b
-    return r
-
-
 def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable) -> CountReport:
     """r_{b,k}(N): primes p in B_N with reverse in B*_N and reverse k-free."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     ps = _primes_in_digit_class(ctx, N, table)
-    rev = _reverse_vector(ps, N, ctx.b)
+    rev = reverse_array(ps, ctx)
     rev = rev[np.gcd(rev, ctx.b3mb) == 1]
     count = sum(1 for v in rev.tolist() if is_k_free(v, k, table))
     return CountReport(
@@ -194,7 +175,7 @@ def rev_pi_star(ctx: BaseContext, N: int, d: int, table: FactorTable) -> CountRe
     if gcd(d, ctx.b3mb) != 1:
         raise ValueError(f"d = {d} shares a factor with b^3 - b = {ctx.b3mb}")
     ps = _primes_in_digit_class(ctx, N, table)
-    rev = _reverse_vector(ps, N, ctx.b)
+    rev = reverse_array(ps, ctx)
     rev = rev[np.gcd(rev, ctx.b3mb) == 1]
     count = int(np.count_nonzero(rev % d == 0))
     return CountReport(
@@ -207,25 +188,16 @@ def count_rev_kfree_primes_via_kfree(ctx: BaseContext, k: int, N: int, table: Fa
     """Independent pipeline for r_{b,k}(N): iterate k-free m in B*_N and test
     whether reverse(m) is prime.  Reversal is a bijection on B_N, so this must
     agree with count_rev_kfree_primes."""
-    b = ctx.b
-    lo, hi = b ** (N - 1), b ** N
+    lo, hi = ctx.b ** (N - 1), ctx.b ** N
     if hi - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
     ms = np.arange(lo, hi, dtype=np.int64)
     ms = ms[np.gcd(ms, ctx.b3mb) == 1]
     count = 0
     for m in ms.tolist():
-        if is_k_free(m, k, table) and table.is_prime(_reverse_int(m, N, b)):
+        if is_k_free(m, k, table) and table.is_prime(reverse(m, ctx)):
             count += 1
     return count
-
-
-def _reverse_int(n: int, N: int, b: int) -> int:
-    r = 0
-    for _ in range(N):
-        n, d = divmod(n, b)
-        r = r * b + d
-    return r
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,13 @@ from enum import Enum
 
 import numpy as np
 
-from .digits import BaseContext
+from .digits import BaseContext, reverse_array, to_digits
 from .sieve import FactorTable
 
 
 class TargetClass(Enum):
     EVEN_TARGETS_ONLY = "even_targets_only"
     ALL_TARGETS = "all_targets"
-
-
-@dataclass(frozen=True)
-class ParityClass:
-    base: int
-    applies_to: TargetClass
 
 
 @dataclass(frozen=True)
@@ -43,21 +37,13 @@ class ScanResult:
         return json.dumps(self.to_dict())
 
 
-def parity_class(ctx: BaseContext) -> ParityClass:
+def parity_class(ctx: BaseContext) -> TargetClass:
     """Odd bases and base 2 force even sums rev(p1) + p2 for odd primes, so
     only even targets are expected representable; even bases > 2 have no such
     obstruction."""
     if ctx.b % 2 == 1 or ctx.b == 2:
-        return ParityClass(base=ctx.b, applies_to=TargetClass.EVEN_TARGETS_ONLY)
-    return ParityClass(base=ctx.b, applies_to=TargetClass.ALL_TARGETS)
-
-
-def _digit_count(n: int, b: int) -> int:
-    c = 0
-    while n:
-        n //= b
-        c += 1
-    return c
+        return TargetClass.EVEN_TARGETS_ONLY
+    return TargetClass.ALL_TARGETS
 
 
 def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:
@@ -69,8 +55,7 @@ def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.
     b = ctx.b
     if cap < 1:
         return np.empty(0, dtype=np.int64)
-    n_digits = _digit_count(cap, b)
-    prime_bound = b ** n_digits - 1
+    prime_bound = b ** len(to_digits(cap, b)) - 1
     if prime_bound > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small; "
@@ -79,28 +64,8 @@ def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.
     flags = table.prime_flags()[: prime_bound + 1]
     ps = np.nonzero(flags)[0].astype(np.int64)
     ps = ps[ps % b != 0]
-    return _reverse_mixed(ps, b, cap)
-
-
-def _reverse_mixed(ps: np.ndarray, b: int, cap: int) -> np.ndarray:
-    """Reverse an array of integers with varying digit counts; keep values <= cap."""
-    out = []
-    lo, n_digits = 1, 1
-    while lo <= ps.max(initial=0):
-        hi = lo * b
-        chunk = ps[(ps >= lo) & (ps < hi)]
-        if chunk.size:
-            r = np.zeros_like(chunk)
-            m = chunk.copy()
-            for _ in range(n_digits):
-                r *= b
-                r += m % b
-                m //= b
-            out.append(r[r <= cap])
-        lo, n_digits = hi, n_digits + 1
-    if not out:
-        return np.empty(0, dtype=np.int64)
-    vals = np.concatenate(out)
+    vals = reverse_array(ps, ctx)
+    vals = vals[vals <= cap]
     vals.sort()
     return vals
 
@@ -122,9 +87,9 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
     """All in-class targets in [scanned_from, limit] with zero representations."""
     if limit > table.limit:
         raise ValueError(f"table limit {table.limit} too small for scan limit {limit}")
-    pc = parity_class(ctx)
+    parity = parity_class(ctx)
     targets = np.arange(scanned_from, limit + 1, dtype=np.int64)
-    if pc.applies_to is TargetClass.EVEN_TARGETS_ONLY:
+    if parity is TargetClass.EVEN_TARGETS_ONLY:
         targets = targets[targets % 2 == 0]
 
     rev_vals = reversed_prime_values(ctx, limit - 2, table)
@@ -140,7 +105,7 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
         pending = pending[~hit]
     return ScanResult(
         base=ctx.b, limit=limit, scanned_from=scanned_from,
-        parity=pc.applies_to, exceptions=tuple(int(t) for t in pending),
+        parity=parity, exceptions=tuple(int(t) for t in pending),
     )
 
 

@@ -5,6 +5,7 @@ Memory layout: spf is 4 bytes per entry, mu and omega one byte each, so a
 table of limit L costs about 6L bytes.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from math import isqrt
@@ -140,28 +141,39 @@ def mobius_sum_oracle(n: int, k: int) -> int:
 
 
 def save_cache(table: FactorTable, path: str | Path):
-    """Binary cache: magic + version + limit header, then raw little-endian arrays."""
+    """Binary cache: magic + version + limit header, then raw little-endian arrays.
+    Written to a temporary file beside path, then renamed over it atomically."""
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", _CACHE_MAGIC, _CACHE_VERSION, table.limit))
-        fh.write(table.spf.astype("<i4").tobytes())
-        fh.write(table.mu.astype("<i1").tobytes())
-        fh.write(table.omega_total.astype("<i1").tobytes())
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<4sIQ", _CACHE_MAGIC, _CACHE_VERSION, table.limit))
+            fh.write(table.spf.astype("<i4").tobytes())
+            fh.write(table.mu.astype("<i1").tobytes())
+            fh.write(table.omega_total.astype("<i1").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_cache(path: str | Path) -> FactorTable:
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(16)
+        if len(header) < 16:
+            raise ValueError(f"{path} is truncated: no complete cache header")
         magic, version, limit = struct.unpack("<4sIQ", header)
         if magic != _CACHE_MAGIC:
             raise ValueError(f"{path} is not a sieve cache file")
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported cache version {version}")
         n = limit + 1
-        spf = np.frombuffer(fh.read(4 * n), dtype="<i4").astype(np.int32)
-        mu = np.frombuffer(fh.read(n), dtype="<i1").astype(np.int8)
-        omega = np.frombuffer(fh.read(n), dtype="<i1").astype(np.int8)
+        data = fh.read(6 * n)
+    if len(data) != 6 * n:
+        raise ValueError(f"{path} is truncated: limit {limit} needs {6 * n} array bytes, got {len(data)}")
+    spf = np.frombuffer(data, dtype="<i4", count=n).astype(np.int32, copy=False)
+    mu = np.frombuffer(data, dtype="<i1", count=n, offset=4 * n).astype(np.int8, copy=False)
+    omega = np.frombuffer(data, dtype="<i1", count=n, offset=5 * n).astype(np.int8, copy=False)
     for arr in (spf, mu, omega):
         arr.setflags(write=False)
     return FactorTable(limit=int(limit), spf=spf, mu=mu, omega_total=omega)

@@ -1,9 +1,14 @@
+import argparse
+import contextlib
 import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from revpal.cli import UsageError, build_parser, dispatch, emit_report, main
+from revpal import sieve
+from revpal.cli import CACHE_ENV, UsageError, build_parser, dispatch, emit_report, main
 from revpal.digits import base_context
 from revpal.experiments import CountReport
 from revpal.verifier import certify_base
@@ -111,3 +116,64 @@ def test_sqrt_law_csv():
     assert code == 0
     assert out.startswith("x,count,count_over_sqrt_x\n")
     assert out.strip().split("\n")[1].startswith("100,18,")
+
+
+# small arguments for every subcommand that accepts --output
+OUTPUT_ARGS = {
+    "palindromes": "--x 1000 --star",
+    "count-rev-kfree": "--N 3",
+    "rev-pi-star": "--N 3 --d 7",
+    "count-palin-kfree": "--base 2 --x 10000",
+    "palin-div": "--x 100000 --d 11",
+    "almost-prime": "--x 10000 --omega-max 6 --kfree-k 3 --rough-exponent 0.0476",
+    "sqrt-law": "--x 100 10000",
+    "certify": "--b 31698 --K 8",
+    "certify-range": "--b0 28500 --b1 28502 --K 8",
+    "hcabdlog": "--limit 1000",
+    "estermann": "--M 10000",
+}
+
+
+def _commands_with_output() -> list[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [name for name, sp in sub.choices.items()
+            if any("--output" in a.option_strings for a in sp._actions)]
+
+
+@pytest.mark.parametrize("cmd", _commands_with_output())
+def test_output_flag_writes_file_instead_of_stdout(cmd, tmp_path, capsys):
+    argv = [cmd, *OUTPUT_ARGS[cmd].split()]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out"
+    assert main([*argv, "--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode()
+
+
+def test_output_follows_redirect_stdout():
+    rep = CountReport(label="x", b=10, k=2, n_or_x=3, d=None, empirical=5, main_term=4.0)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["reverse", "--base", "10", "--n", "1234"]) == 0
+        emit_report([rep], "csv", None)
+    assert buf.getvalue().split("\n")[:2] == ["4321", "label,b,k,N_or_x,d,empirical,main_term,ratio"]
+
+
+def test_cache_with_wrong_limit_is_rejected(tmp_path, monkeypatch, capsys):
+    sieve.save_cache(sieve.build(100), tmp_path / "sieve_1000.bin")
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
+    assert "sieve_1000.bin" in capsys.readouterr().err
+
+
+def test_readme_examples_match_goldens(tmp_path, monkeypatch, capsys):
+    # the benchmark's golden runner captures file descriptor 1, so pytest's
+    # own capture is suspended while it runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from cli_golden import EXAMPLES, run_examples
+
+    with capsys.disabled():
+        identical, failures = run_examples(tmp_path, len(os.sched_getaffinity(0)))
+    assert failures == []
+    assert identical == len(EXAMPLES) == 15

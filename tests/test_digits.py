@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,10 @@ from revpal.digits import (
     in_b_star,
     is_palindrome,
     reverse,
+    reverse_array,
     to_digits,
 )
+from revpal.sieve import DEFAULT_LIMIT_BUDGET
 
 
 def test_to_digits_examples():
@@ -140,3 +143,23 @@ def test_palindromes_are_fixed_points(b, n):
     ctx = base_context(b)
     if is_palindrome(n, ctx):
         assert reverse(n, ctx) == n
+
+
+@st.composite
+def ascending_arrays_not_divisible_by_b(draw):
+    """(b, ns): ns ascending, of mixed digit counts, no entry divisible by b,
+    every entry within the sieve's table budget."""
+    b = draw(st.integers(2, 36))
+    ns = []
+    for n_digits in draw(st.lists(st.integers(1, len(to_digits(DEFAULT_LIMIT_BUDGET, b))), max_size=40)):
+        lo, hi = b ** (n_digits - 1), min(b ** n_digits - 1, DEFAULT_LIMIT_BUDGET)
+        ns.append(draw(st.integers(lo, hi).filter(lambda n: n % b)))
+    return b, np.array(sorted(ns), dtype=np.int64)
+
+
+@settings(max_examples=200)
+@given(ascending_arrays_not_divisible_by_b())
+def test_reverse_array_matches_scalar_reverse(b_ns):
+    b, ns = b_ns
+    ctx = base_context(b)
+    assert reverse_array(ns, ctx).tolist() == [reverse(n, ctx) for n in ns.tolist()]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from revpal.digits import base_context, reverse
+from revpal.digits import base_context, reverse, reverse_array
 from revpal.revgoldbach import (
     TargetClass,
     estermann_count,
@@ -15,10 +15,10 @@ from revpal.revgoldbach import (
 
 
 def test_parity_class():
-    assert parity_class(base_context(10)).applies_to is TargetClass.ALL_TARGETS
-    assert parity_class(base_context(2)).applies_to is TargetClass.EVEN_TARGETS_ONLY
-    assert parity_class(base_context(3)).applies_to is TargetClass.EVEN_TARGETS_ONLY
-    assert parity_class(base_context(16)).applies_to is TargetClass.ALL_TARGETS
+    assert parity_class(base_context(10)) is TargetClass.ALL_TARGETS
+    assert parity_class(base_context(2)) is TargetClass.EVEN_TARGETS_ONLY
+    assert parity_class(base_context(3)) is TargetClass.EVEN_TARGETS_ONLY
+    assert parity_class(base_context(16)) is TargetClass.ALL_TARGETS
 
 
 def test_representations_examples(table_1e5):
@@ -87,11 +87,9 @@ def test_estermann_counts_squarefree_differences(table_1e5):
 @pytest.mark.parametrize("b", [2, 3, 5, 7])
 def test_parity_soundness_of_reversed_primes(b, table_1e6):
     # for b odd or b = 2, the reverse of every odd prime is odd
-    from revpal.revgoldbach import _reverse_mixed
-
     ps = np.nonzero(table_1e6.prime_flags())[0].astype(np.int64)
     ps = ps[(ps % b != 0) & (ps != 2)]
-    rev_vals = _reverse_mixed(ps, b, 10 ** 18)
+    rev_vals = reverse_array(ps, base_context(b))
     assert np.all(rev_vals % 2 == 1)
 
 

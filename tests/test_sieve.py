@@ -115,6 +115,15 @@ def test_cache_round_trip(tmp_path):
     assert np.array_equal(t2.omega_total, t.omega_total)
 
 
+def test_cache_rejects_truncated_file(tmp_path):
+    path = tmp_path / "sieve_5000.bin"
+    save_cache(build(5000), path)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="sieve_5000.bin"):
+        load_cache(path)
+
+
 def test_cache_rejects_garbage(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOPE" + b"\0" * 20)
