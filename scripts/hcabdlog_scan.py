@@ -6,7 +6,7 @@ import argparse
 
 from revpal import sieve
 from revpal.digits import base_context
-from revpal.revgoldbach import estermann_count, representations, scan_exceptions
+from revpal.revgoldbach import estermann_count, prime_bound, representations, scan_exceptions
 
 
 def main():
@@ -18,7 +18,8 @@ def main():
     args = ap.parse_args()
 
     ctx = base_context(args.base)
-    table = sieve.build(args.limit)
+    # estermann_count(M) reads reverses up to M - 1 for targets M <= limit
+    table = sieve.build(max(args.limit, prime_bound(ctx, args.limit - 1)))
     res = scan_exceptions(ctx, args.limit, table)
     print(res.to_json())
     for M in range(4, 4 + args.show_counts):

@@ -198,7 +198,7 @@ def dispatch(args: argparse.Namespace, out=None) -> int:
     if cmd == "reverse":
         text = f"{reverse(args.n, ctx)}\n"
     elif cmd == "palindromes":
-        pal = experiments.enumerate_palindromes(ctx, args.x, star=args.star)
+        pal = experiments.enumerate_palindromes(ctx, args.x, star=args.star).tolist()
         text = (json.dumps(pal) if args.format != "human" else " ".join(map(str, pal))) + "\n"
     elif cmd == "count-rev-kfree":
         rep = experiments.count_rev_kfree_primes(ctx, args.k, args.N, _get_table(ctx.b ** args.N))
@@ -248,9 +248,11 @@ def dispatch(args: argparse.Namespace, out=None) -> int:
     elif cmd == "f-eval":
         text = _fmt(verifier.f_eval(ctx, args.theta)) + "\n"
     elif cmd == "hcabdlog":
-        text = revgoldbach.scan_exceptions(ctx, args.limit, _get_table(args.limit)).to_json() + "\n"
+        table = _get_table(max(args.limit, revgoldbach.prime_bound(ctx, args.limit - 2)))
+        text = revgoldbach.scan_exceptions(ctx, args.limit, table).to_json() + "\n"
     elif cmd == "estermann":
-        text = f"{revgoldbach.estermann_count(ctx, args.M, _get_table(args.M))}\n"
+        table = _get_table(max(args.M, revgoldbach.prime_bound(ctx, args.M - 1)))
+        text = f"{revgoldbach.estermann_count(ctx, args.M, table)}\n"
     elif cmd == "main-term":
         if args.which == "zeta":
             v = densities.zeta(args.k)

@@ -67,11 +67,3 @@ def rev_pi_main_term(ctx: BaseContext, d: int, N: int) -> float:
     if math.gcd(d, ctx.b3mb) != 1:
         raise ValueError(f"d = {d} shares a factor with b^3 - b = {ctx.b3mb}")
     return math.exp(log_prime_main_term(ctx, N) - math.log(d))
-
-
-def as_mantissa_exponent(log_value: float) -> tuple[float, int]:
-    """Split exp(log_value) as (mantissa, decimal exponent) for values
-    beyond double range."""
-    log10 = log_value / math.log(10.0)
-    exp10 = math.floor(log10)
-    return 10.0 ** (log10 - exp10), exp10

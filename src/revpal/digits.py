@@ -61,26 +61,8 @@ def base_context(b: int) -> BaseContext:
     return BaseContext(b)
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """Digits of a positive integer, least-significant first, no leading zero."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.base + d
-        return v
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-
-def to_digits(n: int, b: int) -> DigitVector:
-    """Base-b expansion of n >= 1, little-endian."""
+def to_digits(n: int, b: int) -> tuple[int, ...]:
+    """Base-b digits of n >= 1, least-significant first, no leading zero."""
     if n < 1:
         raise ValueError("digit expansion is defined for n >= 1 only")
     if b < 2:
@@ -89,7 +71,7 @@ def to_digits(n: int, b: int) -> DigitVector:
     while n:
         n, d = divmod(n, b)
         ds.append(d)
-    return DigitVector(base=b, digits=tuple(ds))
+    return tuple(ds)
 
 
 def reverse(n: int, ctx: BaseContext) -> int:

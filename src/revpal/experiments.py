@@ -7,7 +7,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -78,56 +77,34 @@ def reports_to_json(reports: list[CountReport]) -> str:
 # palindrome enumeration
 # ---------------------------------------------------------------------------
 
-def _mirror(prefix: int, n_digits: int, b: int) -> int:
-    """The n_digits-digit palindrome whose leading ceil(n/2) digits are prefix."""
-    ds = []
-    q = prefix
-    while q:
-        q, r = divmod(q, b)
-        ds.append(r)
-    ds.reverse()  # big-endian prefix digits
-    tail = ds[: n_digits - len(ds)]  # first n - ceil(n/2) digits, to be mirrored
-    v = 0
-    for d in ds:
-        v = v * b + d
-    for d in reversed(tail):
-        v = v * b + d
-    return v
+def enumerate_palindromes(ctx: BaseContext, x: int, star: bool = False) -> np.ndarray:
+    """P_b(x), or its subset P*_b(x) coprime to b^3 - b, as an ascending int64 array.
 
-
-@lru_cache(maxsize=64)
-def _palindromes_upto(b: int, x: int) -> tuple[int, ...]:
-    """All base-b palindromes <= x (with b not dividing n), ascending,
-    generated from half-digit prefixes."""
-    if x < 1:
-        return ()
-    out = []
-    n_digits = 1
-    while b ** (n_digits - 1) <= x:
-        half = (n_digits + 1) // 2
-        for prefix in range(b ** (half - 1), b ** half):
-            v = _mirror(prefix, n_digits, b)
-            if v > x:
-                break  # mirror value is increasing in the prefix
-            out.append(v)
-        n_digits += 1
-    return tuple(out)
-
-
-def enumerate_palindromes(ctx: BaseContext, x: int, star: bool = False) -> list[int]:
-    """P_b(x), or its subset P*_b(x) coprime to b^3 - b, ascending."""
-    pal = _palindromes_upto(ctx.b, x)
-    if not star:
-        return list(pal)
-    m = ctx.b3mb
-    return [n for n in pal if gcd(n, m) == 1]
+    The n-digit palindromes are built together from their leading h = ceil(n/2)
+    digits, one mirrored digit per step; prefixes above x // b^(n-h) are skipped,
+    since every palindrome they start exceeds x.
+    """
+    b = ctx.b
+    blocks = [np.empty(0, dtype=np.int64)]
+    n = 1
+    while b ** (n - 1) <= x:
+        h = (n + 1) // 2
+        v = np.arange(b ** (h - 1), min(b ** h, x // b ** (n - h) + 1), dtype=np.int64)
+        q = v // b ** (2 * h - n)
+        for _ in range(n - h):
+            v = v * b + q % b
+            q //= b
+        blocks.append(v[v <= x])
+        n += 1
+    pal = np.concatenate(blocks)
+    return pal[np.gcd(pal, ctx.b3mb) == 1] if star else pal
 
 
 def count_palindromes_div_by(ctx: BaseContext, x: int, d: int, star: bool = False) -> int:
     """#{n in P_b(x) (or P*_b(x)) : d | n}."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    return sum(1 for n in enumerate_palindromes(ctx, x, star) if n % d == 0)
+    return int(np.count_nonzero(enumerate_palindromes(ctx, x, star) % d == 0))
 
 
 def sqrt_law_check(ctx: BaseContext, x_values: list[int], star: bool = False) -> list[tuple[int, int, float]]:
@@ -163,7 +140,7 @@ def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable)
     ps = _primes_in_digit_class(ctx, N, table)
     rev = reverse_array(ps, ctx)
     rev = rev[np.gcd(rev, ctx.b3mb) == 1]
-    count = sum(1 for v in rev.tolist() if is_k_free(v, k, table))
+    count = int(np.count_nonzero(table.kfree_flags(k)[rev]))
     return CountReport(
         label="rev_kfree_primes", b=ctx.b, k=k, n_or_x=N, d=None,
         empirical=count, main_term=densities.rev_kfree_main_term(ctx, k, N),
@@ -211,7 +188,7 @@ def count_kfree_palindromes(ctx: BaseContext, k: int, x: int, table: FactorTable
     if x > table.limit:
         raise ValueError(f"table limit {table.limit} too small for x = {x}")
     pstar = enumerate_palindromes(ctx, x, star=True)
-    count = sum(1 for n in pstar if is_k_free(n, k, table))
+    count = int(np.count_nonzero(table.kfree_flags(k)[pstar]))
     return CountReport(
         label="kfree_palindromes", b=ctx.b, k=k, n_or_x=x, d=None,
         empirical=count,
@@ -233,17 +210,13 @@ def count_almost_prime_palindromes(
         raise ValueError("a factor table covering x is required")
     if omega_max < 0:
         raise ValueError("omega_max must be >= 0")
-    rough_floor = x ** rough_exponent if rough_exponent is not None else None
-    count = 0
-    for n in enumerate_palindromes(ctx, x, star=False):
-        if int(table.omega_total[n]) > omega_max:
-            continue
-        if kfree_k is not None and not is_k_free(n, kfree_k, table):
-            continue
-        if rough_floor is not None and n > 1 and int(table.spf[n]) < rough_floor:
-            continue
-        count += 1
-    return count
+    pal = enumerate_palindromes(ctx, x)
+    keep = table.omega_total[pal] <= omega_max
+    if kfree_k is not None:
+        keep &= table.kfree_flags(kfree_k)[pal]
+    if rough_exponent is not None:
+        keep &= (pal == 1) | (table.spf[pal] >= x ** rough_exponent)
+    return int(np.count_nonzero(keep))
 
 
 def brute_force_palindromes(ctx: BaseContext, x: int, star: bool = False) -> list[int]:

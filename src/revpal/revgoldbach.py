@@ -46,22 +46,29 @@ def parity_class(ctx: BaseContext) -> TargetClass:
     return TargetClass.ALL_TARGETS
 
 
-def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:
-    """Sorted rev(p) <= cap over primes p with b not dividing p.
+def prime_bound(ctx: BaseContext, cap: int) -> int:
+    """Largest prime that reversed_prime_values(ctx, cap, table) reads (1, so
+    none, for cap < 1).
 
     Reversal preserves digit count, so any prime contributing a value <= cap
-    has at most digit_count(cap) digits; the table must cover that range.
+    has at most as many base-b digits as cap.
     """
+    return ctx.b ** len(to_digits(cap, ctx.b)) - 1 if cap >= 1 else 1
+
+
+def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:
+    """Sorted rev(p) <= cap over primes p <= prime_bound(ctx, cap) with b not
+    dividing p; the table must cover that bound."""
     b = ctx.b
     if cap < 1:
         return np.empty(0, dtype=np.int64)
-    prime_bound = b ** len(to_digits(cap, b)) - 1
-    if prime_bound > table.limit:
+    bound = prime_bound(ctx, cap)
+    if bound > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small; "
-            f"need primes up to {prime_bound} to cover reverses <= {cap}"
+            f"need primes up to {bound} to cover reverses <= {cap}"
         )
-    flags = table.prime_flags()[: prime_bound + 1]
+    flags = table.prime_flags()[: bound + 1]
     ps = np.nonzero(flags)[0].astype(np.int64)
     ps = ps[ps % b != 0]
     vals = reverse_array(ps, ctx)

@@ -2,7 +2,8 @@
 Omega (prime factors with multiplicity), primality and k-free tests.
 
 Memory layout: spf is 4 bytes per entry, mu and omega one byte each, so a
-table of limit L costs about 6L bytes.
+table of limit L costs about 6L bytes.  build also holds a 4-byte cofactor
+per entry while it runs, about 10L bytes in all.
 """
 
 import os
@@ -30,12 +31,23 @@ class FactorTable:
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
-        return n >= 2 and int(self.spf[n]) == n
+        return int(self.omega_total[n]) == 1
 
     def prime_flags(self) -> np.ndarray:
-        """Boolean array over [0, limit], True at primes."""
-        flags = self.spf == np.arange(self.limit + 1, dtype=self.spf.dtype)
-        flags[:2] = False
+        """Boolean array over [0, limit], True at primes: Omega(n) = 1 exactly
+        when n is prime."""
+        return self.omega_total == 1
+
+    def kfree_flags(self, k: int) -> np.ndarray:
+        """Boolean array over [0, limit], True at n >= 1 with no d^k | n, d >= 2."""
+        if k < 2:
+            raise ValueError(f"k must be >= 2, got {k}")
+        flags = np.ones(self.limit + 1, dtype=bool)
+        flags[0] = False
+        d = 2
+        while d ** k <= self.limit:
+            flags[d ** k :: d ** k] = False
+            d += 1
         return flags
 
     def _check(self, n: int):
@@ -44,36 +56,37 @@ class FactorTable:
 
 
 def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
-    """Sieve all arrays for 1 <= n <= limit in one deterministic pass each."""
+    """Sieve all arrays for 1 <= n <= limit in one loop over the primes
+    p <= isqrt(limit); each n has at most one prime factor above that."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit > budget:
         raise ValueError(f"limit {limit} exceeds memory budget {budget}")
 
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
-
-    primes = np.nonzero(spf[2:] == np.arange(2, limit + 1, dtype=np.int32))[0] + 2
-
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes:
-        mu[p::p] *= -1
-    for p in primes[primes <= isqrt(limit)]:
-        mu[p * p :: p * p] = 0
-
     omega = np.zeros(limit + 1, dtype=np.int8)
-    for p in primes:
-        pk = int(p)
+    # rest[n] ends as n with every prime factor p <= isqrt(limit) divided out
+    rest = np.arange(limit + 1, dtype=np.int32)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p]:
+            continue
+        block = spf[p::p]
+        block[block == 0] = p
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        pk = p
         while pk <= limit:
             omega[pk::pk] += 1
-            pk *= int(p)
+            rest[pk::pk] //= p
+            pk *= p
+    # what is left of n is 1 or its one prime factor above isqrt(limit)
+    np.copyto(spf[2:], rest[2:], where=spf[2:] == 0)
+    big = rest > 1
+    del rest  # 4L bytes, not needed for the masked updates below
+    mu[big] *= -1
+    omega[big] += 1
 
     for arr in (spf, mu, omega):
         arr.setflags(write=False)

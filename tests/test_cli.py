@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from revpal import sieve
+from revpal import revgoldbach, sieve
 from revpal.cli import CACHE_ENV, UsageError, build_parser, dispatch, emit_report, main
 from revpal.digits import base_context
 from revpal.experiments import CountReport
@@ -60,6 +60,18 @@ def test_hcabdlog_command():
     code, out = run(["hcabdlog", "--base", "10", "--limit", "1000"])
     assert code == 0
     assert json.loads(out)["exceptions"] == [11]
+
+
+@pytest.mark.parametrize("target", [500, 1005])
+def test_goldbach_commands_size_the_table_for_reversed_primes(target):
+    # reverses <= target come from primes with as many digits, up to 999 or 9999
+    ctx, table = base_context(10), sieve.build(9999)
+    code, out = run(["hcabdlog", "--base", "10", "--limit", str(target)])
+    assert code == 0
+    assert json.loads(out) == revgoldbach.scan_exceptions(ctx, target, table).to_dict()
+    code, out = run(["estermann", "--base", "10", "--M", str(target)])
+    assert code == 0
+    assert int(out) == revgoldbach.estermann_count(ctx, target, table)
 
 
 def test_main_term_command():

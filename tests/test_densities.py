@@ -4,7 +4,6 @@ import pytest
 
 from revpal import densities
 from revpal.densities import (
-    as_mantissa_exponent,
     kfree_density,
     palin_kfree_main_term,
     rev_kfree_main_term,
@@ -108,10 +107,3 @@ def test_main_terms_positive_finite():
             for N in (1, 5, 30):
                 v = rev_kfree_main_term(ctx, k, N)
                 assert v > 0 and math.isfinite(v)
-
-
-def test_mantissa_exponent_split():
-    for log_value in (1000 * math.log(10), 12345.678, 7.0):
-        m, e = as_mantissa_exponent(log_value)
-        assert 1.0 <= m < 10.0 + 1e-9
-        assert e + math.log10(m) == pytest.approx(log_value / math.log(10), abs=1e-9)

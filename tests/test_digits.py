@@ -18,17 +18,17 @@ from revpal.sieve import DEFAULT_LIMIT_BUDGET
 
 
 def test_to_digits_examples():
-    assert to_digits(1234, 10).digits == (4, 3, 2, 1)
-    assert to_digits(7, 10).digits == (7,)
-    assert to_digits(8, 2).digits == (0, 0, 0, 1)
+    assert to_digits(1234, 10) == (4, 3, 2, 1)
+    assert to_digits(7, 10) == (7,)
+    assert to_digits(8, 2) == (0, 0, 0, 1)
 
 
 def test_to_digits_value_round_trip():
     for n in (1, 5, 99, 1000, 123456789):
         for b in (2, 3, 10, 16):
-            dv = to_digits(n, b)
-            assert dv.value == n
-            assert dv.digits[-1] != 0
+            ds = to_digits(n, b)
+            assert sum(d * b ** i for i, d in enumerate(ds)) == n
+            assert ds[-1] != 0
 
 
 def test_to_digits_rejects_zero():

@@ -136,3 +136,47 @@ def test_range_check(table_1e5):
         is_k_free(10 ** 5 + 1, 2, table_1e5)
     with pytest.raises(ValueError):
         sieve.is_k_free(10, 1, table_1e5)
+
+
+def _trial_row(n: int) -> tuple[int, int, int]:
+    """(spf, mu, Omega) of n >= 1 by trial division; spf(1) = 0 as in the table."""
+    spf = next((p for p in range(2, n + 1) if n % p == 0), 0)
+    omega, m, p = 0, n, 2
+    while m > 1:
+        while m % p == 0:
+            m //= p
+            omega += 1
+        p += 1
+    return spf, sieve._mu_trial(n), omega
+
+
+def test_build_matches_trial_division_around_prime_squares():
+    # every limit from 2 to 300 puts the table's end on each side of the
+    # p^2 boundaries, where a factor moves from the leftover fix-up into
+    # the sieve loop over p <= isqrt(limit)
+    expected = [_trial_row(n) for n in range(1, 301)]
+    for limit in range(2, 301):
+        t = build(limit)
+        rows = list(zip(t.spf.tolist(), t.mu.tolist(), t.omega_total.tolist()))
+        assert rows[1:] == expected[:limit], limit
+
+
+def test_prime_flags_match_eratosthenes(table_1e5):
+    flags = np.ones(10 ** 5 + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(10 ** 5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    assert np.array_equal(table_1e5.prime_flags(), flags)
+
+
+def test_kfree_flags_match_oracles():
+    # 4096 = 64^2 = 16^3 = 8^4: for each k the largest d^k is the limit itself
+    t = build(4096)
+    for k in (2, 3, 4):
+        flags = t.kfree_flags(k)
+        assert flags.shape == (4097,) and not flags[4096]
+        for n in range(1, 4097):
+            assert flags[n] == (mobius_sum_oracle(n, k) == 1) == is_k_free(n, k, t), (n, k)
+    with pytest.raises(ValueError):
+        t.kfree_flags(1)
