@@ -91,25 +91,35 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
 
 def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
                     scanned_from: int = 4) -> ScanResult:
-    """All in-class targets in [scanned_from, limit] with zero representations."""
+    """All in-class targets in [scanned_from, limit] with zero representations.
+
+    Pending targets are a 1-byte mask until fewer than limit / 8 remain, then a
+    sorted int64 array; the scan stops once no later reversed value reaches them.
+    """
+    if scanned_from < 2:
+        raise ValueError(f"scanned_from must be >= 2, got {scanned_from}")
     if limit > table.limit:
         raise ValueError(f"table limit {table.limit} too small for scan limit {limit}")
     parity = parity_class(ctx)
-    targets = np.arange(scanned_from, limit + 1, dtype=np.int64)
-    if parity is TargetClass.EVEN_TARGETS_ONLY:
-        targets = targets[targets % 2 == 0]
-
     rev_vals = reversed_prime_values(ctx, limit - 2, table)
-    flags = table.prime_flags()
-    pending = targets
-    # eliminate targets as soon as one representation is found; most fall
-    # within the first few reversed values
-    for r in rev_vals.tolist():
-        if pending.size == 0:
+    alive = np.zeros(max(limit + 1, 0), dtype=bool)
+    not_prime = ~table.prime_flags()[: alive.size]
+    alive[scanned_from:] = True
+    if parity is TargetClass.EVEN_TARGETS_ONLY:
+        alive[1::2] = False
+
+    rs = map(int, rev_vals)
+    for r in rs:
+        alive[r + 2:] &= not_prime[2:limit + 1 - r]
+        if 8 * np.count_nonzero(alive) <= limit:
             break
-        diff = pending - r
-        hit = (diff >= 2) & flags[np.maximum(diff, 0)]
-        pending = pending[~hit]
+    pending = np.flatnonzero(alive)
+    for r in rs:
+        if pending.size == 0 or r > pending[-1] - 2:
+            break
+        i = np.searchsorted(pending, r + 2)
+        tail = pending[i:]
+        pending = np.concatenate((pending[:i], tail[not_prime[tail - r]]))
     return ScanResult(
         base=ctx.b, limit=limit, scanned_from=scanned_from,
         parity=parity, exceptions=tuple(int(t) for t in pending),

@@ -11,6 +11,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -91,7 +92,10 @@ def segment_bounds(ctx: BaseContext, K: int) -> np.ndarray:
 
 
 def certify_base(ctx: BaseContext, K: int, slack: float = DEFAULT_SLACK) -> Certificate:
-    """One base: pass iff max_bound * (1 + slack) < b^(6/5)."""
+    """One base: pass iff max_bound * (1 + slack) < b^(6/5), decided exactly
+    as (max_bound * (1 + slack))^5 < b^6 over the rationals."""
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack}")
     bounds = segment_bounds(ctx, K)
     worst = int(np.argmax(bounds))
     max_bound = float(bounds[worst])
@@ -99,7 +103,7 @@ def certify_base(ctx: BaseContext, K: int, slack: float = DEFAULT_SLACK) -> Cert
     cb = max_bound / ctx.b
     return Certificate(
         b=ctx.b, K=K, max_bound=max_bound, threshold=threshold, slack=slack,
-        passed=max_bound * (1.0 + slack) < threshold,
+        passed=(Fraction(max_bound) * (1 + Fraction(slack))) ** 5 < ctx.b ** 6,
         cb_estimate=cb, alpha_estimate=math.log(cb) / math.log(ctx.b),
         worst_segment=worst,
     )

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,43 @@ def test_scan_consistency_random_targets(table_1e6):
     for M in rng.integers(4, 10 ** 4 + 1, size=100).tolist():
         has_rep = representations(ctx, int(M), table_1e6) > 0
         assert has_rep == (M not in res.exceptions)
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_scan_matches_representations_every_base(b, table_1e5):
+    ctx = base_context(b)
+    even_only = parity_class(ctx) is TargetClass.EVEN_TARGETS_ONLY
+    unrepresented = [M for M in range(2, 334)
+                     if not (even_only and M % 2)
+                     and representations(ctx, M, table_1e5) == 0]
+    # single-target scans reach the index phase at once, where a target whose
+    # one representation is (rev(p1), 2) must not be skipped
+    scans = [(limit, scanned_from) for limit in (5, 50, 333)
+             for scanned_from in (2, 4, 7, 9, limit + 1)]
+    scans += [(M, M) for M in range(2, 51)]
+    for limit, scanned_from in scans:
+        res = scan_exceptions(ctx, limit, table_1e5, scanned_from)
+        assert res.exceptions == tuple(
+            M for M in unrepresented if scanned_from <= M <= limit), (limit, scanned_from)
+
+
+@pytest.mark.parametrize("scanned_from", [1, 0, -5])
+def test_scan_rejects_scanned_from_below_2(scanned_from, table_1e5):
+    with pytest.raises(ValueError):
+        scan_exceptions(base_context(10), 1000, table_1e5, scanned_from)
+
+
+def test_scan_memory_is_a_few_bytes_per_target(table_1e6):
+    # a 1-byte mask per target, not int64 target arrays and temporaries
+    limit = 10 ** 6
+    tracemalloc.start()
+    try:
+        res = scan_exceptions(base_context(10), limit, table_1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exceptions == (11,)
+    assert peak < 16 * limit
 
 
 def test_estermann_examples(table_1e5):

@@ -1,11 +1,13 @@
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revpal import verifier
 from revpal.digits import base_context
 from revpal.verifier import (
     Certificate,
@@ -69,6 +71,27 @@ def test_certificate_fields_consistent():
     assert cert.passed == (cert.max_bound * (1 + cert.slack) < cert.threshold)
     if cert.passed:
         assert cert.alpha_estimate < 1 / 5
+
+
+@pytest.mark.parametrize("b", [10, 32, 26000, 31698])
+def test_threshold_decided_exactly_one_ulp_either_side(b, monkeypatch):
+    # float(32) ** 1.2 is 63.99999999999999 < 64 = 32^(6/5): a float compare
+    # against the rounded threshold fails that bound, the exact one passes it
+    t = float(b) ** 1.2
+    with localcontext() as dec:
+        dec.prec = 60
+        exact = Decimal(b) ** (Decimal(6) / 5)
+    for max_bound in (math.nextafter(t, 0), t, math.nextafter(t, math.inf)):
+        monkeypatch.setattr(verifier, "segment_bounds", lambda ctx, K: np.array([max_bound]))
+        cert = certify_base(base_context(b), 8, slack=0.0)
+        assert cert.threshold == t
+        assert cert.passed == (Decimal(max_bound) < exact), (b, max_bound)
+
+
+def test_certify_rejects_non_finite_slack():
+    for slack in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            certify_base(base_context(100), 8, slack)
 
 
 def test_grid_sharing_matches_naive_kernel():
