@@ -47,13 +47,29 @@ def parity_class(ctx: BaseContext) -> TargetClass:
 
 
 def prime_bound(ctx: BaseContext, cap: int) -> int:
-    """Largest prime that reversed_prime_values(ctx, cap, table) reads (1, so
-    none, for cap < 1).
+    """Largest n with b not dividing n and rev(n) <= cap (1 for cap < 1): the
+    largest prime reversed_prime_values(ctx, cap, table) can read.
 
-    Reversal preserves digit count, so any prime contributing a value <= cap
-    has at most as many base-b digits as cap.
+    Reversal keeps the digit count of such n, so n = rev(m) for some m <= cap
+    with as many digits as cap and a nonzero last digit.  The greedy pass picks
+    the digits of m from the least significant up, each as large as still
+    leaves room for a leading digit 1; that maximizes n, whose leading digit is
+    m's last.  When cap = b^(d-1) no such m exists, and every n below cap counts.
     """
-    return ctx.b ** len(to_digits(cap, ctx.b)) - 1 if cap >= 1 else 1
+    b = ctx.b
+    if cap < 1:
+        return 1
+    d = len(to_digits(cap, b))
+    top = b ** (d - 1)
+    if d > 1 and cap == top:
+        return top - 1
+    low = n = 0
+    for k in range(d):
+        room = cap - low - (top if k < d - 1 else 0)
+        digit = min(b - 1, room // b ** k)
+        low += digit * b ** k
+        n = n * b + digit
+    return n
 
 
 def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:
@@ -68,8 +84,7 @@ def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.
             f"table limit {table.limit} too small; "
             f"need primes up to {bound} to cover reverses <= {cap}"
         )
-    flags = table.prime_flags()[: bound + 1]
-    ps = np.nonzero(flags)[0].astype(np.int64)
+    ps = np.flatnonzero(table.omega_total[: bound + 1] == 1).astype(np.int64)
     ps = ps[ps % b != 0]
     vals = reverse_array(ps, ctx)
     vals = vals[vals <= cap]
@@ -85,8 +100,7 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
     if M > table.limit:
         raise ValueError(f"table limit {table.limit} too small for target {M}")
     rev_vals = reversed_prime_values(ctx, M - 2, table)
-    flags = table.prime_flags()
-    return int(np.count_nonzero(flags[M - rev_vals])) if rev_vals.size else 0
+    return int(np.count_nonzero(table.omega_total[M - rev_vals] == 1))
 
 
 def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
@@ -103,7 +117,7 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
     parity = parity_class(ctx)
     rev_vals = reversed_prime_values(ctx, limit - 2, table)
     alive = np.zeros(max(limit + 1, 0), dtype=bool)
-    not_prime = ~table.prime_flags()[: alive.size]
+    not_prime = table.omega_total[: alive.size] != 1
     alive[scanned_from:] = True
     if parity is TargetClass.EVEN_TARGETS_ONLY:
         alive[1::2] = False

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from revpal.digits import base_context, reverse, reverse_array
+from revpal.digits import base_context, reverse, reverse_array, to_digits
 from revpal.revgoldbach import (
     TargetClass,
     estermann_count,
     parity_class,
+    prime_bound,
     representations,
     reversed_prime_values,
     scan_exceptions,
@@ -40,6 +41,41 @@ def test_representations_symmetric_pipeline(table_1e5):
             if p2 >= 2 and (M - p2) in all_rev
         )
         assert representations(ctx, M, table_1e5) == by_p2
+
+
+def test_representations_match_prime_flags_count(table_1e5):
+    # reverses of every prime in the table, not only those below prime_bound
+    ctx = base_context(10)
+    flags = table_1e5.prime_flags()
+    ps = np.flatnonzero(flags)
+    revs = reverse_array(ps[ps % 10 != 0], ctx)
+    rng = np.random.default_rng(5)
+    targets = [2, 3, 4, 11, 1001, 1002, 10003, 99999, 10 ** 5]
+    targets += rng.integers(2, 10 ** 5 + 1, size=20).tolist()
+    for M in targets:
+        direct = int(np.count_nonzero(flags[M - revs[revs <= M - 2]]))
+        assert representations(ctx, M, table_1e5) == direct, M
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_prime_bound_is_largest_n_reversing_below_cap(b):
+    ctx = base_context(b)
+    cap_max = 2000
+    best = np.ones(cap_max + 1, dtype=np.int64)  # 1: no n > 1 qualifies
+    for n in range(1, b ** len(to_digits(cap_max, b))):
+        r = reverse(n, ctx) if n % b else cap_max + 1
+        if r <= cap_max:
+            best[r] = max(best[r], n)
+    best = np.maximum.accumulate(best)
+    assert [prime_bound(ctx, cap) for cap in range(1, cap_max + 1)] == best[1:].tolist()
+    assert prime_bound(ctx, 0) == prime_bound(ctx, -3) == 1
+
+
+def test_prime_bound_just_past_a_power_of_the_base():
+    ctx = base_context(10)
+    assert prime_bound(ctx, 1000001) == 1000001
+    assert prime_bound(ctx, 10 ** 6) == 999999
+    assert prime_bound(ctx, 999999) == 999999
 
 
 def test_scan_small_base10(table_1e5):

@@ -24,3 +24,15 @@ def test_hcabdlog_scan_runs_below_a_power_of_the_base():
     res = run_script("hcabdlog_scan.py", "--limit", "500", "--show-counts", "3")
     assert res.returncode == 0, res.stderr
     assert '"exceptions": [11]' in res.stdout
+
+
+def test_reproduce_table_quick_passes_every_row():
+    res = run_script("reproduce_table.py", "--quick")
+    assert res.returncode == 0, res.stderr
+    rows = res.stdout.splitlines()[1:]
+    assert [row.split()[:4] for row in rows] == [
+        ["28500", "31698", "8", "True"],
+        ["26500", "28499", "34", "True"],
+        ["26100", "26499", "122", "True"],
+        ["26000", "26099", "367", "True"],
+    ]

@@ -1,7 +1,9 @@
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,38 @@ def test_grid_sharing_matches_naive_kernel():
         fast = segment_bounds(ctx, K)
         slow = segment_bounds_naive(ctx, K)
         assert np.allclose(fast, slow, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("b, K", [(2, 2), (7, 3), (50, 5), (211, 6), (26000, 367)])
+def test_segment_bounds_mirror_symmetric(b, K):
+    bounds = segment_bounds(base_context(b), K)
+    assert bounds.shape == (K,)
+    assert np.array_equal(bounds, bounds[::-1])
+
+
+@pytest.mark.parametrize("b, K", [(7, 2), (50, 5), (137, 5), (1000, 8)])
+def test_segment_bounds_match_mpmath(b, K):
+    with mpmath.workdps(30):
+        def g(h, j):
+            s = abs(mpmath.sin(mpmath.pi * (mpmath.mpf(h * K + j) / (K * b))))
+            return mpmath.mpf(b) if s * b <= 1 else 1 / s
+
+        exact = [mpmath.fsum(max(g(h, i), g(h, i + 1)) for h in range(b)) for i in range(K)]
+        got = segment_bounds(base_context(b), K)
+        for i in range(K):
+            assert abs(got[i] - exact[i]) <= 1e-13 * exact[i], (i, got[i], exact[i])
+
+
+def test_segment_bounds_memory_does_not_grow_with_the_grid():
+    # the K*b + 1 point grid at b = 26000, K = 367 alone would take 76 MB
+    ctx = base_context(26000)
+    tracemalloc.start()
+    try:
+        segment_bounds(ctx, 367)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 @settings(max_examples=60, deadline=None)
