@@ -128,8 +128,7 @@ def _primes_in_digit_class(ctx: BaseContext, N: int, table: FactorTable) -> np.n
     lo, hi = b ** (N - 1), b ** N
     if hi - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
-    flags = table.prime_flags()[lo:hi]
-    ps = np.nonzero(flags)[0].astype(np.int64) + lo
+    ps = np.flatnonzero(table.omega_total[lo:hi] == 1).astype(np.int64) + lo
     return ps[ps % b != 0]
 
 

@@ -2,8 +2,11 @@
 Omega (prime factors with multiplicity), primality and k-free tests.
 
 Memory layout: spf is 4 bytes per entry, mu and omega one byte each, so a
-table of limit L costs about 6L bytes.  build also holds a 4-byte cofactor
-per entry while it runs, about 10L bytes in all.
+table of limit L costs about 6L bytes.  While it runs, build adds, before mu
+and omega exist, a 1-byte mask of spf == 0 and an int64 index of the primes
+above sqrt(L) (about 1.5L bytes at L = 10^7), and afterwards a few int64 and
+int32 temporaries per chunk of at most _CHUNK entries (about 4 MB at
+_CHUNK = 2^18, whatever L is): build(10^7) peaks near 6.4L bytes.
 """
 
 import os
@@ -18,6 +21,9 @@ DEFAULT_LIMIT_BUDGET = 2 ** 31
 
 _CACHE_MAGIC = b"RPFT"
 _CACHE_VERSION = 1
+
+# entries per chunk of the mu/Omega recurrence in build
+_CHUNK = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -39,9 +45,12 @@ class FactorTable:
         return self.omega_total == 1
 
     def kfree_flags(self, k: int) -> np.ndarray:
-        """Boolean array over [0, limit], True at n >= 1 with no d^k | n, d >= 2."""
+        """Boolean array over [0, limit], True at n >= 1 with no d^k | n, d >= 2.
+        Square-free (k = 2) is mu(n) != 0."""
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
+        if k == 2:
+            return self.mu != 0
         flags = np.ones(self.limit + 1, dtype=bool)
         flags[0] = False
         d = 2
@@ -56,37 +65,51 @@ class FactorTable:
 
 
 def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
-    """Sieve all arrays for 1 <= n <= limit in one loop over the primes
-    p <= isqrt(limit); each n has at most one prime factor above that."""
+    """Sieve all arrays for 1 <= n <= limit.
+
+    spf: each prime p <= isqrt(limit), taken in descending order, writes p to
+    every multiple of p, so a smaller prime overwrites a larger one and each
+    entry ends at its smallest prime factor.  The entries n >= 2 still 0 have
+    no prime factor up to isqrt(limit), so they are the primes above it.
+
+    mu and Omega follow from spf alone (each n is reached from n / spf(n), as
+    in the linear sieve of Gries and Misra, CACM 21, 1978): with p = spf(n)
+    and m = n / p, Omega(n) = Omega(m) + 1, and mu(n) = 0 if p | m (that is,
+    spf(m) = p) and -mu(m) otherwise; spf(1) = 0 makes m = 1 come out right.
+    The recurrence runs over chunks [a, e) in increasing order with e <= 2a,
+    so every m <= n/2 < a it reads lies in an earlier chunk and is final.
+    """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit > budget:
         raise ValueError(f"limit {limit} exceeds memory budget {budget}")
 
+    root = isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+
     spf = np.zeros(limit + 1, dtype=np.int32)
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    omega = np.zeros(limit + 1, dtype=np.int8)
-    # rest[n] ends as n with every prime factor p <= isqrt(limit) divided out
-    rest = np.arange(limit + 1, dtype=np.int32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p]:
-            continue
-        block = spf[p::p]
-        block[block == 0] = p
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        pk = p
-        while pk <= limit:
-            omega[pk::pk] += 1
-            rest[pk::pk] //= p
-            pk *= p
-    # what is left of n is 1 or its one prime factor above isqrt(limit)
-    np.copyto(spf[2:], rest[2:], where=spf[2:] == 0)
-    big = rest > 1
-    del rest  # 4L bytes, not needed for the masked updates below
-    mu[big] *= -1
-    omega[big] += 1
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p::p] = p
+    big = np.flatnonzero(spf == 0)[2:]
+    spf[big] = big
+    del big
+
+    mu = np.empty(limit + 1, dtype=np.int8)
+    omega = np.empty(limit + 1, dtype=np.int8)
+    mu[:2] = (0, 1)
+    omega[:2] = 0
+    a = 2
+    while a <= limit:
+        e = min(2 * a, a + _CHUNK, limit + 1)
+        p = spf[a:e]
+        m = np.arange(a, e, dtype=np.int64) // p
+        omega[a:e] = omega[m] + 1
+        mu[a:e] = np.where(spf[m] == p, 0, -mu[m])
+        a = e
 
     for arr in (spf, mu, omega):
         arr.setflags(write=False)
@@ -161,9 +184,9 @@ def save_cache(table: FactorTable, path: str | Path):
     try:
         with open(tmp, "wb") as fh:
             fh.write(struct.pack("<4sIQ", _CACHE_MAGIC, _CACHE_VERSION, table.limit))
-            fh.write(table.spf.astype("<i4").tobytes())
-            fh.write(table.mu.astype("<i1").tobytes())
-            fh.write(table.omega_total.astype("<i1").tobytes())
+            fh.write(memoryview(np.asarray(table.spf, dtype="<i4")))
+            fh.write(memoryview(np.asarray(table.mu, dtype="<i1")))
+            fh.write(memoryview(np.asarray(table.omega_total, dtype="<i1")))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

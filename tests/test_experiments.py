@@ -19,6 +19,7 @@ from revpal.experiments import (
     rev_pi_star,
     sqrt_law_check,
 )
+from revpal.sieve import build
 
 
 def test_palindrome_enumeration_base10_small():
@@ -132,6 +133,12 @@ def test_sqrt_law_check():
     star_rows = sqrt_law_check(ctx, [10 ** j for j in range(2, 7)], star=True)
     for (_, _, n1), (_, _, n2) in zip(star_rows, rows):
         assert n1 <= n2
+
+
+def test_count_rev_kfree_primes_same_on_small_and_large_tables(table_1e6):
+    ctx = base_context(10)
+    small = count_rev_kfree_primes(ctx, 2, 3, build(10 ** 4))
+    assert count_rev_kfree_primes(ctx, 2, 3, table_1e6) == small
 
 
 def test_report_serialization_round_trip(table_1e5):

@@ -1,5 +1,6 @@
 """Smoke tests: the experiment drivers under scripts/ run to completion."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -36,3 +37,38 @@ def test_reproduce_table_quick_passes_every_row():
         ["26100", "26499", "122", "True"],
         ["26000", "26099", "367", "True"],
     ]
+
+
+FAKE_RUN = """import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+assert args["--trace"] == "0" and float(args["--seconds"]) > 0
+job = {job} + int(args["--seed"]) / 100
+metrics = {{"job_s": job, "setup_s": 0.2, "peak_rss_mb": 100.0}}
+print("some other output")
+print(json.dumps({{"correct": True, "attempted": 5, "failed": 0,
+                  "metrics": {{k: {{"value": v, "unit": "s"}} for k, v in metrics.items()}}}}))
+"""
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_two_checkouts(tmp_path, capsys):
+    bench = load_script("bench")
+    checkouts = {}
+    for side, job in (("before", 2.0), ("after", 1.0)):
+        checkouts[side] = tmp_path / side
+        (checkouts[side] / "perfbench").mkdir(parents=True)
+        (checkouts[side] / "perfbench" / "run.py").write_text(FAKE_RUN.format(job=job))
+    wl = bench.bench_workload(checkouts, "count_cold", [5, 6, 7], 1.0)
+    assert wl["seeds"] == [5, 6, 7]
+    assert wl["before"]["job_s"]["median"] == 2.06 and wl["after"]["job_s"]["median"] == 1.06
+    assert wl["after_wins"] == {"job_s": 3, "setup_s": 0, "peak_rss_mb": 0}
+    assert wl["after"]["failed"] == 0 and wl["after"]["attempted"] == 15
+    # the side that runs first alternates from pair to pair
+    order = [line.split()[2] for line in capsys.readouterr().err.splitlines()]
+    assert order == ["before", "after", "after", "before", "before", "after"]

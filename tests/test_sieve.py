@@ -1,10 +1,13 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import build_divide_out
 from revpal import sieve
 from revpal.sieve import (
     build,
@@ -115,6 +118,15 @@ def test_cache_round_trip(tmp_path):
     assert np.array_equal(t2.omega_total, t.omega_total)
 
 
+def test_cache_file_is_header_plus_little_endian_arrays(tmp_path):
+    t = build(5000)
+    path = tmp_path / "sieve_5000.bin"
+    save_cache(t, path)
+    expected = (struct.pack("<4sIQ", b"RPFT", 1, 5000) + t.spf.astype("<i4").tobytes()
+                + t.mu.astype("<i1").tobytes() + t.omega_total.astype("<i1").tobytes())
+    assert path.read_bytes() == expected
+
+
 def test_cache_rejects_truncated_file(tmp_path):
     path = tmp_path / "sieve_5000.bin"
     save_cache(build(5000), path)
@@ -180,3 +192,34 @@ def test_kfree_flags_match_oracles():
             assert flags[n] == (mobius_sum_oracle(n, k) == 1) == is_k_free(n, k, t), (n, k)
     with pytest.raises(ValueError):
         t.kfree_flags(1)
+
+
+@pytest.mark.parametrize("limit", [2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 2 ** 19 + 7,
+                                   3 * 2 ** 18 + 5, 10 ** 6])
+def test_build_matches_divide_out_oracle(limit):
+    # limits on each side of the chunk size and of the doubling chunks [a, 2a)
+    assert sieve._CHUNK == 2 ** 18
+    t, ref = build(limit), build_divide_out(limit)
+    for name in ("spf", "mu", "omega_total"):
+        got, want = getattr(t, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_build_memory_is_under_8_bytes_per_entry():
+    # the table itself is 6 bytes per entry; no 4-byte cofactor array on top
+    limit = 10 ** 7
+    tracemalloc.start()
+    try:
+        build(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * limit
+
+
+def test_squarefree_flags_match_stride_loop(table_1e5):
+    flags = np.ones(10 ** 5 + 1, dtype=bool)
+    flags[0] = False
+    for d in range(2, math.isqrt(10 ** 5) + 1):
+        flags[d * d :: d * d] = False
+    assert np.array_equal(table_1e5.kfree_flags(2), flags)
