@@ -128,7 +128,7 @@ def _primes_in_digit_class(ctx: BaseContext, N: int, table: FactorTable) -> np.n
     lo, hi = b ** (N - 1), b ** N
     if hi - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
-    ps = np.flatnonzero(table.omega_total[lo:hi] == 1).astype(np.int64) + lo
+    ps = np.flatnonzero(table.omega_total[lo:hi] == 1) + lo
     return ps[ps % b != 0]
 
 
@@ -139,7 +139,7 @@ def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable)
     ps = _primes_in_digit_class(ctx, N, table)
     rev = reverse_array(ps, ctx)
     rev = rev[np.gcd(rev, ctx.b3mb) == 1]
-    count = int(np.count_nonzero(table.kfree_flags(k)[rev]))
+    count = int(np.count_nonzero(table.kfree_at(rev, k)))
     return CountReport(
         label="rev_kfree_primes", b=ctx.b, k=k, n_or_x=N, d=None,
         empirical=count, main_term=densities.rev_kfree_main_term(ctx, k, N),
@@ -187,7 +187,7 @@ def count_kfree_palindromes(ctx: BaseContext, k: int, x: int, table: FactorTable
     if x > table.limit:
         raise ValueError(f"table limit {table.limit} too small for x = {x}")
     pstar = enumerate_palindromes(ctx, x, star=True)
-    count = int(np.count_nonzero(table.kfree_flags(k)[pstar]))
+    count = int(np.count_nonzero(table.kfree_at(pstar, k)))
     return CountReport(
         label="kfree_palindromes", b=ctx.b, k=k, n_or_x=x, d=None,
         empirical=count,
@@ -212,7 +212,7 @@ def count_almost_prime_palindromes(
     pal = enumerate_palindromes(ctx, x)
     keep = table.omega_total[pal] <= omega_max
     if kfree_k is not None:
-        keep &= table.kfree_flags(kfree_k)[pal]
+        keep &= table.kfree_at(pal, kfree_k)
     if rough_exponent is not None:
         keep &= (pal == 1) | (table.spf[pal] >= x ** rough_exponent)
     return int(np.count_nonzero(keep))

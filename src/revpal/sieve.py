@@ -11,7 +11,7 @@ _CHUNK = 2^18, whatever L is): build(10^7) peaks near 6.4L bytes.
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
 
@@ -28,12 +28,18 @@ _CHUNK = 2 ** 18
 
 @dataclass(frozen=True)
 class FactorTable:
-    """Immutable sieve output over [0, limit]; index 0 is padding."""
+    """Immutable sieve output over [0, limit]; index 0 is padding.
+
+    _memo maps a base b to the sorted reversed primes that
+    revgoldbach.reversed_prime_values keeps for it; it lives and dies with
+    the table and is neither saved, compared nor shown.
+    """
 
     limit: int
     spf: np.ndarray      # int32, spf[n] = smallest prime factor of n for n >= 2
     mu: np.ndarray       # int8, Mobius function
     omega_total: np.ndarray  # int8, Omega(n)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
@@ -44,19 +50,25 @@ class FactorTable:
         when n is prime."""
         return self.omega_total == 1
 
-    def kfree_flags(self, k: int) -> np.ndarray:
-        """Boolean array over [0, limit], True at n >= 1 with no d^k | n, d >= 2.
-        Square-free (k = 2) is mu(n) != 0."""
+    def kfree_at(self, ns: np.ndarray, k: int) -> np.ndarray:
+        """Boolean array over the int64 array ns of values in [0, limit], True
+        at n >= 1 with no d^k | n, d >= 2.  Square-free (k = 2) is mu(n) != 0.
+        A square-free n is k-free for every k, so for k >= 3 only the other
+        values are tried, against p^k for the primes p with p^k <= their max."""
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
+        flags = self.mu[ns] != 0
         if k == 2:
-            return self.mu != 0
-        flags = np.ones(self.limit + 1, dtype=bool)
-        flags[0] = False
-        d = 2
-        while d ** k <= self.limit:
-            flags[d ** k :: d ** k] = False
-            d += 1
+            return flags
+        at = np.flatnonzero(~flags)
+        rest = ns[at]
+        top = int(rest.max(initial=0))
+        keep = rest >= 1
+        for p in np.flatnonzero(self.omega_total[: isqrt(top) + 1] == 1).tolist():
+            if p ** k > top:
+                break
+            keep &= rest % p ** k != 0
+        flags[at] = keep
         return flags
 
     def _check(self, n: int):

@@ -4,6 +4,8 @@ from math import isqrt
 
 import numpy as np
 
+from revpal.digits import BaseContext, reverse_array
+from revpal.revgoldbach import prime_bound
 from revpal.sieve import FactorTable
 
 
@@ -33,3 +35,23 @@ def build_divide_out(limit: int) -> FactorTable:
     mu[big] *= -1
     omega[big] += 1
     return FactorTable(limit=limit, spf=spf, mu=mu, omega_total=omega)
+
+
+def reversed_prime_values_direct(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:
+    """Sorted rev(p) <= cap over primes p <= prime_bound(ctx, cap) with b not
+    dividing p, reversing every such prime on each call, without a memo."""
+    b = ctx.b
+    if cap < 1:
+        return np.empty(0, dtype=np.int64)
+    bound = prime_bound(ctx, cap)
+    if bound > table.limit:
+        raise ValueError(
+            f"table limit {table.limit} too small; "
+            f"need primes up to {bound} to cover reverses <= {cap}"
+        )
+    ps = np.flatnonzero(table.omega_total[: bound + 1] == 1).astype(np.int64)
+    ps = ps[ps % b != 0]
+    vals = reverse_array(ps, ctx)
+    vals = vals[vals <= cap]
+    vals.sort()
+    return vals

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import reversed_prime_values_direct
+from revpal import revgoldbach
 from revpal.digits import base_context, reverse, reverse_array, to_digits
 from revpal.revgoldbach import (
     TargetClass,
@@ -14,6 +16,7 @@ from revpal.revgoldbach import (
     reversed_prime_values,
     scan_exceptions,
 )
+from revpal.sieve import build, save_cache
 
 
 def test_parity_class():
@@ -177,6 +180,71 @@ def test_reversed_prime_values_sorted_and_correct(table_1e5):
         if table_1e5.is_prime(p) and p % 10 != 0 and reverse(p, ctx) <= 500
     )
     assert vals.tolist() == expected
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_reversed_prime_values_match_direct_oracle(b):
+    # ascending caps rebuild the memo at each larger bound, descending caps
+    # reuse it after the first call, random caps do both
+    ctx = base_context(b)
+    limit = 10 ** 5
+    rng = np.random.default_rng(b)
+    caps = [c for c in rng.integers(-2, 3 * 10 ** 4, size=24).tolist()
+            if prime_bound(ctx, c) <= limit]
+    caps += [0, 1, 2, b - 1, b, b + 1, b * b]
+    for order in (sorted(caps), sorted(caps, reverse=True), caps):
+        table = build(limit)
+        for cap in order:
+            got = reversed_prime_values(ctx, cap, table)
+            assert not got.flags.writeable, cap
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reversed_prime_values_direct(ctx, cap, table)), cap
+
+
+def test_memo_stops_at_the_exact_bound_not_the_table_limit():
+    ctx = base_context(10)
+    table = build(10 ** 6)
+    rev_vals = reversed_prime_values_direct(ctx, 998, table)
+    want = int(np.count_nonzero(table.omega_total[1000 - rev_vals] == 1))
+    assert representations(ctx, 1000, table) == want
+    bound, vals = table._memo[10]
+    assert bound == prime_bound(ctx, 998) < 10 ** 3
+    assert vals.size == np.count_nonzero(table.omega_total[: bound + 1] == 1)
+
+
+def test_reverse_array_runs_once_per_new_bound_maximum(monkeypatch):
+    ctx = base_context(10)
+    table = build(10 ** 6)
+    calls = []
+
+    def counting_reverse_array(ns, c):
+        calls.append(ns.size)
+        return reverse_array(ns, c)
+
+    monkeypatch.setattr(revgoldbach, "reverse_array", counting_reverse_array)
+    targets = [5000, 120, 900000, 3000, 900001, 40000]
+    counts = {M: (representations(ctx, M, table), estermann_count(ctx, M, table))
+              for M in targets}
+    bounds = [prime_bound(ctx, M - d) for M in targets for d in (2, 1)]
+    new_maxima = sum(1 for i, B in enumerate(bounds) if B > max(bounds[:i], default=0))
+    assert 1 <= len(calls) <= new_maxima < len(bounds)
+    for M, (r, h) in counts.items():
+        rev_r = reversed_prime_values_direct(ctx, M - 2, table)
+        rev_h = reversed_prime_values_direct(ctx, M - 1, table)
+        assert r == int(np.count_nonzero(table.omega_total[M - rev_r] == 1)), M
+        assert h == int(np.count_nonzero(table.mu[M - rev_h] != 0)), M
+
+
+def test_memo_is_not_saved_or_shown(tmp_path):
+    fresh, used = build(10 ** 5), build(10 ** 5)
+    ctx = base_context(10)
+    scan_exceptions(ctx, 10 ** 4, used)
+    estermann_count(ctx, 10 ** 5, used)
+    assert used._memo and not fresh._memo
+    save_cache(fresh, tmp_path / "fresh.bin")
+    save_cache(used, tmp_path / "used.bin")
+    assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "used.bin").read_bytes()
+    assert "_memo" not in repr(used) and repr(used) == repr(fresh)
 
 
 def test_table_too_small_errors(table_1e5):

@@ -185,13 +185,14 @@ def test_prime_flags_match_eratosthenes(table_1e5):
 def test_kfree_flags_match_oracles():
     # 4096 = 64^2 = 16^3 = 8^4: for each k the largest d^k is the limit itself
     t = build(4096)
+    ns = np.arange(4097)
     for k in (2, 3, 4):
-        flags = t.kfree_flags(k)
-        assert flags.shape == (4097,) and not flags[4096]
+        flags = t.kfree_at(ns, k)
+        assert flags.shape == (4097,) and not flags[0] and not flags[4096]
         for n in range(1, 4097):
             assert flags[n] == (mobius_sum_oracle(n, k) == 1) == is_k_free(n, k, t), (n, k)
     with pytest.raises(ValueError):
-        t.kfree_flags(1)
+        t.kfree_at(ns, 1)
 
 
 @pytest.mark.parametrize("limit", [2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 2 ** 19 + 7,
@@ -222,4 +223,19 @@ def test_squarefree_flags_match_stride_loop(table_1e5):
     flags[0] = False
     for d in range(2, math.isqrt(10 ** 5) + 1):
         flags[d * d :: d * d] = False
-    assert np.array_equal(table_1e5.kfree_flags(2), flags)
+    assert np.array_equal(table_1e5.kfree_at(np.arange(10 ** 5 + 1), 2), flags)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_kfree_at_gathered_values_near_prime_powers(k, table_1e5):
+    # when max(ns) is p^k itself, p must still be among the primes tried
+    ps = [p for p in range(2, 50) if table_1e5.is_prime(p) and p ** k <= 10 ** 5]
+    for p in ps:
+        for n in (p ** k - 1, p ** k, p ** k + 1, 2 * p ** k):
+            if n <= 10 ** 5:
+                got = table_1e5.kfree_at(np.array([1, n]), k)
+                assert got.tolist() == [True, is_k_free(n, k, table_1e5)], (p, n)
+    rng = np.random.default_rng(k)
+    ns = rng.integers(0, 10 ** 5 + 1, size=2000)
+    want = [n >= 1 and is_k_free(int(n), k, table_1e5) for n in ns]
+    assert table_1e5.kfree_at(ns, k).tolist() == want
