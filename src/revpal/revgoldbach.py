@@ -114,12 +114,35 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
     return int(np.count_nonzero(table.omega_total[M - rev_vals] == 1))
 
 
+def _last_nonzero(a: np.ndarray, top: int) -> int:
+    """Largest i <= top with a[i] != 0, or -1; searched downward from top in
+    chunks of 1024 entries, so it costs about the entries skipped, not a.size."""
+    while top >= 0:
+        lo = max(top - 1023, 0)
+        nz = np.flatnonzero(a[lo:top + 1])
+        if nz.size:
+            return lo + int(nz[-1])
+        top = lo - 1
+    return -1
+
+
 def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
                     scanned_from: int = 4) -> ScanResult:
     """All in-class targets in [scanned_from, limit] with zero representations.
 
-    Pending targets are a 1-byte mask until fewer than limit / 8 remain, then a
-    sorted int64 array; the scan stops once no later reversed value reaches them.
+    Target t is bit t % 8 of byte t // 8 of the pending set `live` (little
+    bit order).  Copy s of the packed composite mask omega_total[:limit+1] != 1
+    is that mask moved up s bits, with ones shifted in below index 0, so a
+    reversed value r = 8q + s clears every pending t with t - r prime by one
+    in-place AND of live[q:] with copy s.  Targets t < r meet the shifted-in
+    ones and are never touched, and t - r in {0, 1} reads not-prime, so the
+    rule t >= r + 2 needs no special case.
+
+    `top`, the last nonzero byte of live, is found after each AND by a chunked
+    search down from its old value.  The ANDs end at byte top, and the scan
+    stops once r > 8 * top + 5, when r + 2 exceeds every pending target.  Only
+    an upper bound is needed: a stale, too-high top would cost extra ANDs and
+    never change the result.
     """
     if scanned_from < 2:
         raise ValueError(f"scanned_from must be >= 2, got {scanned_from}")
@@ -127,27 +150,34 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
         raise ValueError(f"table limit {table.limit} too small for scan limit {limit}")
     parity = parity_class(ctx)
     rev_vals = reversed_prime_values(ctx, limit - 2, table)
-    alive = np.zeros(max(limit + 1, 0), dtype=bool)
-    not_prime = table.omega_total[: alive.size] != 1
+    n = max(limit + 1, 0)
+    alive = np.zeros(n, dtype=bool)
     alive[scanned_from:] = True
     if parity is TargetClass.EVEN_TARGETS_ONLY:
         alive[1::2] = False
+    live = np.packbits(alive, bitorder="little")
+    del alive
+    packed = np.packbits(table.omega_total[:n] != 1, bitorder="little")
+    below = np.roll(packed, 1)
+    below[:1] = 0xFF
+    shifted = np.empty((8, packed.size), dtype=np.uint8)
+    shifted[0] = packed
+    for s in range(1, 8):
+        np.left_shift(packed, s, out=shifted[s])
+        shifted[s] |= below >> (8 - s)
+    del packed, below
 
-    rs = map(int, rev_vals)
-    for r in rs:
-        alive[r + 2:] &= not_prime[2:limit + 1 - r]
-        if 8 * np.count_nonzero(alive) <= limit:
+    top = _last_nonzero(live, live.size - 1)
+    for r in map(int, rev_vals):
+        if r > 8 * top + 5:
             break
-    pending = np.flatnonzero(alive)
-    for r in rs:
-        if pending.size == 0 or r > pending[-1] - 2:
-            break
-        i = np.searchsorted(pending, r + 2)
-        tail = pending[i:]
-        pending = np.concatenate((pending[:i], tail[not_prime[tail - r]]))
+        q, s = divmod(r, 8)
+        live[q:top + 1] &= shifted[s, :top + 1 - q]
+        top = _last_nonzero(live, top)
+    exceptions = np.flatnonzero(np.unpackbits(live[:top + 1], bitorder="little"))
     return ScanResult(
         base=ctx.b, limit=limit, scanned_from=scanned_from,
-        parity=parity, exceptions=tuple(int(t) for t in pending),
+        parity=parity, exceptions=tuple(exceptions.tolist()),
     )
 
 

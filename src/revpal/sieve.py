@@ -45,11 +45,6 @@ class FactorTable:
         self._check(n)
         return int(self.omega_total[n]) == 1
 
-    def prime_flags(self) -> np.ndarray:
-        """Boolean array over [0, limit], True at primes: Omega(n) = 1 exactly
-        when n is prime."""
-        return self.omega_total == 1
-
     def kfree_at(self, ns: np.ndarray, k: int) -> np.ndarray:
         """Boolean array over the int64 array ns of values in [0, limit], True
         at n >= 1 with no d^k | n, d >= 2.  Square-free (k = 2) is mu(n) != 0.

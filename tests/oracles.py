@@ -5,7 +5,9 @@ from math import isqrt
 import numpy as np
 
 from revpal.digits import BaseContext, reverse_array
-from revpal.revgoldbach import prime_bound
+from revpal.revgoldbach import (
+    ScanResult, TargetClass, parity_class, prime_bound, reversed_prime_values,
+)
 from revpal.sieve import FactorTable
 
 
@@ -55,3 +57,39 @@ def reversed_prime_values_direct(ctx: BaseContext, cap: int, table: FactorTable)
     vals = vals[vals <= cap]
     vals.sort()
     return vals
+
+
+def scan_exceptions_mask(ctx: BaseContext, limit: int, table: FactorTable,
+                         scanned_from: int = 4) -> ScanResult:
+    """revgoldbach.scan_exceptions by a 1-byte mask of the pending targets,
+    one slice AND per reversed value r, until fewer than limit / 8 remain; then
+    by a sorted int64 array of them, filtered by t - r composite.  It stops
+    once no later reversed value reaches the largest pending target."""
+    if scanned_from < 2:
+        raise ValueError(f"scanned_from must be >= 2, got {scanned_from}")
+    if limit > table.limit:
+        raise ValueError(f"table limit {table.limit} too small for scan limit {limit}")
+    parity = parity_class(ctx)
+    rev_vals = reversed_prime_values(ctx, limit - 2, table)
+    alive = np.zeros(max(limit + 1, 0), dtype=bool)
+    not_prime = table.omega_total[: alive.size] != 1
+    alive[scanned_from:] = True
+    if parity is TargetClass.EVEN_TARGETS_ONLY:
+        alive[1::2] = False
+
+    rs = map(int, rev_vals)
+    for r in rs:
+        alive[r + 2:] &= not_prime[2:limit + 1 - r]
+        if 8 * np.count_nonzero(alive) <= limit:
+            break
+    pending = np.flatnonzero(alive)
+    for r in rs:
+        if pending.size == 0 or r > pending[-1] - 2:
+            break
+        i = np.searchsorted(pending, r + 2)
+        tail = pending[i:]
+        pending = np.concatenate((pending[:i], tail[not_prime[tail - r]]))
+    return ScanResult(
+        base=ctx.b, limit=limit, scanned_from=scanned_from,
+        parity=parity, exceptions=tuple(int(t) for t in pending),
+    )

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import reversed_prime_values_direct
+from oracles import reversed_prime_values_direct, scan_exceptions_mask
 from revpal import revgoldbach
 from revpal.digits import base_context, reverse, reverse_array, to_digits
 from revpal.revgoldbach import (
@@ -36,7 +36,7 @@ def test_representations_examples(table_1e5):
 def test_representations_symmetric_pipeline(table_1e5):
     # iterating p2 instead of p1 must give the same count
     ctx = base_context(10)
-    flags = table_1e5.prime_flags()
+    flags = table_1e5.omega_total == 1
     all_rev = set(reversed_prime_values(ctx, 10 ** 4, table_1e5).tolist())
     for M in (4, 5, 6, 11, 100, 1234, 9999):
         by_p2 = sum(
@@ -49,7 +49,7 @@ def test_representations_symmetric_pipeline(table_1e5):
 def test_representations_match_prime_flags_count(table_1e5):
     # reverses of every prime in the table, not only those below prime_bound
     ctx = base_context(10)
-    flags = table_1e5.prime_flags()
+    flags = table_1e5.omega_total == 1
     ps = np.flatnonzero(flags)
     revs = reverse_array(ps[ps % 10 != 0], ctx)
     rng = np.random.default_rng(5)
@@ -117,8 +117,8 @@ def test_scan_matches_representations_every_base(b, table_1e5):
     unrepresented = [M for M in range(2, 334)
                      if not (even_only and M % 2)
                      and representations(ctx, M, table_1e5) == 0]
-    # single-target scans reach the index phase at once, where a target whose
-    # one representation is (rev(p1), 2) must not be skipped
+    # single-target scans, where a target whose one representation is
+    # (rev(p1), 2) must not be skipped
     scans = [(limit, scanned_from) for limit in (5, 50, 333)
              for scanned_from in (2, 4, 7, 9, limit + 1)]
     scans += [(M, M) for M in range(2, 51)]
@@ -126,6 +126,82 @@ def test_scan_matches_representations_every_base(b, table_1e5):
         res = scan_exceptions(ctx, limit, table_1e5, scanned_from)
         assert res.exceptions == tuple(
             M for M in unrepresented if scanned_from <= M <= limit), (limit, scanned_from)
+
+
+def _scan_outcome(scan, ctx, limit, table, scanned_from):
+    try:
+        return scan(ctx, limit, table, scanned_from)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_scan_matches_mask_oracle_every_base(b, table_1e6):
+    # limits at every residue mod 8 around 64, 1000 and 2 * 10^4, so the last
+    # packed byte holds 1 to 8 targets, and limits -3 to 3, below or at the
+    # first targets
+    ctx = base_context(b)
+    limits = [c + d for c in (64, 1000, 2 * 10 ** 4) for d in range(-4, 4)]
+    limits += [-3, 0, 1, 2, 3]
+    for limit in limits:
+        for scanned_from in (2, 3, 4, 7, 8, 9, limit + 1):
+            args = (ctx, limit, table_1e6, scanned_from)
+            assert _scan_outcome(scan_exceptions, *args) == \
+                _scan_outcome(scan_exceptions_mask, *args), (limit, scanned_from)
+
+
+class _CountingValues:
+    """Iterable over an array that counts the values read from it."""
+
+    def __init__(self, vals):
+        self.vals, self.read = vals, 0
+
+    def __iter__(self):
+        for r in self.vals:
+            self.read += 1
+            yield r
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monkeypatch):
+    # the scan reads reversed values up to the first r > 8 * top + 5, top the
+    # last byte still holding a pending target: r + 2 is beyond all of them.
+    # Reading on to r = 8 * top + 6 changes no result (the bits it reaches have
+    # t - r in {0, 1}), so only the count of values read shows it; small
+    # limits such as 16 in base 10 end on such an r
+    ctx = base_context(b)
+    is_prime = table_1e5.omega_total == 1
+    even_only = parity_class(ctx) is TargetClass.EVEN_TARGETS_ONLY
+    seen = []
+
+    def counting(ctx, cap, table):
+        seen.append(_CountingValues(reversed_prime_values(ctx, cap, table)))
+        return seen[-1]
+
+    monkeypatch.setattr(revgoldbach, "reversed_prime_values", counting)
+    for limit in [*range(5, 41), 64, 67, 200, 1000, 1003]:
+        for scanned_from in (2, 4, 9):
+            scan_exceptions(ctx, limit, table_1e5, scanned_from)
+            vals = seen[-1].vals.tolist()
+            pending = {t for t in range(scanned_from, limit + 1)
+                       if not (even_only and t % 2)}
+            expected = len(vals)
+            for i, r in enumerate(vals):
+                if r > 8 * (max(pending, default=-8) // 8) + 5:
+                    expected = i + 1
+                    break
+                pending = {t for t in pending if t < r + 2 or not is_prime[t - r]}
+            assert seen[-1].read == expected, (limit, scanned_from)
+
+
+def test_last_nonzero_searches_down_across_chunk_edges():
+    a = np.zeros(5000, dtype=np.uint8)
+    for i in (0, 1, 1023, 1024, 2500, 4999):
+        a[:] = 0
+        a[i] = 1
+        assert [revgoldbach._last_nonzero(a, top) for top in range(i, 5000)] == \
+            [i] * (5000 - i), i
+        assert revgoldbach._last_nonzero(a, i - 1) == -1, i
 
 
 @pytest.mark.parametrize("scanned_from", [1, 0, -5])
@@ -147,6 +223,20 @@ def test_scan_memory_is_a_few_bytes_per_target(table_1e6):
     assert peak < 16 * limit
 
 
+def test_scan_memory_is_under_3_bytes_per_target(table_1e6):
+    # one bit per pending target and 8 shifted packed copies of the composite
+    # mask: about 1.5 bytes per target, 2.4 when the reversed primes are built
+    limit = 10 ** 6
+    tracemalloc.start()
+    try:
+        res = scan_exceptions(base_context(10), limit, table_1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exceptions == (11,)
+    assert peak < 3 * limit
+
+
 def test_estermann_examples(table_1e5):
     ctx = base_context(10)
     assert estermann_count(ctx, 1, table_1e5) == 0
@@ -164,7 +254,7 @@ def test_estermann_counts_squarefree_differences(table_1e5):
 @pytest.mark.parametrize("b", [2, 3, 5, 7])
 def test_parity_soundness_of_reversed_primes(b, table_1e6):
     # for b odd or b = 2, the reverse of every odd prime is odd
-    ps = np.nonzero(table_1e6.prime_flags())[0].astype(np.int64)
+    ps = np.flatnonzero(table_1e6.omega_total == 1)
     ps = ps[(ps % b != 0) & (ps != 2)]
     rev_vals = reverse_array(ps, base_context(b))
     assert np.all(rev_vals % 2 == 1)

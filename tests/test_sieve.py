@@ -179,7 +179,7 @@ def test_prime_flags_match_eratosthenes(table_1e5):
     for p in range(2, math.isqrt(10 ** 5) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    assert np.array_equal(table_1e5.prime_flags(), flags)
+    assert np.array_equal(table_1e5.omega_total == 1, flags)
 
 
 def test_kfree_flags_match_oracles():
