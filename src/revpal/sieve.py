@@ -6,9 +6,12 @@ table of limit L costs about 6L bytes.  While it runs, build adds, before mu
 and omega exist, a 1-byte mask of spf == 0 and an int64 index of the primes
 above sqrt(L) (about 1.5L bytes at L = 10^7), and afterwards a few int64 and
 int32 temporaries per chunk of at most _CHUNK entries (about 4 MB at
-_CHUNK = 2^18, whatever L is): build(10^7) peaks near 6.4L bytes.
+_CHUNK = 2^18, whatever L is): build(10^7) peaks near 6.4L bytes.  A table
+from load_cache is a read-only map of its file, not anonymous memory: only
+the pages a call reads become resident.
 """
 
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -30,9 +33,10 @@ _CHUNK = 2 ** 18
 class FactorTable:
     """Immutable sieve output over [0, limit]; index 0 is padding.
 
-    _memo maps a base b to the sorted reversed primes that
-    revgoldbach.reversed_prime_values keeps for it; it lives and dies with
-    the table and is neither saved, compared nor shown.
+    _memo maps a base b to the sorted rev(p) over every prime p <= limit
+    with b not dividing p, built by the first revgoldbach.reversed_prime_values
+    call in base b; it lives and dies with the table and is neither saved,
+    compared nor shown.
     """
 
     limit: int
@@ -123,13 +127,6 @@ def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
     return FactorTable(limit=limit, spf=spf, mu=mu, omega_total=omega)
 
 
-def smallest_prime_factor(n: int, table: FactorTable) -> int:
-    if n < 2:
-        raise ValueError(f"smallest prime factor undefined for n = {n}")
-    table._check(n)
-    return int(table.spf[n])
-
-
 def is_k_free(n: int, k: int, table: FactorTable) -> bool:
     """True iff no prime power p^k divides n; factors n via the spf array."""
     if k < 2:
@@ -200,6 +197,13 @@ def save_cache(table: FactorTable, path: str | Path):
 
 
 def load_cache(path: str | Path) -> FactorTable:
+    """Table of a save_cache file, its arrays read-only views of a map of it.
+
+    The file must be exactly the header plus 6(limit + 1) array bytes.  The
+    map outlives the file's name: save_cache replaces a file by renaming a
+    new one over it, so a loaded table keeps reading the old contents.  A
+    cache file must therefore never be rewritten in place.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(16)
@@ -211,12 +215,12 @@ def load_cache(path: str | Path) -> FactorTable:
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported cache version {version}")
         n = limit + 1
-        data = fh.read(6 * n)
-    if len(data) != 6 * n:
-        raise ValueError(f"{path} is truncated: limit {limit} needs {6 * n} array bytes, got {len(data)}")
-    spf = np.frombuffer(data, dtype="<i4", count=n).astype(np.int32, copy=False)
-    mu = np.frombuffer(data, dtype="<i1", count=n, offset=4 * n).astype(np.int8, copy=False)
-    omega = np.frombuffer(data, dtype="<i1", count=n, offset=5 * n).astype(np.int8, copy=False)
-    for arr in (spf, mu, omega):
-        arr.setflags(write=False)
+        got = os.fstat(fh.fileno()).st_size - 16
+        if got != 6 * n:
+            problem = "truncated" if got < 6 * n else "too long"
+            raise ValueError(f"{path} is {problem}: limit {limit} needs {6 * n} array bytes, got {got}")
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    spf = np.frombuffer(data, dtype="<i4", count=n, offset=16)
+    mu = np.frombuffer(data, dtype="<i1", count=n, offset=16 + 4 * n)
+    omega = np.frombuffer(data, dtype="<i1", count=n, offset=16 + 5 * n)
     return FactorTable(limit=int(limit), spf=spf, mu=mu, omega_total=omega)

@@ -62,11 +62,6 @@ def f_eval(ctx: BaseContext, theta: float) -> float:
     return float(_capped_inv_sin(xs, b).sum())
 
 
-def f_h_eval(ctx: BaseContext, h: int, theta: float) -> float:
-    """Single term f_h(theta)."""
-    return float(_capped_inv_sin(np.array([h / ctx.b + theta]), ctx.b)[0])
-
-
 def arch_length(ctx: BaseContext) -> float:
     """Width (2/pi) arcsin(1/b) of each capped arch of f_h."""
     return (2.0 / math.pi) * math.asin(1.0 / ctx.b)

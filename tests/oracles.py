@@ -1,6 +1,6 @@
 """Reference implementations that the tests compare production code against."""
 
-from math import isqrt
+from math import isqrt, pi, sin
 
 import numpy as np
 
@@ -93,3 +93,9 @@ def scan_exceptions_mask(ctx: BaseContext, limit: int, table: FactorTable,
         base=ctx.b, limit=limit, scanned_from=scanned_from,
         parity=parity, exceptions=tuple(int(t) for t in pending),
     )
+
+
+def f_h_term(b: int, h: int, theta: float) -> float:
+    """One term min(b, 1/|sin pi(h/b + theta)|) of f, in scalar math."""
+    s = abs(sin(pi * (h / b + theta)))
+    return float(b) if s * b <= 1 else 1 / s

@@ -180,6 +180,16 @@ def test_cache_with_wrong_limit_is_rejected(tmp_path, monkeypatch, capsys):
     assert "sieve_1000.bin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [lambda data: data[:-1], lambda data: data + b"\0"])
+def test_cache_of_wrong_size_is_rejected(tmp_path, monkeypatch, capsys, edit):
+    path = tmp_path / "sieve_1000.bin"
+    sieve.save_cache(sieve.build(1000), path)
+    path.write_bytes(edit(path.read_bytes()))
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
+    assert "sieve_1000.bin" in capsys.readouterr().err
+
+
 def test_readme_examples_match_goldens(tmp_path, monkeypatch, capsys):
     # the benchmark's golden runner captures file descriptor 1, so pytest's
     # own capture is suspended while it runs

@@ -16,7 +16,7 @@ from revpal.revgoldbach import (
     reversed_prime_values,
     scan_exceptions,
 )
-from revpal.sieve import build, save_cache
+from revpal.sieve import build, load_cache, save_cache
 
 
 def test_parity_class():
@@ -291,38 +291,57 @@ def test_reversed_prime_values_match_direct_oracle(b):
             assert np.array_equal(got, reversed_prime_values_direct(ctx, cap, table)), cap
 
 
-def test_memo_stops_at_the_exact_bound_not_the_table_limit():
+def test_memo_holds_every_prime_up_to_the_table_limit():
     ctx = base_context(10)
-    table = build(10 ** 6)
+    table = build(10 ** 5)
     rev_vals = reversed_prime_values_direct(ctx, 998, table)
     want = int(np.count_nonzero(table.omega_total[1000 - rev_vals] == 1))
     assert representations(ctx, 1000, table) == want
-    bound, vals = table._memo[10]
-    assert bound == prime_bound(ctx, 998) < 10 ** 3
-    assert vals.size == np.count_nonzero(table.omega_total[: bound + 1] == 1)
+    expected = sorted(reverse(p, ctx) for p in range(2, table.limit + 1)
+                      if table.is_prime(p) and p % 10 != 0)
+    assert table._memo[10].tolist() == expected
 
 
-def test_reverse_array_runs_once_per_new_bound_maximum(monkeypatch):
-    ctx = base_context(10)
-    table = build(10 ** 6)
+def test_reverse_array_runs_once_per_table_and_base(monkeypatch):
+    tables = build(10 ** 6), build(10 ** 6)
     calls = []
 
     def counting_reverse_array(ns, c):
-        calls.append(ns.size)
+        calls.append((c.b, ns.size))
         return reverse_array(ns, c)
 
     monkeypatch.setattr(revgoldbach, "reverse_array", counting_reverse_array)
     targets = [5000, 120, 900000, 3000, 900001, 40000]
-    counts = {M: (representations(ctx, M, table), estermann_count(ctx, M, table))
-              for M in targets}
-    bounds = [prime_bound(ctx, M - d) for M in targets for d in (2, 1)]
-    new_maxima = sum(1 for i, B in enumerate(bounds) if B > max(bounds[:i], default=0))
-    assert 1 <= len(calls) <= new_maxima < len(bounds)
-    for M, (r, h) in counts.items():
-        rev_r = reversed_prime_values_direct(ctx, M - 2, table)
-        rev_h = reversed_prime_values_direct(ctx, M - 1, table)
-        assert r == int(np.count_nonzero(table.omega_total[M - rev_r] == 1)), M
-        assert h == int(np.count_nonzero(table.mu[M - rev_h] != 0)), M
+    for table in tables:
+        for b in (10, 31):
+            ctx = base_context(b)
+            counts = {M: (representations(ctx, M, table), estermann_count(ctx, M, table))
+                      for M in targets}
+            scan_exceptions(ctx, 10 ** 5, table)
+            for M, (r, h) in counts.items():
+                rev_r = reversed_prime_values_direct(ctx, M - 2, table)
+                rev_h = reversed_prime_values_direct(ctx, M - 1, table)
+                assert r == int(np.count_nonzero(table.omega_total[M - rev_r] == 1)), (b, M)
+                assert h == int(np.count_nonzero(table.mu[M - rev_h] != 0)), (b, M)
+    ps = np.flatnonzero(tables[0].omega_total == 1)
+    sizes = {b: int(np.count_nonzero(ps % b)) for b in (10, 31)}
+    assert calls == [(10, sizes[10]), (31, sizes[31])] * 2
+
+
+def test_loaded_table_agrees_with_built(tmp_path):
+    built = build(10 ** 5)
+    save_cache(built, tmp_path / "sieve.bin")
+    loaded = load_cache(tmp_path / "sieve.bin")
+    rng = np.random.default_rng(5)
+    for b in range(2, 37):
+        ctx = base_context(b)
+        limit = 10 ** 5
+        if prime_bound(ctx, limit - 2) > limit:
+            limit = b ** (len(to_digits(limit, b)) - 1)
+        assert scan_exceptions(ctx, limit, loaded) == scan_exceptions(ctx, limit, built), b
+        for M in rng.integers(2, limit + 1, size=8).tolist():
+            assert representations(ctx, M, loaded) == representations(ctx, M, built), (b, M)
+            assert estermann_count(ctx, M, loaded) == estermann_count(ctx, M, built), (b, M)
 
 
 def test_memo_is_not_saved_or_shown(tmp_path):

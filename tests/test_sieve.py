@@ -15,7 +15,6 @@ from revpal.sieve import (
     load_cache,
     mobius_sum_oracle,
     save_cache,
-    smallest_prime_factor,
 )
 
 
@@ -38,24 +37,21 @@ def test_spf_fixed_points_are_primes(table_1e5):
     ps = {2, 3, 5, 7, 11, 13, 97, 997, 99991}
     for p in ps:
         assert table_1e5.is_prime(p)
-        assert smallest_prime_factor(p, table_1e5) == p
+        assert table_1e5.spf[p] == p
     for n in (4, 21, 91, 99989):
-        assert not table_1e5.is_prime(n) or smallest_prime_factor(n, table_1e5) == n
+        assert not table_1e5.is_prime(n) or table_1e5.spf[n] == n
 
 
-def test_smallest_prime_factor_examples(table_1e5):
-    assert smallest_prime_factor(21, table_1e5) == 3
-    assert smallest_prime_factor(97, table_1e5) == 97
-    with pytest.raises(ValueError):
-        smallest_prime_factor(1, table_1e5)
-    with pytest.raises(ValueError):
-        smallest_prime_factor(10 ** 5 + 1, table_1e5)
+def test_spf_examples(table_1e5):
+    assert table_1e5.spf[21] == 3
+    assert table_1e5.spf[97] == 97
+    assert table_1e5.spf[10 ** 5] == 2
 
 
 @settings(max_examples=300)
 @given(st.integers(2, 10 ** 5))
 def test_spf_divides_and_is_minimal(table_1e5, n):
-    p = smallest_prime_factor(n, table_1e5)
+    p = int(table_1e5.spf[n])
     assert n % p == 0
     for q in range(2, p):
         assert n % q != 0
@@ -134,6 +130,46 @@ def test_cache_rejects_truncated_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(ValueError, match="sieve_5000.bin"):
         load_cache(path)
+
+
+def test_cache_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "sieve_5000.bin"
+    save_cache(build(5000), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
+    with pytest.raises(ValueError, match="sieve_5000.bin.*too long"):
+        load_cache(path)
+
+
+def test_loaded_table_is_read_only_and_equals_build(tmp_path):
+    path = tmp_path / "sieve_5000.bin"
+    save_cache(build(5000), path)
+    loaded, built = load_cache(path), build(5000)
+    for name in ("spf", "mu", "omega_total"):
+        arr = getattr(loaded, name)
+        assert not arr.flags.writeable, name
+        assert arr.dtype == getattr(built, name).dtype, name
+        assert np.array_equal(arr, getattr(built, name)), name
+        with pytest.raises(ValueError):
+            arr[2] = 0
+
+
+def test_loaded_table_survives_a_save_over_its_file(tmp_path):
+    path = tmp_path / "sieve_5000.bin"
+    old = build(5000)
+    save_cache(old, path)
+    loaded = load_cache(path)
+    # same limit, so the same file size; only the contents differ
+    new = sieve.FactorTable(limit=5000, spf=old.spf[::-1].copy(), mu=-old.mu,
+                            omega_total=old.omega_total + 1)
+    save_cache(new, path)
+    assert np.array_equal(loaded.spf, old.spf)
+    assert np.array_equal(loaded.mu, old.mu)
+    assert np.array_equal(loaded.omega_total, old.omega_total)
+    reloaded = load_cache(path)
+    assert np.array_equal(reloaded.spf, new.spf)
+    assert np.array_equal(reloaded.mu, new.mu)
+    assert np.array_equal(reloaded.omega_total, new.omega_total)
 
 
 def test_cache_rejects_garbage(tmp_path):

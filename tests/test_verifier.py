@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import f_h_term
 from revpal import verifier
 from revpal.digits import base_context
 from revpal.verifier import (
@@ -17,7 +18,6 @@ from revpal.verifier import (
     certify_base,
     certify_range,
     f_eval,
-    f_h_eval,
     find_min_K,
     segment_bounds,
     segment_bounds_naive,
@@ -47,7 +47,7 @@ def test_f_h_between_one_and_b():
     ctx = base_context(17)
     for h in range(17):
         for theta in np.linspace(0, 1 / 17, 9):
-            v = f_h_eval(ctx, h, float(theta))
+            v = f_h_term(ctx.b, h, float(theta))
             assert 1.0 - 1e-12 <= v <= 17.0
 
 
@@ -175,8 +175,8 @@ def test_certification_shift_invariant():
         shifted = [
             sum(
                 max(
-                    f_h_eval(ctx, h, shift / ctx.b + i / (6 * ctx.b)),
-                    f_h_eval(ctx, h, shift / ctx.b + (i + 1) / (6 * ctx.b)),
+                    f_h_term(ctx.b, h, shift / ctx.b + i / (6 * ctx.b)),
+                    f_h_term(ctx.b, h, shift / ctx.b + (i + 1) / (6 * ctx.b)),
                 )
                 for h in range(ctx.b)
             )
