@@ -2,7 +2,7 @@
 Euler products, exponential-sum certification, and reverse-Goldbach scans."""
 
 from .digits import BaseContext, base_context, in_b_star, is_palindrome, reverse, to_digits
-from .sieve import FactorTable, build, is_k_free, mobius_sum_oracle
+from .sieve import FactorTable, build
 from .densities import kfree_density, palin_kfree_main_term, rev_kfree_main_term, rev_pi_main_term, zeta
 from .experiments import (
     CountReport,

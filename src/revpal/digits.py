@@ -6,6 +6,9 @@ from math import gcd
 
 import numpy as np
 
+# entries per slice of reverse_array's scratch buffers
+_REVERSE_SLICE = 2 ** 15
+
 
 def _trial_factor(n: int) -> list[int]:
     """Distinct prime factors of n by trial division, ascending."""
@@ -97,20 +100,28 @@ def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
 
     ns must be an ascending int64 array with no entry divisible by b, such as
     primes from np.nonzero over prime flags.  Entries with equal digit counts
-    form contiguous blocks, found with np.searchsorted, and each block is
-    reversed into its slice of the output.
+    form contiguous blocks, found with np.searchsorted.  Each block is reversed
+    into its slice of the output in slices of _REVERSE_SLICE entries, through
+    two reused scratch buffers, so the temporaries stay a fixed size.
     """
     b = ctx.b
-    n_max = len(to_digits(int(ns[-1]), b)) if ns.size else 1
-    edges = [0, *np.searchsorted(ns, [b ** j for j in range(1, n_max)]).tolist(), ns.size]
     out = np.zeros_like(ns)
+    if not ns.size:
+        return out
+    n_max = len(to_digits(int(ns[-1]), b))
+    edges = [0, *np.searchsorted(ns, [b ** j for j in range(1, n_max)]).tolist(), ns.size]
+    m = np.empty(min(ns.size, _REVERSE_SLICE), dtype=ns.dtype)
+    d = np.empty_like(m)
     for n_digits, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
-        m = ns[lo:hi].copy()
-        r = out[lo:hi]
-        for _ in range(n_digits):
-            r *= b
-            r += m % b
-            m //= b
+        for s in range(lo, hi, _REVERSE_SLICE):
+            e = min(s + _REVERSE_SLICE, hi)
+            q, r = m[: e - s], d[: e - s]
+            q[:] = ns[s:e]
+            acc = out[s:e]
+            for _ in range(n_digits):
+                acc *= b
+                np.divmod(q, b, out=(q, r))
+                acc += r
     return out
 
 

@@ -11,9 +11,9 @@ from math import gcd
 
 import numpy as np
 
-from . import densities
-from .digits import BaseContext, reverse, reverse_array
-from .sieve import FactorTable, is_k_free
+from . import densities, revgoldbach
+from .digits import BaseContext
+from .sieve import FactorTable
 
 CSV_COLUMNS = ["label", "b", "k", "N_or_x", "d", "empirical", "main_term", "ratio"]
 
@@ -122,23 +122,30 @@ def sqrt_law_check(ctx: BaseContext, x_values: list[int], star: bool = False) ->
 # reversed primes
 # ---------------------------------------------------------------------------
 
-def _primes_in_digit_class(ctx: BaseContext, N: int, table: FactorTable) -> np.ndarray:
-    """Primes in B_N: N base-b digits, not divisible by b."""
+def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable) -> np.ndarray:
+    """rev(p) for the primes p in B_N (N base-b digits, not divisible by b)
+    whose reverse is in B*_N (also coprime to b^3 - b), in ascending order.
+
+    Reversal maps B_N onto itself, so these are the N-digit entries of the
+    table's memo of reversed primes, less those sharing a prime with b^3 - b.
+    """
     b = ctx.b
     lo, hi = b ** (N - 1), b ** N
     if hi - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
-    ps = np.flatnonzero(table.omega_total[lo:hi] == 1) + lo
-    return ps[ps % b != 0]
+    vals = revgoldbach.reversed_prime_values(ctx, hi - 1, table)
+    rev = vals[np.searchsorted(vals, lo):]
+    keep = np.ones(rev.size, dtype=bool)
+    for p in ctx.primes_b3mb:
+        keep &= rev % p != 0
+    return rev[keep]
 
 
 def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable) -> CountReport:
     """r_{b,k}(N): primes p in B_N with reverse in B*_N and reverse k-free."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    ps = _primes_in_digit_class(ctx, N, table)
-    rev = reverse_array(ps, ctx)
-    rev = rev[np.gcd(rev, ctx.b3mb) == 1]
+    rev = _reversed_primes_in_class(ctx, N, table)
     count = int(np.count_nonzero(table.kfree_at(rev, k)))
     return CountReport(
         label="rev_kfree_primes", b=ctx.b, k=k, n_or_x=N, d=None,
@@ -150,30 +157,12 @@ def rev_pi_star(ctx: BaseContext, N: int, d: int, table: FactorTable) -> CountRe
     """pi*_N(0, d): primes p in B_N with reverse in B*_N and d | reverse(p)."""
     if gcd(d, ctx.b3mb) != 1:
         raise ValueError(f"d = {d} shares a factor with b^3 - b = {ctx.b3mb}")
-    ps = _primes_in_digit_class(ctx, N, table)
-    rev = reverse_array(ps, ctx)
-    rev = rev[np.gcd(rev, ctx.b3mb) == 1]
+    rev = _reversed_primes_in_class(ctx, N, table)
     count = int(np.count_nonzero(rev % d == 0))
     return CountReport(
         label="rev_pi_star", b=ctx.b, k=None, n_or_x=N, d=d,
         empirical=count, main_term=densities.rev_pi_main_term(ctx, d, N),
     )
-
-
-def count_rev_kfree_primes_via_kfree(ctx: BaseContext, k: int, N: int, table: FactorTable) -> int:
-    """Independent pipeline for r_{b,k}(N): iterate k-free m in B*_N and test
-    whether reverse(m) is prime.  Reversal is a bijection on B_N, so this must
-    agree with count_rev_kfree_primes."""
-    lo, hi = ctx.b ** (N - 1), ctx.b ** N
-    if hi - 1 > table.limit:
-        raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
-    ms = np.arange(lo, hi, dtype=np.int64)
-    ms = ms[np.gcd(ms, ctx.b3mb) == 1]
-    count = 0
-    for m in ms.tolist():
-        if is_k_free(m, k, table) and table.is_prime(reverse(m, ctx)):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +206,3 @@ def count_almost_prime_palindromes(
         keep &= (pal == 1) | (table.spf[pal] >= x ** rough_exponent)
     return int(np.count_nonzero(keep))
 
-
-def brute_force_palindromes(ctx: BaseContext, x: int, star: bool = False) -> list[int]:
-    """Oracle: scan every n <= x with the digit-level palindrome test."""
-    from .digits import is_palindrome, in_b_star
-
-    out = []
-    for n in range(1, x + 1):
-        if is_palindrome(n, ctx) and (not star or in_b_star(n, ctx)):
-            out.append(n)
-    return out

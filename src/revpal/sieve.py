@@ -2,18 +2,17 @@
 Omega (prime factors with multiplicity), primality and k-free tests.
 
 Memory layout: spf is 4 bytes per entry, mu and omega one byte each, so a
-table of limit L costs about 6L bytes.  While it runs, build adds, before mu
-and omega exist, a 1-byte mask of spf == 0 and an int64 index of the primes
-above sqrt(L) (about 1.5L bytes at L = 10^7), and afterwards a few int64 and
-int32 temporaries per chunk of at most _CHUNK entries (about 4 MB at
-_CHUNK = 2^18, whatever L is): build(10^7) peaks near 6.4L bytes.  A table
-from load_cache is a read-only map of its file, not anonymous memory: only
-the pages a call reads become resident.
+table of limit L costs about 6L bytes.  build adds only a few int64 and
+1-byte temporaries per chunk of at most _CHUNK entries (about 5 MB at
+_CHUNK = 2^18, whatever L is), freed before mu is made, so its peak is
+the table's own 6L bytes.  A table from load_cache is a read-only map of its
+file, not anonymous memory: only the pages a call reads become resident.
 """
 
 import mmap
 import os
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
@@ -25,7 +24,7 @@ DEFAULT_LIMIT_BUDGET = 2 ** 31
 _CACHE_MAGIC = b"RPFT"
 _CACHE_VERSION = 1
 
-# entries per chunk of the mu/Omega recurrence in build
+# entries per chunk of build's sieve pass
 _CHUNK = 2 ** 18
 
 
@@ -76,19 +75,21 @@ class FactorTable:
 
 
 def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
-    """Sieve all arrays for 1 <= n <= limit.
+    """Sieve all arrays for 1 <= n <= limit, in one pass over chunks [a, e).
 
-    spf: each prime p <= isqrt(limit), taken in descending order, writes p to
-    every multiple of p, so a smaller prime overwrites a larger one and each
-    entry ends at its smallest prime factor.  The entries n >= 2 still 0 have
-    no prime factor up to isqrt(limit), so they are the primes above it.
+    spf: in each chunk the primes p <= isqrt(limit), in descending order, write
+    p to their multiples from max(p, the first multiple >= a), so a smaller
+    prime overwrites a larger one and each entry ends at its smallest prime
+    factor.  The entries n >= 2 still 0 have no prime factor up to
+    isqrt(limit), so they are the primes above it, and get n.
 
-    mu and Omega follow from spf alone (each n is reached from n / spf(n), as
-    in the linear sieve of Gries and Misra, CACM 21, 1978): with p = spf(n)
-    and m = n / p, Omega(n) = Omega(m) + 1, and mu(n) = 0 if p | m (that is,
-    spf(m) = p) and -mu(m) otherwise; spf(1) = 0 makes m = 1 come out right.
-    The recurrence runs over chunks [a, e) in increasing order with e <= 2a,
-    so every m <= n/2 < a it reads lies in an earlier chunk and is final.
+    Omega follows from spf alone (each n is reached from n / spf(n), as in the
+    linear sieve of Gries and Misra, CACM 21, 1978): Omega(n) = Omega(n / p) + 1
+    with p = spf(n).  The chunks run in increasing order with e <= 2a, so every
+    n / p <= n / 2 < a read lies in an earlier chunk and is final.
+
+    mu is Liouville's lambda(n) = (-1)^Omega(n), zeroed at the multiples of p^2
+    for the primes p <= isqrt(limit); no larger p^2 fits in the table.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -101,83 +102,33 @@ def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
     for p in range(2, isqrt(root) + 1):
         if small[p]:
             small[p * p :: p] = False
+    primes = np.flatnonzero(small).tolist()
 
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in np.flatnonzero(small)[::-1].tolist():
-        spf[p::p] = p
-    big = np.flatnonzero(spf == 0)[2:]
-    spf[big] = big
-    del big
-
-    mu = np.empty(limit + 1, dtype=np.int8)
     omega = np.empty(limit + 1, dtype=np.int8)
-    mu[:2] = (0, 1)
     omega[:2] = 0
     a = 2
     while a <= limit:
         e = min(2 * a, a + _CHUNK, limit + 1)
-        p = spf[a:e]
-        m = np.arange(a, e, dtype=np.int64) // p
-        omega[a:e] = omega[m] + 1
-        mu[a:e] = np.where(spf[m] == p, 0, -mu[m])
+        block = spf[a:e]
+        for p in reversed(primes[: bisect_left(primes, e)]):
+            block[max(p, -(-a // p) * p) - a :: p] = p
+        n = np.arange(a, e, dtype=np.int64)
+        # an entry still 0 is a prime, below 2^31 for any limit <= 2^31
+        np.copyto(block, n, where=block == 0, casting="unsafe")
+        omega[a:e] = omega[n // block] + 1
         a = e
+
+    mu = np.bitwise_and(omega, 1)
+    mu *= -2
+    mu += 1
+    mu[0] = 0
+    for p in primes:
+        mu[p * p :: p * p] = 0
 
     for arr in (spf, mu, omega):
         arr.setflags(write=False)
     return FactorTable(limit=limit, spf=spf, mu=mu, omega_total=omega)
-
-
-def is_k_free(n: int, k: int, table: FactorTable) -> bool:
-    """True iff no prime power p^k divides n; factors n via the spf array."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    table._check(n)
-    spf = table.spf
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e >= k:
-            return False
-    return True
-
-
-def _mu_trial(d: int) -> int:
-    """Mobius via trial division; independent of any sieve."""
-    if d == 1:
-        return 1
-    sign = 1
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            sign = -sign
-        p += 1 if p == 2 else 2
-    if d > 1:
-        sign = -sign
-    return sign
-
-
-def mobius_sum_oracle(n: int, k: int) -> int:
-    """Sum of mu(d) over d with d^k | n, by explicit divisor enumeration.
-
-    This is the cross-check oracle for is_k_free; it never touches a table.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    total = 0
-    d = 1
-    while d ** k <= n:
-        if n % (d ** k) == 0:
-            total += _mu_trial(d)
-        d += 1
-    return total
 
 
 def save_cache(table: FactorTable, path: str | Path):

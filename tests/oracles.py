@@ -4,7 +4,7 @@ from math import isqrt, pi, sin
 
 import numpy as np
 
-from revpal.digits import BaseContext, reverse_array
+from revpal.digits import BaseContext, in_b_star, is_palindrome, reverse, reverse_array
 from revpal.revgoldbach import (
     ScanResult, TargetClass, parity_class, prime_bound, reversed_prime_values,
 )
@@ -37,6 +37,94 @@ def build_divide_out(limit: int) -> FactorTable:
     mu[big] *= -1
     omega[big] += 1
     return FactorTable(limit=limit, spf=spf, mu=mu, omega_total=omega)
+
+
+def is_k_free(n: int, k: int, table: FactorTable) -> bool:
+    """True iff no prime power p^k divides n; factors n via the spf array."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if not 1 <= n <= table.limit:
+        raise ValueError(f"n = {n} outside table range [1, {table.limit}]")
+    spf = table.spf
+    while n > 1:
+        p = int(spf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e >= k:
+            return False
+    return True
+
+
+def mu_trial(d: int) -> int:
+    """Mobius via trial division; independent of any sieve."""
+    if d == 1:
+        return 1
+    sign = 1
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            sign = -sign
+        p += 1 if p == 2 else 2
+    if d > 1:
+        sign = -sign
+    return sign
+
+
+def mobius_sum_oracle(n: int, k: int) -> int:
+    """Sum of mu(d) over d with d^k | n, by explicit divisor enumeration.
+
+    This is the cross-check oracle for is_k_free; it never touches a table.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    total = 0
+    d = 1
+    while d ** k <= n:
+        if n % (d ** k) == 0:
+            total += mu_trial(d)
+        d += 1
+    return total
+
+
+def brute_force_palindromes(ctx: BaseContext, x: int, star: bool = False) -> list[int]:
+    """Scan every n <= x with the digit-level palindrome test."""
+    return [n for n in range(1, x + 1)
+            if is_palindrome(n, ctx) and (not star or in_b_star(n, ctx))]
+
+
+def reversed_primes_in_class_direct(ctx: BaseContext, N: int, table: FactorTable) -> np.ndarray:
+    """rev(p) for the primes p in B_N with reverse in B*_N, reversing them on
+    each call from a mask of the N-digit range, without the table's memo."""
+    b = ctx.b
+    lo, hi = b ** (N - 1), b ** N
+    if hi - 1 > table.limit:
+        raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
+    ps = np.flatnonzero(table.omega_total[lo:hi] == 1) + lo
+    rev = reverse_array(ps[ps % b != 0], ctx)
+    return rev[np.gcd(rev, ctx.b3mb) == 1]
+
+
+def count_rev_kfree_primes_via_kfree(ctx: BaseContext, k: int, N: int, table: FactorTable) -> int:
+    """Independent pipeline for r_{b,k}(N): iterate k-free m in B*_N and test
+    whether reverse(m) is prime.  Reversal is a bijection on B_N, so this must
+    agree with count_rev_kfree_primes."""
+    lo, hi = ctx.b ** (N - 1), ctx.b ** N
+    if hi - 1 > table.limit:
+        raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
+    ms = np.arange(lo, hi, dtype=np.int64)
+    ms = ms[np.gcd(ms, ctx.b3mb) == 1]
+    count = 0
+    for m in ms.tolist():
+        if is_k_free(m, k, table) and table.is_prime(reverse(m, ctx)):
+            count += 1
+    return count
 
 
 def reversed_prime_values_direct(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:

@@ -11,16 +11,15 @@ import time
 import numpy as np
 import pytest
 
+from oracles import brute_force_palindromes, is_k_free, mobius_sum_oracle
 from revpal import sieve
 from revpal.digits import base_context, reverse, to_digits
 from revpal.experiments import (
-    brute_force_palindromes,
     count_kfree_palindromes,
     count_rev_kfree_primes,
     enumerate_palindromes,
 )
 from revpal.revgoldbach import scan_exceptions
-from revpal.sieve import is_k_free, mobius_sum_oracle
 from revpal.verifier import _capped_inv_sin, certify_base, certify_range, f_eval, find_min_K
 
 

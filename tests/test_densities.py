@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import mu_trial
 from revpal import densities
 from revpal.densities import (
     kfree_density,
@@ -11,7 +12,6 @@ from revpal.densities import (
     zeta,
 )
 from revpal.digits import base_context
-from revpal.sieve import _mu_trial
 
 
 def test_zeta_closed_forms():
@@ -53,7 +53,7 @@ def test_kfree_density_matches_truncated_dirichlet_sum():
     # sum over d <= D coprime to b^3-b of mu(d)/d^3; tail below 1e-9 at D = 1e4
     ctx = base_context(10)
     D = 10 ** 4
-    s = sum(_mu_trial(d) / d ** 3 for d in range(1, D + 1) if math.gcd(d, ctx.b3mb) == 1)
+    s = sum(mu_trial(d) / d ** 3 for d in range(1, D + 1) if math.gcd(d, ctx.b3mb) == 1)
     assert kfree_density(ctx, 3) == pytest.approx(s, abs=1e-8)
 
 

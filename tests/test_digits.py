@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revpal import digits
 from revpal.digits import (
     BaseContext,
     base_context,
@@ -163,3 +164,31 @@ def test_reverse_array_matches_scalar_reverse(b_ns):
     b, ns = b_ns
     ctx = base_context(b)
     assert reverse_array(ns, ctx).tolist() == [reverse(n, ctx) for n in ns.tolist()]
+
+
+def _straddling(b: int, size: int, below: int) -> np.ndarray:
+    """`size` ascending values not divisible by b: the first `below` of them
+    have D base-b digits, the rest D + 1, for the smallest power b^D at least
+    4 (size + b), so both digit counts have room."""
+    top = b
+    while top < 4 * (size + b):
+        top *= b
+    lo, hi = np.arange(top // b, top), np.arange(top, 2 * top)
+    lo, hi = lo[lo % b != 0], hi[hi % b != 0]
+    return np.concatenate((lo[lo.size - below:], hi[: size - below])).astype(np.int64)
+
+
+@pytest.mark.parametrize("b", [2, 10, 36])
+@pytest.mark.parametrize("size", [0, 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 3 * 2 ** 15 + 5])
+def test_reverse_array_slice_edges(b, size):
+    # a digit-count boundary inside a slice and, where the array is long
+    # enough, on the edge between two slices
+    slice_ = digits._REVERSE_SLICE
+    assert slice_ == 2 ** 15
+    ctx = base_context(b)
+    for below in sorted({size // 2 + 3 if size > 6 else 0, slice_ if size > slice_ else size}):
+        ns = _straddling(b, size, below)
+        assert ns.size == size and np.all(np.diff(ns) > 0)
+        got = reverse_array(ns, ctx)
+        assert got.dtype == np.int64
+        assert got.tolist() == [reverse(n, ctx) for n in ns.tolist()], below

@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from revpal.digits import base_context
+from oracles import (
+    brute_force_palindromes,
+    count_rev_kfree_primes_via_kfree,
+    reversed_primes_in_class_direct,
+)
+from revpal import experiments, revgoldbach
+from revpal.digits import base_context, reverse_array
 from revpal.experiments import (
     CountReport,
-    brute_force_palindromes,
     count_almost_prime_palindromes,
     count_kfree_palindromes,
     count_palindromes_div_by,
     count_rev_kfree_primes,
-    count_rev_kfree_primes_via_kfree,
     enumerate_palindromes,
     reports_to_csv,
     reports_to_json,
@@ -139,6 +143,54 @@ def test_count_rev_kfree_primes_same_on_small_and_large_tables(table_1e6):
     ctx = base_context(10)
     small = count_rev_kfree_primes(ctx, 2, 3, build(10 ** 4))
     assert count_rev_kfree_primes(ctx, 2, 3, table_1e6) == small
+
+
+def test_counting_reverses_each_tables_primes_once(monkeypatch):
+    table = build(10 ** 6)
+    calls = []
+
+    def counting_reverse_array(ns, c):
+        calls.append((c.b, ns.size))
+        return reverse_array(ns, c)
+
+    monkeypatch.setattr(revgoldbach, "reverse_array", counting_reverse_array)
+    for b, n_max in ((10, 6), (7, 7)):
+        ctx = base_context(b)
+        for N in range(1, n_max + 1):
+            direct = reversed_primes_in_class_direct(ctx, N, table)
+            for k in (2, 3):
+                got = count_rev_kfree_primes(ctx, k, N, table).empirical
+                assert got == int(np.count_nonzero(table.kfree_at(direct, k))), (b, N, k)
+            for d in (1, 13, 97):
+                got = rev_pi_star(ctx, N, d, table).empirical
+                assert got == int(np.count_nonzero(direct % d == 0)), (b, N, d)
+    ps = np.flatnonzero(table.omega_total == 1)
+    assert calls == [(b, int(np.count_nonzero(ps % b))) for b in (10, 7)]
+
+
+def test_reversed_primes_in_class_match_direct_in_every_base(table_1e5):
+    # the coprime mask over ctx.primes_b3mb is gcd(v, b^3 - b) == 1
+    for b in range(2, 37):
+        ctx = base_context(b)
+        N = 1
+        while b ** N - 1 <= 10 ** 5:
+            got = experiments._reversed_primes_in_class(ctx, N, table_1e5)
+            direct = reversed_primes_in_class_direct(ctx, N, table_1e5)
+            assert got.tolist() == np.sort(direct).tolist(), (b, N)
+            vals = revgoldbach.reversed_prime_values(ctx, b ** N - 1, table_1e5)
+            vals = vals[np.searchsorted(vals, b ** (N - 1)):]
+            assert np.array_equal(got, vals[np.gcd(vals, ctx.b3mb) == 1]), (b, N)
+            N += 1
+
+
+def test_counting_on_a_too_small_table_raises_before_reversing():
+    table = build(10 ** 4)
+    ctx = base_context(10)
+    for count in (lambda: count_rev_kfree_primes(ctx, 2, 5, table),
+                  lambda: rev_pi_star(ctx, 5, 7, table)):
+        with pytest.raises(ValueError, match=r"^table limit 10000 too small for b\^N = 100000$"):
+            count()
+    assert table._memo == {}
 
 
 def test_report_serialization_round_trip(table_1e5):

@@ -328,6 +328,23 @@ def test_reverse_array_runs_once_per_table_and_base(monkeypatch):
     assert calls == [(10, sizes[10]), (31, sizes[31])] * 2
 
 
+def test_reversed_prime_memo_build_memory():
+    # the output, the index of the primes it reverses and at most 1 MB of
+    # temporaries: the prime mask, or reverse_array's two scratch slices
+    table = build(10 ** 6)
+    ctx = base_context(10)
+    tracemalloc.start()
+    try:
+        reversed_prime_values(ctx, 5, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vals = table._memo[10]
+    n_primes = int(np.count_nonzero(table.omega_total == 1))
+    assert vals.size == n_primes  # no prime is divisible by 10
+    assert peak <= vals.nbytes + 8 * n_primes + 2 ** 20
+
+
 def test_loaded_table_agrees_with_built(tmp_path):
     built = build(10 ** 5)
     save_cache(built, tmp_path / "sieve.bin")

@@ -7,15 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import build_divide_out
+from oracles import build_divide_out, is_k_free, mobius_sum_oracle, mu_trial
 from revpal import sieve
-from revpal.sieve import (
-    build,
-    is_k_free,
-    load_cache,
-    mobius_sum_oracle,
-    save_cache,
-)
+from revpal.sieve import build, load_cache, save_cache
 
 
 def test_build_small_examples():
@@ -183,7 +177,7 @@ def test_range_check(table_1e5):
     with pytest.raises(ValueError):
         is_k_free(10 ** 5 + 1, 2, table_1e5)
     with pytest.raises(ValueError):
-        sieve.is_k_free(10, 1, table_1e5)
+        is_k_free(10, 1, table_1e5)
 
 
 def _trial_row(n: int) -> tuple[int, int, int]:
@@ -195,7 +189,7 @@ def _trial_row(n: int) -> tuple[int, int, int]:
             m //= p
             omega += 1
         p += 1
-    return spf, sieve._mu_trial(n), omega
+    return spf, mu_trial(n), omega
 
 
 def test_build_matches_trial_division_around_prime_squares():
