@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Re-run the base-range certification table and report wall-clock times.
 
-Each row certifies every base in [b0, b1] with the listed segment count K.
-The full sweep covers 26000 <= b <= 31698 and takes about 20 s on one worker
-(20.8 s, rows 6.5 / 7.7 / 3.6 / 2.7 s, on a 2-core Xeon VM with Python 3.11
-and numpy 2.4); pass --quick to spot-check the first and last 3 bases of each
-row instead, which takes under a second.
+Each row certifies every base in [b0, b1] with the listed segment count K
+and prints whether all passed, the seconds taken and the row's thinnest
+margin, the least threshold / max_bound - 1 over its bases.
+The full sweep covers 26000 <= b <= 31698 and takes about 11-13 s on one
+worker (11.0 s, rows 5.8 / 4.1 / 0.9 / 0.2 s, on a 2-core Xeon VM with Python
+3.11 and numpy 2.4); pass --quick to spot-check the first and last 3 bases of
+each row instead, which takes under a second.
 """
 
 import argparse
@@ -28,7 +30,7 @@ def main():
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    print(f"{'b0':>6} {'b1':>6} {'K':>4} {'all_passed':>10} {'seconds':>8}")
+    print(f"{'b0':>6} {'b1':>6} {'K':>4} {'all_passed':>10} {'seconds':>8} {'min_margin':>10}")
     for b0, b1, K in ROWS:
         t0 = time.monotonic()
         if args.quick:
@@ -37,7 +39,9 @@ def main():
         else:
             certs = certify_range(b0, b1, K, workers=args.workers)
         dt = time.monotonic() - t0
-        print(f"{b0:>6} {b1:>6} {K:>4} {str(all(c.passed for c in certs)):>10} {dt:>8.1f}")
+        margin = min(c.threshold / c.max_bound - 1 for c in certs)
+        print(f"{b0:>6} {b1:>6} {K:>4} {str(all(c.passed for c in certs)):>10} {dt:>8.1f} "
+              f"{margin:>10.2e}")
 
 
 if __name__ == "__main__":

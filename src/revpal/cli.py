@@ -70,11 +70,9 @@ def _format_records(records: list, fmt: str) -> str:
         ]
     elif isinstance(records[0], Certificate):
         if fmt == "csv":
-            lines = ["b,K,max_bound,threshold,slack,passed,cb_estimate,alpha_estimate,worst_segment"] + [
-                f"{c.b},{c.K},{_fmt(c.max_bound)},{_fmt(c.threshold)},{_fmt(c.slack)},"
-                f"{c.passed},{_fmt(c.cb_estimate)},{_fmt(c.alpha_estimate)},{c.worst_segment}"
-                for c in records
-            ]
+            lines = [",".join(Certificate.KEYS)] + [",".join(
+                _fmt(v) if isinstance(v, float) else str(v) for v in c.to_dict().values())
+                for c in records]
         elif fmt == "json":
             lines = [c.to_json() for c in records]
         else:

@@ -1,32 +1,35 @@
 """Certification that f(theta) = sum_h min(b, 1/|sin pi(h/b + theta)|) stays
-below b^(6/5) uniformly, via endpoint maximization on K segments per 1/b
-window.
+below b^(6/5) uniformly: segment i = [theta_i, theta_{i+1}], theta_j = j/(Kb),
+of the period 1/b has the bound B_i = sum_h max(g_h(theta_i), g_h(theta_{i+1}))
+with g_h = min(b, 1/|sin pi(h/b + theta)|), and B_{K-1-i} = B_i as f is even.
 
-All segment endpoints live on the shared grid x = h/b + i/(Kb), h = 0..b-1,
-i = 0..K, and the bound for segment i is sum_h max(g(h, i), g(h, i+1)) with
-g = min(b, 1/|sin pi x|).  f is even and has period 1/b, so segment K-1-i has
-the same bound as segment i, and only the columns i = 0..ceil(K/2) are
-evaluated.
+Lemma: max_i B_i is attained at segment 0, i_a or i_a + 1, where segment i_a
+holds alpha = arcsin(1/b)/pi.  Only g_0 (at theta <= alpha) and g_{b-1} (at
+theta >= 1/b - alpha) reach the cap; every other g_h value is a csc of an
+argument in (0, pi), convex in theta.  The larger of two convex sequences is
+convex, so B_i is convex on 0..i_a, where the h = 0 term is b, and on
+i_a + 1..K - 2 - i_a, whose columns lie in (alpha, 1/b - alpha) and whose ends
+are mirrors; each peaks at an end.  candidate_bounds evaluates the segments
+{0} and i_a - 2..i_a + 2 in 0..ceil(K/2) - 1 (the spares absorb an i_a that
+rounding or the _CAP_GUARD kink moves); the smallest argmax among them is
+the certificate's worst_segment.
 
-Float error of segment_bounds, per grid point: sin pi x is formed by angle
-addition as S_h c_i + C_h s_i, with S_h = sin(pi m/b), m = min(h, b-h),
-C_h = cos(pi h/b), c_i = cos(pi i/(Kb)) and s_i = sin(pi i/(Kb)).  Every
-sine argument is reduced to [0, pi/2], where sin is well conditioned, so
-each factor is good to a few ulp (C_h to a few ulp absolute).  For h <= b/2
-both products are >= 0; for h > b/2 they cancel by at most a factor of 5
-(K = 3), about 3 for large K, because i <= ceil(K/2).  A value within
-_CAP_GUARD of the cap takes the cap, which bounds the true term from above.
-Summation: a block holds the rows h0 <= h < h0 + step with
-step = _BLOCK_POINTS // (ceil(K/2) + 1); within it the terms of each segment
-are summed pairwise along h (numpy's reduction over a contiguous axis), and
-the ceil(b / step) block sums (5 at b = 31698, K = 8; 147 at b = 26000,
-K = 367) are added one after another.
+Float error, per grid point: sin pi x is formed by angle addition as
+S_h c_j + C_h s_j, with m = min(h, b-h), S_h = sin(pi m/b), C_h = cos(pi m/b)
+negated for h > m, c_j = cos(pi j/(Kb)) and s_j = sin(pi j/(Kb)).  Every
+argument is reduced to [0, pi/2], so each factor is good to a few ulp.
+For h > b/2 the two products cancel by at most a factor of 5 (K = 3), about
+3 for large K, as j <= ceil(K/2).  A value within _CAP_GUARD of the cap takes
+the cap, which bounds the true term from above.  Summation: a block holds
+the rows h0 <= h < h0 + step, step = _BLOCK_POINTS // (columns, at most 8);
+within it each segment's terms are summed pairwise along h (numpy's
+reduction over a contiguous axis), and the ceil(b / step) block sums (at
+most 8 for b <= 31698) are added one after another.
 """
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -38,13 +41,15 @@ DEFAULT_SLACK = 1e-9
 # widen the cap decision slightly so rounding at arch boundaries cannot flip it
 _CAP_GUARD = 1.0 + 1e-12
 
-# grid points per block of segment_bounds; each of its two buffers is 256 kB
+# grid points per block of candidate_bounds; its two 256 kB buffers serve every
+# block and are its only block-sized float arrays (_cap_reciprocal compares with
+# a scalar): a fresh block-sized array per block is a fresh mmap and page faults
 _BLOCK_POINTS = 1 << 15
 
 
 def _cap_reciprocal(s: np.ndarray, b: int) -> np.ndarray:
     """min(b, 1/s) in place, with the cap taken whenever s <= (1/b) * (1 + 1e-12)."""
-    capped = s * b <= _CAP_GUARD
+    capped = s <= _CAP_GUARD / b
     np.reciprocal(s, out=s, where=~capped)
     s[capped] = b
     return s
@@ -67,68 +72,70 @@ def arch_length(ctx: BaseContext) -> float:
     return (2.0 / math.pi) * math.asin(1.0 / ctx.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     b: int
     K: int
     max_bound: float
-    threshold: float
     slack: float
     passed: bool
-    cb_estimate: float
-    alpha_estimate: float
     worst_segment: int
 
+    KEYS = ("b", "K", "max_bound", "threshold", "slack", "passed", "cb_estimate",
+            "alpha_estimate", "worst_segment")
+
+    @property
+    def threshold(self) -> float:
+        return float(self.b) ** 1.2
+
+    @property
+    def cb_estimate(self) -> float:
+        return self.max_bound / self.b
+
+    @property
+    def alpha_estimate(self) -> float:
+        return math.log(self.cb_estimate) / math.log(self.b)
+
     def to_dict(self) -> dict:
-        return {
-            "b": self.b, "K": self.K, "max_bound": self.max_bound,
-            "threshold": self.threshold, "slack": self.slack,
-            "passed": self.passed, "cb_estimate": self.cb_estimate,
-            "alpha_estimate": self.alpha_estimate,
-            "worst_segment": self.worst_segment,
-        }
+        return {k: getattr(self, k) for k in self.KEYS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
-        return cls(**d)
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
 
-def segment_bounds(ctx: BaseContext, K: int) -> np.ndarray:
-    """Certified upper bound of f on each segment [i/(Kb), (i+1)/(Kb)],
-    i = 0..K-1, by summing per-term endpoint maxima on the shared grid.
-
-    Evaluates the left ceil(K/2) segments, _BLOCK_POINTS grid points at a
-    time, and mirrors them (bounds[K-1-i] == bounds[i]); see the module
-    docstring for the summation order and the error sources.
-    """
+def candidate_bounds(ctx: BaseContext, K: int) -> tuple[list[int], np.ndarray]:
+    """Upper bounds B_i of f on the candidate segments [i/(Kb), (i+1)/(Kb)]
+    of the module docstring, and their indices i, ascending; see there for
+    the summation order and the error sources."""
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     b = ctx.b
-    N = (K + 1) // 2
-    h = np.arange(b)
-    sin_h = np.sin(np.pi * np.minimum(h, b - h) / b)
-    cos_h = np.cos(np.pi * h / b)
-    t = np.pi * np.arange(N + 1) / (K * b)
+    i_a = int(math.asin(1.0 / b) / math.pi * K * b)
+    # Python ints: the first np.unique or np.sort call pages in numpy's sort code
+    cols = sorted({0, 1}.union(range(max(i_a - 2, 0), min(i_a + 3, (K + 1) // 2) + 1)))
+    m = np.pi * np.arange(b // 2 + 1) / b
+    s, c, tail = np.sin(m), np.cos(m), slice(b - b // 2 - 1, 0, -1)
+    sin_h, cos_h = np.concatenate((s, s[tail])), np.concatenate((c, -c[tail]))
+    t = np.pi * np.array(cols) / (K * b)
     cos_i, sin_i = np.cos(t), np.sin(t)
-    left = np.zeros(N)
-    step = max(1, _BLOCK_POINTS // (N + 1))
-    # two buffers for every block: a fresh block-sized array per block is a
-    # fresh mmap and page faults each time
-    x = np.empty((N + 1, min(step, b)))
-    y = np.empty_like(x)
+    sums = np.zeros(len(cols) - 1)
+    step = _BLOCK_POINTS // len(cols)
+    x, y = np.empty((2, len(cols), min(step, b)))
     for h0 in range(0, b, step):
         w = min(step, b - h0)
         xs, ys = x[:, :w], y[:, :w]
-        # xs[i, h - h0] = sin pi(h/b + i/(Kb)); h runs along the contiguous
-        # axis, so the sum over it is pairwise
+        # xs[k, h - h0] = sin pi(h/b + cols[k]/(Kb)); h runs along the
+        # contiguous axis, so the sum over it is pairwise
         np.multiply.outer(cos_i, sin_h[h0:h0 + w], out=xs)
         xs += np.multiply.outer(sin_i, cos_h[h0:h0 + w], out=ys)
         g = _cap_reciprocal(xs, b)
-        left += np.maximum(g[:-1], g[1:], out=ys[:-1]).sum(axis=1)
-    return np.concatenate((left, left[:K - N][::-1]))
+        sums += np.maximum(g[:-1], g[1:], out=ys[:-1]).sum(axis=1)
+    pairs = [k for k in range(len(cols) - 1) if cols[k + 1] == cols[k] + 1]
+    return [cols[k] for k in pairs], sums[pairs]
 
 
 def certify_base(ctx: BaseContext, K: int, slack: float = DEFAULT_SLACK) -> Certificate:
@@ -136,17 +143,11 @@ def certify_base(ctx: BaseContext, K: int, slack: float = DEFAULT_SLACK) -> Cert
     as (max_bound * (1 + slack))^5 < b^6 over the rationals."""
     if not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack}")
-    bounds = segment_bounds(ctx, K)
-    worst = int(np.argmax(bounds))
-    max_bound = float(bounds[worst])
-    threshold = float(ctx.b) ** 1.2
-    cb = max_bound / ctx.b
-    return Certificate(
-        b=ctx.b, K=K, max_bound=max_bound, threshold=threshold, slack=slack,
-        passed=(Fraction(max_bound) * (1 + Fraction(slack))) ** 5 < ctx.b ** 6,
-        cb_estimate=cb, alpha_estimate=math.log(cb) / math.log(ctx.b),
-        worst_segment=worst,
-    )
+    segments, bounds = candidate_bounds(ctx, K)
+    k = int(np.argmax(bounds))
+    max_bound = float(bounds[k])
+    return Certificate(b=ctx.b, K=K, max_bound=max_bound, slack=slack, worst_segment=segments[k],
+                       passed=(Fraction(max_bound) * (1 + Fraction(slack))) ** 5 < ctx.b ** 6)
 
 
 def segment_bounds_naive(ctx: BaseContext, K: int) -> np.ndarray:
@@ -176,12 +177,13 @@ def certify_range(
     if not 2 <= b0 <= b1:
         raise ValueError(f"need 2 <= b0 <= b1, got ({b0}, {b1})")
     jobs = [(b, K, slack) for b in range(b0, b1 + 1)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            certs = list(pool.map(_certify_one, jobs, chunksize=4))
-    else:
-        certs = [_certify_one(j) for j in jobs]
-    return sorted(certs, key=lambda c: c.b)
+    if workers <= 1:
+        return [_certify_one(j) for j in jobs]
+    # not at module level: it costs every import of revpal about 2 MB and 16 ms
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # map yields results in job order, which is ascending b
+        return list(pool.map(_certify_one, jobs, chunksize=4))
 
 
 def find_min_K(ctx: BaseContext, K_max: int, slack: float = DEFAULT_SLACK) -> int | None:

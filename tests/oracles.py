@@ -9,6 +9,7 @@ from revpal.revgoldbach import (
     ScanResult, TargetClass, parity_class, prime_bound, reversed_prime_values,
 )
 from revpal.sieve import FactorTable
+from revpal.verifier import _BLOCK_POINTS, _cap_reciprocal
 
 
 def build_divide_out(limit: int) -> FactorTable:
@@ -187,3 +188,39 @@ def f_h_term(b: int, h: int, theta: float) -> float:
     """One term min(b, 1/|sin pi(h/b + theta)|) of f, in scalar math."""
     s = abs(sin(pi * (h / b + theta)))
     return float(b) if s * b <= 1 else 1 / s
+
+
+def segment_bounds(ctx: BaseContext, K: int) -> np.ndarray:
+    """Certified upper bound of f on each segment [i/(Kb), (i+1)/(Kb)],
+    i = 0..K-1, by summing per-term endpoint maxima on the shared grid.
+
+    Evaluates the left ceil(K/2) segments, _BLOCK_POINTS grid points at a
+    time, and mirrors them (bounds[K-1-i] == bounds[i]): the oracle of
+    revpal.verifier.candidate_bounds, which evaluates only the candidate
+    segments the same way; see that module's docstring for the error sources.
+    """
+    if K < 2:
+        raise ValueError(f"K must be >= 2, got {K}")
+    b = ctx.b
+    N = (K + 1) // 2
+    h = np.arange(b)
+    sin_h = np.sin(np.pi * np.minimum(h, b - h) / b)
+    cos_h = np.cos(np.pi * h / b)
+    t = np.pi * np.arange(N + 1) / (K * b)
+    cos_i, sin_i = np.cos(t), np.sin(t)
+    left = np.zeros(N)
+    step = max(1, _BLOCK_POINTS // (N + 1))
+    # two buffers for every block: a fresh block-sized array per block is a
+    # fresh mmap and page faults each time
+    x = np.empty((N + 1, min(step, b)))
+    y = np.empty_like(x)
+    for h0 in range(0, b, step):
+        w = min(step, b - h0)
+        xs, ys = x[:, :w], y[:, :w]
+        # xs[i, h - h0] = sin pi(h/b + i/(Kb)); h runs along the contiguous
+        # axis, so the sum over it is pairwise
+        np.multiply.outer(cos_i, sin_h[h0:h0 + w], out=xs)
+        xs += np.multiply.outer(sin_i, cos_h[h0:h0 + w], out=ys)
+        g = _cap_reciprocal(xs, b)
+        left += np.maximum(g[:-1], g[1:], out=ys[:-1]).sum(axis=1)
+    return np.concatenate((left, left[:K - N][::-1]))

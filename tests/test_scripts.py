@@ -30,13 +30,17 @@ def test_hcabdlog_scan_runs_below_a_power_of_the_base():
 def test_reproduce_table_quick_passes_every_row():
     res = run_script("reproduce_table.py", "--quick")
     assert res.returncode == 0, res.stderr
-    rows = res.stdout.splitlines()[1:]
+    header, *rows = res.stdout.splitlines()
+    assert header.split() == ["b0", "b1", "K", "all_passed", "seconds", "min_margin"]
     assert [row.split()[:4] for row in rows] == [
         ["28500", "31698", "8", "True"],
         ["26500", "28499", "34", "True"],
         ["26100", "26499", "122", "True"],
         ["26000", "26099", "367", "True"],
     ]
+    # the thinnest margin of the quick spot check: b = 26000 at K = 367
+    margins = [float(row.split()[5]) for row in rows]
+    assert all(m > 0 for m in margins) and min(margins) == margins[-1]
 
 
 FAKE_RUN = """import json, sys

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import f_h_term
+from oracles import f_h_term, segment_bounds
 from revpal import verifier
 from revpal.digits import base_context
 from revpal.verifier import (
@@ -19,7 +19,6 @@ from revpal.verifier import (
     certify_range,
     f_eval,
     find_min_K,
-    segment_bounds,
     segment_bounds_naive,
 )
 
@@ -84,7 +83,8 @@ def test_threshold_decided_exactly_one_ulp_either_side(b, monkeypatch):
         dec.prec = 60
         exact = Decimal(b) ** (Decimal(6) / 5)
     for max_bound in (math.nextafter(t, 0), t, math.nextafter(t, math.inf)):
-        monkeypatch.setattr(verifier, "segment_bounds", lambda ctx, K: np.array([max_bound]))
+        monkeypatch.setattr(verifier, "candidate_bounds",
+                            lambda ctx, K: ([0], np.array([max_bound])))
         cert = certify_base(base_context(b), 8, slack=0.0)
         assert cert.threshold == t
         assert cert.passed == (Decimal(max_bound) < exact), (b, max_bound)
@@ -137,6 +137,53 @@ def test_segment_bounds_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def _assert_candidates_match_every_segment(b, K):
+    ctx = base_context(b)
+    full = segment_bounds(ctx, K)
+    segments, bounds = verifier.candidate_bounds(ctx, K)
+    assert segments == sorted(set(segments)) and 0 in segments and segments[-1] < (K + 1) // 2
+    assert np.allclose(bounds, full[segments], rtol=1e-15, atol=0), (b, K)
+    cert = certify_base(ctx, K)
+    assert abs(cert.max_bound - full.max()) <= 1e-15 * full.max(), (b, K)
+    assert cert.worst_segment == int(np.argmax(full)), (b, K)
+
+
+def test_candidate_segments_hold_the_max_on_random_bases():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        _assert_candidates_match_every_segment(int(rng.integers(2, 3001)),
+                                               int(rng.integers(2, 401)))
+
+
+@pytest.mark.parametrize("b, K", [
+    # first and last base of each published row of scripts/reproduce_table.py
+    (28500, 8), (31698, 8), (26500, 34), (28499, 34),
+    (26100, 122), (26499, 122), (26000, 367), (26099, 367),
+    # the largest base that fails even at sup f
+    (25957, 367),
+    (2, 2), (2, 3), (3, 2), (3, 3),
+])
+def test_candidate_segments_hold_the_max(b, K):
+    _assert_candidates_match_every_segment(b, K)
+
+
+def test_candidate_segments_hold_the_max_for_every_K_at_20000():
+    # the K that find_min_K tries at acceptance criterion 3's base
+    for K in range(2, 65):
+        _assert_candidates_match_every_segment(20000, K)
+
+
+def test_certify_base_memory_is_a_few_columns():
+    ctx = base_context(26000)
+    tracemalloc.start()
+    try:
+        certify_base(ctx, 367)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @settings(max_examples=60, deadline=None)
