@@ -9,8 +9,9 @@ can be plotted.
 import argparse
 
 from revpal import sieve
+from revpal.cli import render
 from revpal.digits import base_context
-from revpal.experiments import count_kfree_palindromes, count_rev_kfree_primes, reports_to_csv
+from revpal.experiments import count_kfree_palindromes, count_rev_kfree_primes
 
 
 def main():
@@ -34,7 +35,7 @@ def main():
     while x <= args.palin_x:
         reports.append(count_kfree_palindromes(pctx, args.palin_k, x, table))
         x *= 10
-    print(reports_to_csv(reports), end="")
+    print(render(reports, "csv"), end="")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import densities, experiments, revgoldbach, sieve, verifier
 from .digits import base_context, reverse
-from .experiments import CountReport, reports_to_csv, reports_to_json
+from .experiments import CountReport
 from .verifier import Certificate
 
 CACHE_ENV = "REVPAL_SIEVE_CACHE"
@@ -44,230 +44,189 @@ def _get_table(limit: int) -> sieve.FactorTable:
     return sieve.build(limit)
 
 
-def _write(text: str, path: str | None, out=None):
-    """The one place command results leave the program: the file at path if
-    given, else out, which defaults to sys.stdout as it is at call time."""
-    if path:
-        Path(path).write_text(text)
+def _cell(v) -> str:
+    return "" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+
+
+_HUMAN = {
+    CountReport: lambda d: (
+        f"{d['label']}: b={d['b']} k={d['k']} N_or_x={d['N_or_x']} d={d['d']} "
+        f"empirical={d['empirical']} main_term={_fmt(d['main_term'])} "
+        f"ratio={'-' if d['ratio'] is None else _fmt(d['ratio'])}"),
+    Certificate: lambda d: (
+        f"b={d['b']} K={d['K']} max_bound={_fmt(d['max_bound'])} "
+        f"threshold={_fmt(d['threshold'])} passed={d['passed']} "
+        f"alpha={_fmt(d['alpha_estimate'])}"),
+}
+
+
+def render(records: list, fmt: str) -> str:
+    """The text of CountReports, Certificates, or dicts with the same keys.
+
+    csv: the keys, then one line per record, in which None is empty, a float
+    has 12 significant digits and anything else is str().  json: one array,
+    except certificates, one object per line.  human: one line per record.
+    """
+    rows = [r if isinstance(r, dict) else r.to_dict() for r in records]
+    if fmt == "csv":
+        return "".join(",".join(map(_cell, r)) + "\n" for r in [rows[0], *map(dict.values, rows)])
+    if fmt == "json":
+        if isinstance(records[0], Certificate):
+            return "".join(json.dumps(r) + "\n" for r in rows)
+        return json.dumps(rows) + "\n"
+    return "".join(_HUMAN[type(records[0])](r) + "\n" for r in rows)
+
+
+def _palindromes(a, ctx) -> str:
+    pal = experiments.enumerate_palindromes(ctx, a.x, star=a.star).tolist()
+    return (json.dumps(pal) if a.format == "json" else " ".join(map(str, pal))) + "\n"
+
+
+def _sqrt_law(a, ctx) -> str:
+    keys = ("x", "count", "normalized" if a.format == "json" else "count_over_sqrt_x")
+    rows = experiments.sqrt_law_check(ctx, a.x, star=a.star)
+    return render([dict(zip(keys, row)) for row in rows], a.format)
+
+
+def _certify(a, ctx) -> tuple[str, int]:
+    cert = verifier.certify_base(ctx, a.K)
+    return render([cert], a.format), int(not cert.passed)
+
+
+def _certify_range(a, ctx) -> tuple[str, int]:
+    t0 = time.monotonic()
+    certs = verifier.certify_range(a.b0, a.b1, a.K, workers=a.workers)
+    passed = all(c.passed for c in certs)
+    if a.format == "csv":  # one summary row in the shape of the published table
+        certs = [{"b0": a.b0, "b1": a.b1, "K": a.K, "all_passed": passed,
+                  "wall_clock_seconds": f"{time.monotonic() - t0:.3f}"}]
+    return render(certs, a.format), int(not passed)
+
+
+def _find_min_k(a, ctx) -> tuple[str, int]:
+    k = verifier.find_min_K(ctx, a.k_max)
+    return json.dumps({"b": a.b, "K_max": a.k_max, "min_K": k}) + "\n", int(k is None)
+
+
+def _goldbach_table(ctx, target: int, cap: int) -> sieve.FactorTable:
+    """A table covering target and every prime whose reverse is at most cap."""
+    return _get_table(max(2, target, revgoldbach.prime_bound(ctx, cap)))
+
+
+def _main_term(a, ctx) -> str:
+    if a.which == "zeta":
+        v = densities.zeta(a.k)
+    elif a.which == "kfree-density":
+        v = densities.kfree_density(ctx, a.k)
+    elif a.which == "rev-kfree":
+        if a.N is None:
+            raise UsageError("--N is required for rev-kfree")
+        v = densities.rev_kfree_main_term(ctx, a.k, a.N)
     else:
-        (sys.stdout if out is None else out).write(text)
+        if a.N is None or a.d is None:
+            raise UsageError("--N and --d are required for rev-pi")
+        v = densities.rev_pi_main_term(ctx, a.d, a.N)
+    return _fmt(v) + "\n"
 
 
-def _format_records(records: list, fmt: str) -> str:
-    """Serialize CountReports or Certificates with a fixed field order."""
-    if not records:
-        raise UsageError("nothing to emit: empty record list")
-    if isinstance(records[0], CountReport):
-        if fmt == "csv":
-            return reports_to_csv(records)
-        if fmt == "json":
-            return reports_to_json(records) + "\n"
-        lines = [
-            f"{d['label']}: b={d['b']} k={d['k']} N_or_x={d['N_or_x']} d={d['d']} "
-            f"empirical={d['empirical']} main_term={_fmt(d['main_term'])} "
-            f"ratio={'-' if d['ratio'] is None else _fmt(d['ratio'])}"
-            for d in (r.to_dict() for r in records)
-        ]
-    elif isinstance(records[0], Certificate):
-        if fmt == "csv":
-            lines = [",".join(Certificate.KEYS)] + [",".join(
-                _fmt(v) if isinstance(v, float) else str(v) for v in c.to_dict().values())
-                for c in records]
-        elif fmt == "json":
-            lines = [c.to_json() for c in records]
-        else:
-            lines = [
-                f"b={c.b} K={c.K} max_bound={_fmt(c.max_bound)} "
-                f"threshold={_fmt(c.threshold)} passed={c.passed} "
-                f"alpha={_fmt(c.alpha_estimate)}"
-                for c in records
-            ]
-    else:
-        raise UsageError(f"cannot emit records of type {type(records[0]).__name__}")
-    return "\n".join(lines) + "\n"
+def _num(flag: str, type=int, **kw) -> tuple[str, dict]:
+    """A numeric option, required unless it has a default."""
+    return flag, {"type": type, "required": "default" not in kw, **kw}
 
 
-def emit_report(records: list, fmt: str, path: str | None, out=None):
-    """Serialize CountReports or Certificates and write them with _write."""
-    _write(_format_records(records, fmt), path, out)
+def _forms(*choices: str) -> tuple[str, dict]:
+    return "--format", {"choices": choices, "default": "json"}
+
+
+BASE = _num("--base", default=10)
+OUTPUT = "--output", {}
+STAR = "--star", {"action": "store_true"}
+RECORD_FORMS = _forms("json", "csv", "human")
+
+# every subcommand, declared once: name: (help, options, handler).  A handler
+# takes the parsed arguments and the base context, and returns its text, or
+# its text and an exit code
+COMMANDS = {
+    "reverse": ("digital reverse of n", [BASE, _num("--n")],
+                lambda a, ctx: f"{reverse(a.n, ctx)}\n"),
+    "palindromes": ("enumerate P_b(x) or P*_b(x)",
+                    [BASE, _forms("json", "human"), OUTPUT, _num("--x"), STAR], _palindromes),
+    "count-rev-kfree": (
+        "r_{b,k}(N) with main term",
+        [BASE, RECORD_FORMS, OUTPUT, _num("--k", default=2), _num("--N")],
+        lambda a, ctx: render([experiments.count_rev_kfree_primes(
+            ctx, a.k, a.N, _get_table(ctx.b ** a.N))], a.format)),
+    "rev-pi-star": (
+        "primes with d | reverse, with main term",
+        [BASE, RECORD_FORMS, OUTPUT, _num("--N"), _num("--d")],
+        lambda a, ctx: render([experiments.rev_pi_star(
+            ctx, a.N, a.d, _get_table(ctx.b ** a.N))], a.format)),
+    "count-palin-kfree": (
+        "k-free members of P*_b(x)",
+        [BASE, RECORD_FORMS, OUTPUT, _num("--k", default=3), _num("--x")],
+        lambda a, ctx: render([experiments.count_kfree_palindromes(
+            ctx, a.k, a.x, _get_table(a.x))], a.format)),
+    "palin-div": (
+        "palindromes <= x divisible by d", [BASE, OUTPUT, _num("--x"), _num("--d"), STAR],
+        lambda a, ctx: f"{experiments.count_palindromes_div_by(ctx, a.x, a.d, star=a.star)}\n"),
+    "almost-prime": (
+        "palindromes with few prime factors",
+        [BASE, OUTPUT, _num("--x"), _num("--omega-max"), _num("--kfree-k", default=None),
+         _num("--rough-exponent", float, default=None)],
+        lambda a, ctx: str(experiments.count_almost_prime_palindromes(
+            ctx, a.x, a.omega_max, kfree_k=a.kfree_k, rough_exponent=a.rough_exponent,
+            table=_get_table(a.x))) + "\n"),
+    "sqrt-law": ("palindrome counts normalized by sqrt(x)",
+                 [BASE, _forms("json", "csv"), OUTPUT, _num("--x", nargs="+"), STAR], _sqrt_law),
+    "certify": ("certify one base", [RECORD_FORMS, OUTPUT, _num("--b"), _num("--K")], _certify),
+    "certify-range": (
+        "certify every base in [b0, b1]",
+        [RECORD_FORMS, OUTPUT, _num("--b0"), _num("--b1"), _num("--K"),
+         _num("--workers", default=1)],
+        _certify_range),
+    "find-min-k": ("smallest passing K for one base", [_num("--b"), _num("--k-max")],
+                   _find_min_k),
+    "f-eval": ("evaluate the capped reciprocal-sine sum", [_num("--b"), _num("--theta", float)],
+               lambda a, ctx: _fmt(verifier.f_eval(ctx, a.theta)) + "\n"),
+    "hcabdlog": (
+        "scan for unrepresentable targets", [BASE, OUTPUT, _num("--limit")],
+        lambda a, ctx: revgoldbach.scan_exceptions(
+            ctx, a.limit, _goldbach_table(ctx, a.limit, a.limit - 2)).to_json() + "\n"),
+    "estermann": (
+        "prime + squarefree representation count", [BASE, OUTPUT, _num("--M")],
+        lambda a, ctx: str(revgoldbach.estermann_count(
+            ctx, a.M, _goldbach_table(ctx, a.M, a.M - 1))) + "\n"),
+    "main-term": (
+        "theoretical main terms",
+        [BASE, ("--which", {"choices": ["rev-kfree", "rev-pi", "kfree-density", "zeta"],
+                            "required": True}),
+         _num("--k", default=2), _num("--N", default=None), _num("--d", default=None)],
+        _main_term),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="revpal", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, base=True):
-        if base:
-            sp.add_argument("--base", type=int, default=10)
-        sp.add_argument("--format", choices=["json", "csv", "human"], default="json")
-        sp.add_argument("--output", default=None)
-
-    sp = sub.add_parser("reverse", help="digital reverse of n")
-    sp.add_argument("--base", type=int, default=10)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("palindromes", help="enumerate P_b(x) or P*_b(x)")
-    common(sp)
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--star", action="store_true")
-
-    sp = sub.add_parser("count-rev-kfree", help="r_{b,k}(N) with main term")
-    common(sp)
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--N", type=int, required=True)
-
-    sp = sub.add_parser("rev-pi-star", help="primes with d | reverse, with main term")
-    common(sp)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-
-    sp = sub.add_parser("count-palin-kfree", help="k-free members of P*_b(x)")
-    common(sp)
-    sp.add_argument("--k", type=int, default=3)
-    sp.add_argument("--x", type=int, required=True)
-
-    sp = sub.add_parser("palin-div", help="palindromes <= x divisible by d")
-    common(sp)
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--star", action="store_true")
-
-    sp = sub.add_parser("almost-prime", help="palindromes with few prime factors")
-    common(sp)
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--omega-max", type=int, required=True)
-    sp.add_argument("--kfree-k", type=int, default=None)
-    sp.add_argument("--rough-exponent", type=float, default=None)
-
-    sp = sub.add_parser("sqrt-law", help="palindrome counts normalized by sqrt(x)")
-    common(sp)
-    sp.add_argument("--x", type=int, nargs="+", required=True)
-    sp.add_argument("--star", action="store_true")
-
-    sp = sub.add_parser("certify", help="certify one base")
-    common(sp, base=False)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--slack", type=float, default=verifier.DEFAULT_SLACK)
-
-    sp = sub.add_parser("certify-range", help="certify every base in [b0, b1]")
-    common(sp, base=False)
-    sp.add_argument("--b0", type=int, required=True)
-    sp.add_argument("--b1", type=int, required=True)
-    sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--slack", type=float, default=verifier.DEFAULT_SLACK)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--timing", action="store_true",
-                    help="append wall-clock seconds to stderr")
-
-    sp = sub.add_parser("find-min-k", help="smallest passing K for one base")
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--k-max", type=int, required=True)
-    sp.add_argument("--slack", type=float, default=verifier.DEFAULT_SLACK)
-
-    sp = sub.add_parser("f-eval", help="evaluate the capped reciprocal-sine sum")
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--theta", type=float, required=True)
-
-    sp = sub.add_parser("hcabdlog", help="scan for unrepresentable targets")
-    common(sp)
-    sp.add_argument("--limit", type=int, required=True)
-
-    sp = sub.add_parser("estermann", help="prime + squarefree representation count")
-    common(sp)
-    sp.add_argument("--M", type=int, required=True)
-
-    sp = sub.add_parser("main-term", help="theoretical main terms")
-    sp.add_argument("--base", type=int, default=10)
-    sp.add_argument("--which", choices=["rev-kfree", "rev-pi", "kfree-density", "zeta"],
-                    required=True)
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--d", type=int, default=None)
+    for name, (help_text, options, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kw in options:
+            sp.add_argument(flag, **kw)
     return p
 
 
 def dispatch(args: argparse.Namespace, out=None) -> int:
-    """Run the subcommand in args, write its output with _write, return the exit code."""
-    # certify, find-min-k and f-eval take the base as --b; certify-range takes none
+    """Run the subcommand in args and return its exit code.  Its text goes to
+    the file --output names, if any, else to out, which defaults to sys.stdout
+    as it is at call time."""
+    # the base is --base, or --b where a command works on one base only
     b = getattr(args, "base", getattr(args, "b", None))
-    ctx = base_context(b) if b is not None else None
-    cmd, code = args.cmd, 0
-    if cmd == "reverse":
-        text = f"{reverse(args.n, ctx)}\n"
-    elif cmd == "palindromes":
-        pal = experiments.enumerate_palindromes(ctx, args.x, star=args.star).tolist()
-        text = (json.dumps(pal) if args.format != "human" else " ".join(map(str, pal))) + "\n"
-    elif cmd == "count-rev-kfree":
-        rep = experiments.count_rev_kfree_primes(ctx, args.k, args.N, _get_table(ctx.b ** args.N))
-        text = _format_records([rep], args.format)
-    elif cmd == "rev-pi-star":
-        rep = experiments.rev_pi_star(ctx, args.N, args.d, _get_table(ctx.b ** args.N))
-        text = _format_records([rep], args.format)
-    elif cmd == "count-palin-kfree":
-        rep = experiments.count_kfree_palindromes(ctx, args.k, args.x, _get_table(args.x))
-        text = _format_records([rep], args.format)
-    elif cmd == "palin-div":
-        text = f"{experiments.count_palindromes_div_by(ctx, args.x, args.d, star=args.star)}\n"
-    elif cmd == "almost-prime":
-        c = experiments.count_almost_prime_palindromes(
-            ctx, args.x, args.omega_max, kfree_k=args.kfree_k,
-            rough_exponent=args.rough_exponent, table=_get_table(args.x))
-        text = f"{c}\n"
-    elif cmd == "sqrt-law":
-        rows = experiments.sqrt_law_check(ctx, args.x, star=args.star)
-        if args.format == "csv":
-            text = "x,count,count_over_sqrt_x\n" + "\n".join(
-                f"{x},{c},{_fmt(r)}" for x, c, r in rows) + "\n"
-        else:
-            text = json.dumps([{"x": x, "count": c, "normalized": r} for x, c, r in rows]) + "\n"
-    elif cmd == "certify":
-        cert = verifier.certify_base(ctx, args.K, args.slack)
-        text, code = _format_records([cert], args.format), 0 if cert.passed else 1
-    elif cmd == "certify-range":
-        t0 = time.monotonic()
-        certs = verifier.certify_range(args.b0, args.b1, args.K,
-                                       slack=args.slack, workers=args.workers)
-        elapsed = time.monotonic() - t0
-        passed = all(c.passed for c in certs)
-        code = 0 if passed else 1
-        if args.format == "csv":
-            # summary row in the shape of the published table
-            text = ("b0,b1,K,all_passed,wall_clock_seconds\n"
-                    f"{args.b0},{args.b1},{args.K},{passed},{elapsed:.3f}\n")
-        else:
-            text = _format_records(certs, args.format)
-        if args.timing:
-            print(f"wall_clock_seconds={elapsed:.3f}", file=sys.stderr)
-    elif cmd == "find-min-k":
-        k = verifier.find_min_K(ctx, args.k_max, args.slack)
-        text = json.dumps({"b": args.b, "K_max": args.k_max, "min_K": k}) + "\n"
-        code = 0 if k is not None else 1
-    elif cmd == "f-eval":
-        text = _fmt(verifier.f_eval(ctx, args.theta)) + "\n"
-    elif cmd == "hcabdlog":
-        table = _get_table(max(args.limit, revgoldbach.prime_bound(ctx, args.limit - 2)))
-        text = revgoldbach.scan_exceptions(ctx, args.limit, table).to_json() + "\n"
-    elif cmd == "estermann":
-        table = _get_table(max(args.M, revgoldbach.prime_bound(ctx, args.M - 1)))
-        text = f"{revgoldbach.estermann_count(ctx, args.M, table)}\n"
-    elif cmd == "main-term":
-        if args.which == "zeta":
-            v = densities.zeta(args.k)
-        elif args.which == "kfree-density":
-            v = densities.kfree_density(ctx, args.k)
-        elif args.which == "rev-kfree":
-            if args.N is None:
-                raise UsageError("--N is required for rev-kfree")
-            v = densities.rev_kfree_main_term(ctx, args.k, args.N)
-        else:
-            if args.N is None or args.d is None:
-                raise UsageError("--N and --d are required for rev-pi")
-            v = densities.rev_pi_main_term(ctx, args.d, args.N)
-        text = _fmt(v) + "\n"
+    result = COMMANDS[args.cmd][2](args, base_context(b) if b is not None else None)
+    text, code = result if isinstance(result, tuple) else (result, 0)
+    if getattr(args, "output", None):
+        Path(args.output).write_text(text)
     else:
-        raise UsageError(f"unknown subcommand {cmd}")
-    _write(text, getattr(args, "output", None), out)
+        (sys.stdout if out is None else out).write(text)
     return code
 
 

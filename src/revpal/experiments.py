@@ -2,9 +2,6 @@
 its derived counts, each paired with a theoretical main term where one exists.
 """
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -14,8 +11,6 @@ import numpy as np
 from . import densities, revgoldbach
 from .digits import BaseContext
 from .sieve import FactorTable
-
-CSV_COLUMNS = ["label", "b", "k", "N_or_x", "d", "empirical", "main_term", "ratio"]
 
 
 @dataclass(frozen=True)
@@ -52,25 +47,6 @@ class CountReport:
             label=d["label"], b=d["b"], k=d["k"], n_or_x=d["N_or_x"],
             d=d["d"], empirical=d["empirical"], main_term=d["main_term"],
         )
-
-
-def reports_to_csv(reports: list[CountReport]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for r in reports:
-        d = r.to_dict()
-        w.writerow([
-            d["label"], d["b"], "" if d["k"] is None else d["k"], d["N_or_x"],
-            "" if d["d"] is None else d["d"], d["empirical"],
-            format(d["main_term"], ".12g"),
-            "" if d["ratio"] is None else format(d["ratio"], ".12g"),
-        ])
-    return buf.getvalue()
-
-
-def reports_to_json(reports: list[CountReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=None)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ reduction over a contiguous axis), and the ceil(b / step) block sums (at
 most 8 for b <= 31698) are added one after another.
 """
 
-import json
 import math
+import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -103,9 +103,6 @@ class Certificate:
     def from_dict(cls, d: dict) -> "Certificate":
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def candidate_bounds(ctx: BaseContext, K: int) -> tuple[list[int], np.ndarray]:
     """Upper bounds B_i of f on the candidate segments [i/(Kb), (i+1)/(Kb)]
@@ -141,8 +138,8 @@ def candidate_bounds(ctx: BaseContext, K: int) -> tuple[list[int], np.ndarray]:
 def certify_base(ctx: BaseContext, K: int, slack: float = DEFAULT_SLACK) -> Certificate:
     """One base: pass iff max_bound * (1 + slack) < b^(6/5), decided exactly
     as (max_bound * (1 + slack))^5 < b^6 over the rationals."""
-    if not math.isfinite(slack):
-        raise ValueError(f"slack must be finite, got {slack}")
+    if not math.isfinite(slack) or slack < 0:
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
     segments, bounds = candidate_bounds(ctx, K)
     k = int(np.argmax(bounds))
     max_bound = float(bounds[k])
@@ -177,6 +174,8 @@ def certify_range(
     if not 2 <= b0 <= b1:
         raise ValueError(f"need 2 <= b0 <= b1, got ({b0}, {b1})")
     jobs = [(b, K, slack) for b in range(b0, b1 + 1)]
+    # a fork pool starts all its processes at once, however few the jobs
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [_certify_one(j) for j in jobs]
     # not at module level: it costs every import of revpal about 2 MB and 16 ms

@@ -4,12 +4,13 @@ import io
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from revpal import revgoldbach, sieve
-from revpal.cli import CACHE_ENV, UsageError, build_parser, dispatch, emit_report, main
+from revpal.cli import CACHE_ENV, COMMANDS, build_parser, dispatch, main, render
 from revpal.digits import base_context
 from revpal.experiments import CountReport
 from revpal.verifier import certify_base
@@ -63,13 +64,18 @@ def test_hcabdlog_command():
     assert json.loads(out)["exceptions"] == [11]
 
 
-@pytest.mark.parametrize("target", [500, 1005])
-def test_goldbach_commands_size_the_table_for_reversed_primes(target):
-    # reverses <= target come from primes with as many digits, up to 999 or 9999
+@pytest.mark.parametrize("target", [0, 1, 500, 1005])
+def test_goldbach_commands_size_the_table_for_reversed_primes(target, capsys):
+    # reverses <= target come from primes with as many digits, up to 999 or
+    # 9999; a target below 2 still gets a table of limit 2
     ctx, table = base_context(10), sieve.build(9999)
     code, out = run(["hcabdlog", "--base", "10", "--limit", str(target)])
     assert code == 0
     assert json.loads(out) == revgoldbach.scan_exceptions(ctx, target, table).to_dict()
+    if target < 1:
+        assert main(["estermann", "--base", "10", "--M", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: target must be >= 1, got {target}\n"
+        return
     code, out = run(["estermann", "--base", "10", "--M", str(target)])
     assert code == 0
     assert int(out) == revgoldbach.estermann_count(ctx, target, table)
@@ -97,23 +103,14 @@ def test_determinism_identical_runs():
     assert a == b
 
 
-def test_emit_report_rejects_empty():
-    with pytest.raises(UsageError):
-        emit_report([], "json", None)
-
-
 def test_emit_report_round_trip():
     rep = CountReport(label="x", b=10, k=2, n_or_x=3, d=None, empirical=5, main_term=4.0)
-    buf = io.StringIO()
-    emit_report([rep], "json", None, out=buf)
-    assert CountReport.from_dict(json.loads(buf.getvalue())[0]) == rep
+    assert CountReport.from_dict(json.loads(render([rep], "json"))[0]) == rep
 
 
 def test_emit_certificates_jsonl_ascending():
     certs = [certify_base(base_context(b), 8) for b in (28500, 28501)]
-    buf = io.StringIO()
-    emit_report(certs, "json", None, out=buf)
-    lines = buf.getvalue().strip().split("\n")
+    lines = render(certs, "json").strip().split("\n")
     assert [json.loads(l)["b"] for l in lines] == [28500, 28501]
 
 
@@ -165,11 +162,10 @@ def test_output_flag_writes_file_instead_of_stdout(cmd, tmp_path, capsys):
 
 
 def test_output_follows_redirect_stdout():
-    rep = CountReport(label="x", b=10, k=2, n_or_x=3, d=None, empirical=5, main_term=4.0)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(["reverse", "--base", "10", "--n", "1234"]) == 0
-        emit_report([rep], "csv", None)
+        assert main(["count-rev-kfree", "--N", "2", "--format", "csv"]) == 0
     assert buf.getvalue().split("\n")[:2] == ["4321", "label,b,k,N_or_x,d,empirical,main_term,ratio"]
 
 
@@ -220,3 +216,137 @@ def test_readme_examples_match_goldens(tmp_path, monkeypatch, capsys):
                 assert math.isclose(got, exp, rel_tol=1e-12), (name, got, exp)
         else:
             assert outputs[name] == want, name
+
+
+# (command line, exit code, stdout, stderr) for every command in every format
+# it takes, and for each option no command reads; stderr None is argparse's
+# usage text, which is not pinned
+CLI_BYTES = [
+    ("reverse --base 10 --n 1234", 0, "4321\n", ""),
+    ("reverse --base 10 --n 120", 2, "",
+     "error: 120 has a trailing zero digit in base 10; reversal is not invertible\n"),
+    ("palindromes --x 100 --star", 0, "[1, 7]\n", ""),
+    ("palindromes --x 100 --star --format human", 0, "1 7\n", ""),
+    ("count-rev-kfree --N 3", 0,
+     '[{"label": "rev_kfree_primes", "b": 10, "k": 2, "N_or_x": 3, "d": null, "empirical": 63, '
+     '"main_term": 55.462405683839336, "ratio": 1.1359045685671902}]\n', ""),
+    ("count-rev-kfree --N 3 --format csv", 0,
+     "label,b,k,N_or_x,d,empirical,main_term,ratio\n"
+     "rev_kfree_primes,10,2,3,,63,55.4624056838,1.13590456857\n", ""),
+    ("count-rev-kfree --N 3 --format human", 0,
+     "rev_kfree_primes: b=10 k=2 N_or_x=3 d=None empirical=63 main_term=55.4624056838 "
+     "ratio=1.13590456857\n", ""),
+    ("rev-pi-star --N 3 --d 7", 0,
+     '[{"label": "rev_pi_star", "b": 10, "k": null, "N_or_x": 3, "d": 7, "empirical": 11, '
+     '"main_term": 8.272275845776228, "ratio": 1.329742891204061}]\n', ""),
+    ("rev-pi-star --N 3 --d 7 --format csv", 0,
+     "label,b,k,N_or_x,d,empirical,main_term,ratio\n"
+     "rev_pi_star,10,,3,7,11,8.27227584578,1.3297428912\n", ""),
+    ("rev-pi-star --N 3 --d 7 --format human", 0,
+     "rev_pi_star: b=10 k=None N_or_x=3 d=7 empirical=11 main_term=8.27227584578 "
+     "ratio=1.3297428912\n", ""),
+    ("count-palin-kfree --base 2 --x 10000", 0,
+     '[{"label": "kfree_palindromes", "b": 2, "k": 3, "N_or_x": 10000, "d": null, '
+     '"empirical": 84, "main_term": 83.92208439880102, "ratio": 1.0009284278596886}]\n', ""),
+    ("count-palin-kfree --base 2 --x 10000 --format csv", 0,
+     "label,b,k,N_or_x,d,empirical,main_term,ratio\n"
+     "kfree_palindromes,2,3,10000,,84,83.9220843988,1.00092842786\n", ""),
+    ("count-palin-kfree --base 2 --x 10000 --format human", 0,
+     "kfree_palindromes: b=2 k=3 N_or_x=10000 d=None empirical=84 main_term=83.9220843988 "
+     "ratio=1.00092842786\n", ""),
+    ("palin-div --x 1000 --d 11 --star", 0, "0\n", ""),
+    ("almost-prime --x 1000 --omega-max 2 --kfree-k 3 --rough-exponent 0.2", 0, "36\n", ""),
+    ("sqrt-law --x 100 10000", 0,
+     '[{"x": 100, "count": 18, "normalized": 1.8}, '
+     '{"x": 10000, "count": 198, "normalized": 1.98}]\n', ""),
+    ("sqrt-law --x 100 10000 --format csv", 0,
+     "x,count,count_over_sqrt_x\n100,18,1.8\n10000,198,1.98\n", ""),
+    ("certify --b 31698 --K 8", 0,
+     '{"b": 31698, "K": 8, "max_bound": 248678.8870482031, "threshold": 251905.83843712244, '
+     '"slack": 1e-09, "passed": true, "cb_estimate": 7.845254812549785, '
+     '"alpha_estimate": 0.19875599230941496, "worst_segment": 2}\n', ""),
+    ("certify --b 31698 --K 8 --format csv", 0,
+     "b,K,max_bound,threshold,slack,passed,cb_estimate,alpha_estimate,worst_segment\n"
+     "31698,8,248678.887048,251905.838437,1e-09,True,7.84525481255,0.198755992309,2\n", ""),
+    ("certify --b 31698 --K 8 --format human", 0,
+     "b=31698 K=8 max_bound=248678.887048 threshold=251905.838437 passed=True "
+     "alpha=0.198755992309\n", ""),
+    ("certify --b 20000 --K 4 --format human", 1,
+     "b=20000 K=4 max_bound=154293.247465 threshold=144955.932736 passed=False "
+     "alpha=0.206303356433\n", ""),
+    ("certify-range --b0 28500 --b1 28502 --K 8", 0,
+     '{"b": 28500, "K": 8, "max_bound": 221660.1800005581, "threshold": 221724.57545544195, '
+     '"slack": 1e-09, "passed": true, "cb_estimate": 7.777550175458178, '
+     '"alpha_estimate": 0.1999716824168761, "worst_segment": 2}\n'
+     '{"b": 28501, "K": 8, "max_bound": 221668.59418606077, "threshold": 221733.91125979685, '
+     '"slack": 1e-09, "passed": true, "cb_estimate": 7.777572512756071, '
+     '"alpha_estimate": 0.19997127838759218, "worst_segment": 2}\n'
+     '{"b": 28502, "K": 8, "max_bound": 221677.00839390024, "threshold": 221743.24712966412, '
+     '"slack": 1e-09, "passed": true, "cb_estimate": 7.777594849270235, '
+     '"alpha_estimate": 0.19997087437444366, "worst_segment": 2}\n', ""),
+    ("certify-range --b0 28500 --b1 28502 --K 8 --format human", 0,
+     "b=28500 K=8 max_bound=221660.180001 threshold=221724.575455 passed=True "
+     "alpha=0.199971682417\n"
+     "b=28501 K=8 max_bound=221668.594186 threshold=221733.91126 passed=True "
+     "alpha=0.199971278388\n"
+     "b=28502 K=8 max_bound=221677.008394 threshold=221743.24713 passed=True "
+     "alpha=0.199970874374\n", ""),
+    # the last field is the wall-clock time, checked only for its form
+    ("certify-range --b0 28500 --b1 28502 --K 8 --format csv", 0,
+     "b0,b1,K,all_passed,wall_clock_seconds\n28500,28502,8,True,0.004\n", ""),
+    ("find-min-k --b 31698 --k-max 8", 0, '{"b": 31698, "K_max": 8, "min_K": 5}\n', ""),
+    ("find-min-k --b 20000 --k-max 4", 1, '{"b": 20000, "K_max": 4, "min_K": null}\n', ""),
+    ("f-eval --b 20000 --theta 0", 0, "147694.728345\n", ""),
+    ("hcabdlog --limit 1000", 0,
+     '{"base": 10, "limit": 1000, "scanned_from": 4, "parity_class": "all_targets", '
+     '"exceptions": [11]}\n', ""),
+    ("estermann --M 1000", 0, "100\n", ""),
+    ("main-term --which zeta --k 3", 0, "1.20205690316\n", ""),
+    ("main-term --which kfree-density --k 2", 0, "0.957801814119\n", ""),
+    ("main-term --which rev-kfree --N 5", 0, "3327.74434103\n", ""),
+    ("main-term --which rev-pi --N 5 --d 7", 0, "496.336550747\n", ""),
+    ("main-term --which rev-kfree", 2, "", "error: --N is required for rev-kfree\n"),
+    ("main-term --which rev-pi --N 5", 2, "", "error: --N and --d are required for rev-pi\n"),
+    ("palindromes --x 100 --format csv", 2, "", None),
+    ("sqrt-law --x 100 --format human", 2, "", None),
+    ("palin-div --x 1000 --d 11 --format json", 2, "", None),
+    ("almost-prime --x 1000 --omega-max 2 --format human", 2, "", None),
+    ("hcabdlog --limit 1000 --format csv", 2, "", None),
+    ("estermann --M 1000 --format json", 2, "", None),
+    ("certify --b 31698 --K 8 --slack 0", 2, "", None),
+    ("certify-range --b0 28500 --b1 28500 --K 8 --slack 0", 2, "", None),
+    ("certify-range --b0 28500 --b1 28500 --K 8 --timing", 2, "", None),
+    ("find-min-k --b 31698 --k-max 8 --slack 0", 2, "", None),
+]
+
+
+@pytest.mark.parametrize("line, code, want, err", CLI_BYTES, ids=[c[0] for c in CLI_BYTES])
+def test_cli_prints_the_same_bytes(line, code, want, err, capsys):
+    assert main(line.split()) == code
+    got = capsys.readouterr()
+    if err is not None:
+        assert got.err == err
+    if line.startswith("certify-range") and line.endswith("csv"):
+        head, seconds = got.out.rsplit(",", 1)
+        assert head == want.rsplit(",", 1)[0]
+        assert re.fullmatch(r"\d+\.\d{3}\n", seconds)
+    elif '"max_bound"' in want:
+        # full-precision floats follow the kernel's summation order; the
+        # 12-digit forms above pin the same certificates exactly
+        for g, w in zip(got.out.splitlines(), want.splitlines(), strict=True):
+            g, w = json.loads(g), json.loads(w)
+            assert list(g) == list(w)
+            assert all(math.isclose(g[k], v, rel_tol=1e-12) if isinstance(v, float) else g[k] == v
+                       for k, v in w.items()), (g, w)
+    else:
+        assert got.out == want
+
+
+def test_readme_lists_every_command_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+    listed = [line.split()[1] for block in blocks for line in block.splitlines()
+              if line.startswith("revpal ")]
+    assert sorted(listed) == sorted(set(listed)), "a command is listed twice"
+    assert set(listed) - set(COMMANDS) == set(), "README lists a command the CLI lacks"
+    assert set(COMMANDS) - set(listed) == set(), "README omits a command"

@@ -10,6 +10,7 @@ from oracles import (
     reversed_primes_in_class_direct,
 )
 from revpal import experiments, revgoldbach
+from revpal.cli import render
 from revpal.digits import base_context, reverse_array
 from revpal.experiments import (
     CountReport,
@@ -18,8 +19,6 @@ from revpal.experiments import (
     count_palindromes_div_by,
     count_rev_kfree_primes,
     enumerate_palindromes,
-    reports_to_csv,
-    reports_to_json,
     rev_pi_star,
     sqrt_law_check,
 )
@@ -196,9 +195,9 @@ def test_counting_on_a_too_small_table_raises_before_reversing():
 def test_report_serialization_round_trip(table_1e5):
     ctx = base_context(10)
     rep = count_rev_kfree_primes(ctx, 2, 3, table_1e5)
-    parsed = json.loads(reports_to_json([rep]))
+    parsed = json.loads(render([rep], "json"))
     assert CountReport.from_dict(parsed[0]) == rep
-    csv_text = reports_to_csv([rep])
+    csv_text = render([rep], "csv")
     lines = csv_text.strip().split("\n")
     assert lines[0] == "label,b,k,N_or_x,d,empirical,main_term,ratio"
     assert len(lines) == 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import f_h_term, segment_bounds
 from revpal import verifier
+from revpal.cli import render
 from revpal.digits import base_context
 from revpal.verifier import (
     Certificate,
@@ -91,9 +92,12 @@ def test_threshold_decided_exactly_one_ulp_either_side(b, monkeypatch):
 
 
 def test_certify_rejects_non_finite_slack():
-    for slack in (math.nan, math.inf):
+    # a negative slack would pass a failing base: b = 20000 fails at K = 4
+    for slack in (math.nan, math.inf, -0.9, -1e-12):
         with pytest.raises(ValueError):
             certify_base(base_context(100), 8, slack)
+        with pytest.raises(ValueError):
+            certify_base(base_context(20000), 4, slack)
 
 
 def test_grid_sharing_matches_naive_kernel():
@@ -246,6 +250,41 @@ def test_certify_range_workers_deterministic():
     assert seq == par
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cores, workers, want", [
+    (1000, 64, [3]),  # capped at the 3 bases
+    (2, 64, [2]),  # capped at the cores
+    (1, 64, []),  # one core: no pool
+    (None, 64, []),  # unknown core count counts as one
+    (1000, 1, []),
+])
+def test_certify_range_caps_the_pool(monkeypatch, cores, workers, want):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
+    certs = certify_range(28500, 28502, 8, workers=workers)
+    assert _SerialPool.sizes == want
+    assert certs == [certify_base(base_context(b), 8) for b in (28500, 28501, 28502)]
+
+
 def test_find_min_K_finds_a_passing_K():
     k = find_min_K(base_context(31698), 8)
     assert k is not None and 2 <= k <= 8
@@ -256,5 +295,5 @@ def test_find_min_K_finds_a_passing_K():
 
 def test_certificate_json_round_trip():
     cert = certify_base(base_context(28500), 8)
-    again = Certificate.from_dict(json.loads(cert.to_json()))
+    again = Certificate.from_dict(json.loads(render([cert], "json")))
     assert again == cert
