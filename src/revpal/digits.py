@@ -95,6 +95,23 @@ def reverse(n: int, ctx: BaseContext) -> int:
     return r
 
 
+@lru_cache(maxsize=None)
+def _padded_reversals(b: int) -> tuple[int, np.ndarray | None]:
+    """(k0, t): k0 the largest digit count with b^k0 <= 2^16, at least 1, and
+    t[r] the reverse of r written with k0 base-b digits, leading zeros
+    included, for 0 <= r < b^k0; None for k0 = 1, where t[r] = r."""
+    k0 = max([k for k in range(2, 17) if b ** k <= 2 ** 16], default=1)
+    if k0 == 1:
+        return 1, None
+    r, t = np.arange(b ** k0), np.zeros(b ** k0, dtype=np.int64)
+    for _ in range(k0):
+        t *= b
+        t += r % b
+        r //= b
+    t.setflags(write=False)
+    return k0, t
+
+
 def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
     """Digital reverse of every entry of ns in base ctx.b.
 
@@ -102,9 +119,14 @@ def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
     primes from np.nonzero over prime flags.  Entries with equal digit counts
     form contiguous blocks, found with np.searchsorted.  Each block is reversed
     into its slice of the output in slices of _REVERSE_SLICE entries, through
-    two reused scratch buffers, so the temporaries stay a fixed size.
+    two reused scratch buffers, so the temporaries stay a fixed size.  A step
+    reverses k0 digits (see _padded_reversals) by one divmod by b^k0 and one
+    gather; an n-digit reverse comes out times b^(k0 ceil(n / k0) - n), which
+    the last division removes.
     """
     b = ctx.b
+    k0, table = _padded_reversals(b)
+    step = b ** k0
     out = np.zeros_like(ns)
     if not ns.size:
         return out
@@ -113,15 +135,19 @@ def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
     m = np.empty(min(ns.size, _REVERSE_SLICE), dtype=ns.dtype)
     d = np.empty_like(m)
     for n_digits, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
+        steps = -(-n_digits // k0)
         for s in range(lo, hi, _REVERSE_SLICE):
             e = min(s + _REVERSE_SLICE, hi)
             q, r = m[: e - s], d[: e - s]
             q[:] = ns[s:e]
             acc = out[s:e]
-            for _ in range(n_digits):
-                acc *= b
-                np.divmod(q, b, out=(q, r))
+            for _ in range(steps):
+                acc *= step
+                np.divmod(q, step, out=(q, r))
+                if table is not None:  # r < b^k0: "clip" is exact; "raise" would copy r
+                    np.take(table, r, out=r, mode="clip")
                 acc += r
+            acc //= b ** (k0 * steps - n_digits)
     return out
 
 

@@ -102,15 +102,13 @@ def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable) -> n
     """rev(p) for the primes p in B_N (N base-b digits, not divisible by b)
     whose reverse is in B*_N (also coprime to b^3 - b), in ascending order.
 
-    Reversal maps B_N onto itself, so these are the N-digit entries of the
-    table's memo of reversed primes, less those sharing a prime with b^3 - b.
+    Reversal maps B_N onto itself, so these are block N of the table's memo
+    of reversed primes, less those sharing a prime with b^3 - b.
     """
-    b = ctx.b
-    lo, hi = b ** (N - 1), b ** N
+    hi = ctx.b ** N
     if hi - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
-    vals = revgoldbach.reversed_prime_values(ctx, hi - 1, table)
-    rev = vals[np.searchsorted(vals, lo):]
+    rev = revgoldbach.reversed_prime_block(ctx, N, table)
     keep = np.ones(rev.size, dtype=bool)
     for p in ctx.primes_b3mb:
         keep &= rev % p != 0

@@ -5,6 +5,7 @@ scanning for unrepresentable targets, and the prime-plus-squarefree variant.
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -48,7 +49,7 @@ def parity_class(ctx: BaseContext) -> TargetClass:
 
 def prime_bound(ctx: BaseContext, cap: int) -> int:
     """Largest n with b not dividing n and rev(n) <= cap (1 for cap < 1): the
-    largest prime reversed_prime_values(ctx, cap, table) can read.
+    largest prime whose reverse a count or scan up to cap can read.
 
     Reversal keeps the digit count of such n, so n = rev(m) for some m <= cap
     with as many digits as cap and a nonzero last digit.  The greedy pass picks
@@ -72,36 +73,37 @@ def prime_bound(ctx: BaseContext, cap: int) -> int:
     return n
 
 
-def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:
-    """Sorted rev(p) <= cap over primes p <= prime_bound(ctx, cap) with b not
-    dividing p; the table must cover that bound.
-
-    The first call in base b reverses every prime p <= table.limit with b not
-    dividing p and keeps them, sorted, in table._memo[b] for the table's
-    lifetime (about 60 ms at limit 10^7, whatever cap is); later calls in
-    base b only search it (about 0.7 ms for a 7-digit target), in any order
-    of caps.  The result is the memo's prefix up to cap, a read-only view:
-    every p with rev(p) <= cap satisfies p <= prime_bound(ctx, cap), which
-    the table covers, and rev is one-to-one on them.
-    """
+def reversed_prime_block(ctx: BaseContext, N: int, table: FactorTable) -> np.ndarray:
+    """Block N of the table's reversed-prime memo in base b, read-only: the
+    sorted rev(p) over the N-digit primes p <= table.limit but b, the only
+    one with a trailing zero, built on first read into table._memo[b, N]."""
     b = ctx.b
+    vals = table._memo.get((b, N))
+    if vals is None:
+        lo = b ** (N - 1)
+        ps = np.flatnonzero(table.omega_total[lo: min(lo * b, table.limit + 1)] == 1)
+        ps += lo
+        vals = reverse_array(ps[1:] if ps[:1].tolist() == [b] else ps, ctx)
+        vals.sort()  # in place: a sorted copy would add the block to the peak
+        vals.setflags(write=False)
+        table._memo[b, N] = vals
+    return vals
+
+
+def _reversed_blocks(ctx: BaseContext, cap: int, table: FactorTable):
+    """Blocks 1 to d of the memo, d the digit count of cap, the last cut at
+    cap, as a lazy iterator: together the sorted rev(p) <= cap over primes
+    p <= prime_bound(ctx, cap) with b not dividing p.  The table must cover
+    that bound, checked before any block is built, so the cut is exact."""
     bound = prime_bound(ctx, cap)
     if bound > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small; "
             f"need primes up to {bound} to cover reverses <= {cap}"
         )
-    vals = table._memo.get(b)
-    if vals is None:
-        ps = np.flatnonzero(table.omega_total == 1)
-        ps = ps[ps % b != 0]
-        # sorted in place: hcabdlog to 10^7 peaks at 61 MB resident from a
-        # mapped cache (110 MB after build), a sorted copy at 69 (117)
-        vals = reverse_array(ps, ctx)
-        vals.sort()
-        vals.setflags(write=False)
-        table._memo[b] = vals
-    return vals[: np.searchsorted(vals, cap, "right")]
+    d = len(to_digits(cap, ctx.b)) if cap >= 1 else 0
+    blocks = (reversed_prime_block(ctx, N, table) for N in range(1, d + 1))
+    return (vals[: np.searchsorted(vals, cap, "right")] for vals in blocks)
 
 
 def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
@@ -111,8 +113,8 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
         raise ValueError(f"target must be >= 2, got {M}")
     if M > table.limit:
         raise ValueError(f"table limit {table.limit} too small for target {M}")
-    rev_vals = reversed_prime_values(ctx, M - 2, table)
-    return int(np.count_nonzero(table.omega_total[M - rev_vals] == 1))
+    return sum(int(np.count_nonzero(table.omega_total[M - vals] == 1))
+               for vals in _reversed_blocks(ctx, M - 2, table))
 
 
 def _last_nonzero(a: np.ndarray, top: int) -> int:
@@ -150,7 +152,7 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
     if limit > table.limit:
         raise ValueError(f"table limit {table.limit} too small for scan limit {limit}")
     parity = parity_class(ctx)
-    rev_vals = reversed_prime_values(ctx, limit - 2, table)
+    rev_vals = chain.from_iterable(_reversed_blocks(ctx, limit - 2, table))
     n = max(limit + 1, 0)
     alive = np.zeros(n, dtype=bool)
     alive[scanned_from:] = True
@@ -191,5 +193,5 @@ def estermann_count(ctx: BaseContext, M: int, table: FactorTable) -> int:
         raise ValueError(f"table limit {table.limit} too small for target {M}")
     if M == 1:
         return 0
-    rev_vals = reversed_prime_values(ctx, M - 1, table)
-    return int(np.count_nonzero(table.mu[M - rev_vals] != 0))
+    return sum(int(np.count_nonzero(table.mu[M - vals] != 0))
+               for vals in _reversed_blocks(ctx, M - 1, table))

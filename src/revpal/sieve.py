@@ -32,10 +32,10 @@ _CHUNK = 2 ** 18
 class FactorTable:
     """Immutable sieve output over [0, limit]; index 0 is padding.
 
-    _memo maps a base b to the sorted rev(p) over every prime p <= limit
-    with b not dividing p, built by the first revgoldbach.reversed_prime_values
-    call in base b; it lives and dies with the table and is neither saved,
-    compared nor shown.
+    _memo maps (b, N) to block N of the reversed primes in base b, the sorted
+    rev(p) over the N-digit primes p <= limit with b not dividing p, built by
+    the first revgoldbach.reversed_prime_block call for it; it lives and dies
+    with the table and is neither saved, compared nor shown.
     """
 
     limit: int

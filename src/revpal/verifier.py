@@ -31,6 +31,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,6 +105,15 @@ class Certificate:
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
+@lru_cache(maxsize=1)
+def _row_factors(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_h and the signed C_h of the module docstring for 0 <= h < b; they do
+    not depend on K, so find_min_K computes them once per base."""
+    m = np.pi * np.arange(b // 2 + 1) / b
+    s, c, tail = np.sin(m), np.cos(m), slice(b - b // 2 - 1, 0, -1)
+    return np.concatenate((s, s[tail])), np.concatenate((c, -c[tail]))
+
+
 def candidate_bounds(ctx: BaseContext, K: int) -> tuple[list[int], np.ndarray]:
     """Upper bounds B_i of f on the candidate segments [i/(Kb), (i+1)/(Kb)]
     of the module docstring, and their indices i, ascending; see there for
@@ -114,9 +124,7 @@ def candidate_bounds(ctx: BaseContext, K: int) -> tuple[list[int], np.ndarray]:
     i_a = int(math.asin(1.0 / b) / math.pi * K * b)
     # Python ints: the first np.unique or np.sort call pages in numpy's sort code
     cols = sorted({0, 1}.union(range(max(i_a - 2, 0), min(i_a + 3, (K + 1) // 2) + 1)))
-    m = np.pi * np.arange(b // 2 + 1) / b
-    s, c, tail = np.sin(m), np.cos(m), slice(b - b // 2 - 1, 0, -1)
-    sin_h, cos_h = np.concatenate((s, s[tail])), np.concatenate((c, -c[tail]))
+    sin_h, cos_h = _row_factors(b)
     t = np.pi * np.array(cols) / (K * b)
     cos_i, sin_i = np.cos(t), np.sin(t)
     sums = np.zeros(len(cols) - 1)

@@ -4,10 +4,9 @@ from math import isqrt, pi, sin
 
 import numpy as np
 
+from revpal import revgoldbach
 from revpal.digits import BaseContext, in_b_star, is_palindrome, reverse, reverse_array
-from revpal.revgoldbach import (
-    ScanResult, TargetClass, parity_class, prime_bound, reversed_prime_values,
-)
+from revpal.revgoldbach import ScanResult, TargetClass, parity_class, prime_bound
 from revpal.sieve import FactorTable
 from revpal.verifier import _BLOCK_POINTS, _cap_reciprocal
 
@@ -126,6 +125,14 @@ def count_rev_kfree_primes_via_kfree(ctx: BaseContext, k: int, N: int, table: Fa
         if is_k_free(m, k, table) and table.is_prime(reverse(m, ctx)):
             count += 1
     return count
+
+
+def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:
+    """The memo blocks that revgoldbach reads for cap, joined into one new
+    array: sorted rev(p) <= cap over primes p <= prime_bound(ctx, cap) with b
+    not dividing p.  It builds the blocks it reads, as the counts do."""
+    return np.concatenate([np.empty(0, dtype=np.int64),
+                           *revgoldbach._reversed_blocks(ctx, cap, table)])
 
 
 def reversed_prime_values_direct(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:

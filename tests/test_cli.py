@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from revpal import revgoldbach, sieve
+from revpal import cli, revgoldbach, sieve
 from revpal.cli import CACHE_ENV, COMMANDS, build_parser, dispatch, main, render
 from revpal.digits import base_context
 from revpal.experiments import CountReport
@@ -62,6 +62,20 @@ def test_hcabdlog_command():
     code, out = run(["hcabdlog", "--base", "10", "--limit", "1000"])
     assert code == 0
     assert json.loads(out)["exceptions"] == [11]
+
+
+def test_hcabdlog_builds_only_the_memo_blocks_its_scan_reads(monkeypatch):
+    # in base 10 the scan to 10^6 is decided by reverses below 10^4
+    tables, get_table = [], cli._get_table
+
+    def recording_get_table(limit):
+        tables.append(get_table(limit))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "_get_table", recording_get_table)
+    code, out = run(["hcabdlog", "--base", "10", "--limit", str(10 ** 6)])
+    assert code == 0 and json.loads(out)["exceptions"] == [11]
+    assert [sorted(t._memo) for t in tables] == [[(10, N) for N in range(1, 5)]]
 
 
 @pytest.mark.parametrize("target", [0, 1, 500, 1005])

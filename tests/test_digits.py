@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,3 +193,56 @@ def test_reverse_array_slice_edges(b, size):
         got = reverse_array(ns, ctx)
         assert got.dtype == np.int64
         assert got.tolist() == [reverse(n, ctx) for n in ns.tolist()], below
+
+
+# bases 2 to 36, and around the 2^16-entry table: b^2 just below, at and
+# above 2^16, then bases whose single digit is that large or larger
+_KERNEL_BASES = [*range(2, 37), 255, 256, 257, 31698, 65535, 65536, 65537]
+
+
+@pytest.mark.parametrize("b", _KERNEL_BASES)
+def test_reverse_array_at_every_digit_count_edge(b):
+    # the first and last values of each digit count up to the table budget,
+    # those around the first carry into the second digit, and a few at random
+    ctx = base_context(b)
+    rng = np.random.default_rng(b)
+    ns = set()
+    for j in range(1, len(to_digits(DEFAULT_LIMIT_BUDGET, b)) + 1):
+        lo, hi = b ** (j - 1), min(b ** j, DEFAULT_LIMIT_BUDGET + 1)
+        ns.update(range(lo, min(lo + 3, hi)), range(max(hi - 3, lo), hi))
+        ns.update(n for n in range(lo + b - 2, lo + b + 3) if n < hi)
+        ns.update(rng.integers(lo, hi, size=20).tolist())
+    ns = np.array(sorted(n for n in ns if n % b), dtype=np.int64)
+    assert reverse_array(ns, ctx).tolist() == [reverse(n, ctx) for n in ns.tolist()]
+
+
+@pytest.mark.parametrize("b", [*_KERNEL_BASES, 2 ** 20])
+def test_padded_reversal_tables_hold_at_most_2_16_entries(b):
+    k0, table = digits._padded_reversals(b)
+    assert k0 >= 1 and b ** (k0 + 1) > 2 ** 16
+    if k0 == 1:
+        assert table is None
+        return
+    assert table.size == b ** k0 <= 2 ** 16
+    assert not table.flags.writeable
+    for r in {0, 1, b - 1, b, b + 1, b ** k0 // 3, b ** k0 - 1}:
+        padded = [(r // b ** i) % b for i in range(k0)]
+        assert table[r] == sum(d * b ** (k0 - 1 - i) for i, d in enumerate(padded)), r
+
+
+@pytest.mark.parametrize("b", [2, 10])
+def test_reverse_array_memory_is_the_output_and_fixed_buffers(b):
+    # every prime below 10^6: beyond the output, only the two scratch slices
+    # and the base's table of padded reversals, built here from a cold cache
+    from revpal.sieve import build
+    ps = np.flatnonzero(build(10 ** 6).omega_total == 1)
+    ps = ps[ps % b != 0]
+    digits._padded_reversals.cache_clear()
+    tracemalloc.start()
+    try:
+        out = reverse_array(ps, base_context(b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == ps.size
+    assert peak <= out.nbytes + 2 * 8 * digits._REVERSE_SLICE + 8 * 2 ** 16 + 2 ** 16

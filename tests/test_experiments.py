@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     brute_force_palindromes,
     count_rev_kfree_primes_via_kfree,
+    reversed_prime_values,
     reversed_primes_in_class_direct,
 )
 from revpal import experiments, revgoldbach
@@ -163,8 +164,28 @@ def test_counting_reverses_each_tables_primes_once(monkeypatch):
             for d in (1, 13, 97):
                 got = rev_pi_star(ctx, N, d, table).empirical
                 assert got == int(np.count_nonzero(direct % d == 0)), (b, N, d)
+    # block N, the N-digit primes less b itself, reversed once at its first count
     ps = np.flatnonzero(table.omega_total == 1)
-    assert calls == [(b, int(np.count_nonzero(ps % b))) for b in (10, 7)]
+    assert calls == [(b, int(np.count_nonzero((ps % b != 0) & (b ** (N - 1) <= ps) & (ps < b ** N))))
+                     for b, n_max in ((10, 6), (7, 7)) for N in range(1, n_max + 1)]
+    assert sum(size for b, size in calls if b == 7) == np.count_nonzero(ps < 7 ** 7) - 1
+
+
+def test_first_count_at_N_reverses_only_the_N_digit_primes(monkeypatch):
+    table = build(10 ** 6)
+    reversed_inputs = []
+
+    def recording_reverse_array(ns, c):
+        reversed_inputs.append(ns.tolist())
+        return reverse_array(ns, c)
+
+    monkeypatch.setattr(revgoldbach, "reverse_array", recording_reverse_array)
+    ctx = base_context(10)
+    direct = reversed_primes_in_class_direct(ctx, 3, table)
+    got = count_rev_kfree_primes(ctx, 2, 3, table).empirical
+    assert got == int(np.count_nonzero(table.kfree_at(direct, 2)))
+    assert reversed_inputs == [[p for p in range(100, 1000) if table.is_prime(p)]]
+    assert sorted(table._memo) == [(10, 3)]
 
 
 def test_reversed_primes_in_class_match_direct_in_every_base(table_1e5):
@@ -176,7 +197,7 @@ def test_reversed_primes_in_class_match_direct_in_every_base(table_1e5):
             got = experiments._reversed_primes_in_class(ctx, N, table_1e5)
             direct = reversed_primes_in_class_direct(ctx, N, table_1e5)
             assert got.tolist() == np.sort(direct).tolist(), (b, N)
-            vals = revgoldbach.reversed_prime_values(ctx, b ** N - 1, table_1e5)
+            vals = reversed_prime_values(ctx, b ** N - 1, table_1e5)
             vals = vals[np.searchsorted(vals, b ** (N - 1)):]
             assert np.array_equal(got, vals[np.gcd(vals, ctx.b3mb) == 1]), (b, N)
             N += 1

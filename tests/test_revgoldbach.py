@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import reversed_prime_values_direct, scan_exceptions_mask
+from oracles import reversed_prime_values, reversed_prime_values_direct, scan_exceptions_mask
 from revpal import revgoldbach
 from revpal.digits import base_context, reverse, reverse_array, to_digits
 from revpal.revgoldbach import (
@@ -13,7 +13,6 @@ from revpal.revgoldbach import (
     parity_class,
     prime_bound,
     representations,
-    reversed_prime_values,
     scan_exceptions,
 )
 from revpal.sieve import build, load_cache, save_cache
@@ -173,12 +172,15 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
     is_prime = table_1e5.omega_total == 1
     even_only = parity_class(ctx) is TargetClass.EVEN_TARGETS_ONLY
     seen = []
+    blocks = revgoldbach._reversed_blocks
 
     def counting(ctx, cap, table):
-        seen.append(_CountingValues(reversed_prime_values(ctx, cap, table)))
-        return seen[-1]
+        # the blocks joined into one counted iterable, which the scan chains
+        seen.append(_CountingValues(np.concatenate([np.empty(0, np.int64),
+                                                    *blocks(ctx, cap, table)])))
+        return [seen[-1]]
 
-    monkeypatch.setattr(revgoldbach, "reversed_prime_values", counting)
+    monkeypatch.setattr(revgoldbach, "_reversed_blocks", counting)
     for limit in [*range(5, 41), 64, 67, 200, 1000, 1003]:
         for scanned_from in (2, 4, 9):
             scan_exceptions(ctx, limit, table_1e5, scanned_from)
@@ -208,6 +210,12 @@ def test_last_nonzero_searches_down_across_chunk_edges():
 def test_scan_rejects_scanned_from_below_2(scanned_from, table_1e5):
     with pytest.raises(ValueError):
         scan_exceptions(base_context(10), 1000, table_1e5, scanned_from)
+
+
+def test_scan_to_1e7_builds_no_block_past_4_digits():
+    table = build(10 ** 7)
+    assert scan_exceptions(base_context(10), 10 ** 7, table).exceptions == (11,)
+    assert sorted(table._memo) == [(10, N) for N in range(1, 5)]
 
 
 def test_scan_memory_is_a_few_bytes_per_target(table_1e6):
@@ -274,8 +282,9 @@ def test_reversed_prime_values_sorted_and_correct(table_1e5):
 
 @pytest.mark.parametrize("b", range(2, 37))
 def test_reversed_prime_values_match_direct_oracle(b):
-    # ascending caps rebuild the memo at each larger bound, descending caps
-    # reuse it after the first call, random caps do both
+    # ascending caps build one more block at each new digit count, descending
+    # caps build every block on the first call and reuse them, random caps do
+    # both; a result is a new array, and writing to it leaves the memo intact
     ctx = base_context(b)
     limit = 10 ** 5
     rng = np.random.default_rng(b)
@@ -286,23 +295,45 @@ def test_reversed_prime_values_match_direct_oracle(b):
         table = build(limit)
         for cap in order:
             got = reversed_prime_values(ctx, cap, table)
-            assert not got.flags.writeable, cap
             assert got.dtype == np.int64
             assert np.array_equal(got, reversed_prime_values_direct(ctx, cap, table)), cap
+            for block in table._memo.values():
+                assert not block.flags.writeable, cap
+                assert not np.shares_memory(got, block), cap
+            got += 1
+            assert np.array_equal(reversed_prime_values(ctx, cap, table),
+                                  reversed_prime_values_direct(ctx, cap, table)), cap
+
+
+def _blocks_direct(b: int, table) -> dict:
+    """Every block of the memo in base b, reversed one prime at a time: for
+    each digit count N, the sorted reverses of the N-digit primes <= limit."""
+    ctx, blocks = base_context(b), {}
+    for p in np.flatnonzero(table.omega_total == 1).tolist():
+        if p % b:
+            blocks.setdefault((b, len(to_digits(p, b))), []).append(reverse(p, ctx))
+    return {key: sorted(vals) for key, vals in blocks.items()}
 
 
 def test_memo_holds_every_prime_up_to_the_table_limit():
+    # block N holds the N-digit primes up to the limit, built on first read:
+    # 54321 cuts block 5 at the limit, and block 6 of 10^5 holds no prime
     ctx = base_context(10)
-    table = build(10 ** 5)
-    rev_vals = reversed_prime_values_direct(ctx, 998, table)
-    want = int(np.count_nonzero(table.omega_total[1000 - rev_vals] == 1))
-    assert representations(ctx, 1000, table) == want
-    expected = sorted(reverse(p, ctx) for p in range(2, table.limit + 1)
-                      if table.is_prime(p) and p % 10 != 0)
-    assert table._memo[10].tolist() == expected
+    for limit in (10 ** 5, 54321):
+        table = build(limit)
+        rev_vals = reversed_prime_values_direct(ctx, 998, table)
+        want = int(np.count_nonzero(table.omega_total[1000 - rev_vals] == 1))
+        assert representations(ctx, 1000, table) == want
+        assert sorted(table._memo) == [(10, 1), (10, 2), (10, 3)]
+        expected = _blocks_direct(10, table)
+        for N in range(1, 7):
+            vals = revgoldbach.reversed_prime_block(ctx, N, table)
+            assert vals.tolist() == expected.get((10, N), []), (limit, N)
+        assert {k: v.tolist() for k, v in table._memo.items() if v.size} == expected
+        assert sum(map(len, expected.values())) == np.count_nonzero(table.omega_total == 1)
 
 
-def test_reverse_array_runs_once_per_table_and_base(monkeypatch):
+def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
     tables = build(10 ** 6), build(10 ** 6)
     calls = []
 
@@ -323,26 +354,53 @@ def test_reverse_array_runs_once_per_table_and_base(monkeypatch):
                 rev_h = reversed_prime_values_direct(ctx, M - 1, table)
                 assert r == int(np.count_nonzero(table.omega_total[M - rev_r] == 1)), (b, M)
                 assert h == int(np.count_nonzero(table.mu[M - rev_h] != 0)), (b, M)
+    # blocks in the order first read: digit counts 1 to that of 900001,
+    # 6 in base 10 and 4 in base 31, each reversed once per table and base
     ps = np.flatnonzero(tables[0].omega_total == 1)
-    sizes = {b: int(np.count_nonzero(ps % b)) for b in (10, 31)}
-    assert calls == [(10, sizes[10]), (31, sizes[31])] * 2
+    sizes = {b: [int(np.count_nonzero((ps % b != 0) & (b ** (N - 1) <= ps) & (ps < b ** N)))
+                 for N in range(1, len(to_digits(900001, b)) + 1)]
+             for b in (10, 31)}
+    assert sum(sizes[10]) == ps.size and sum(sizes[31]) == np.count_nonzero(ps < 31 ** 4) - 1
+    assert calls == [(b, size) for b in (10, 31) for size in sizes[b]] * 2
 
 
 def test_reversed_prime_memo_build_memory():
-    # the output, the index of the primes it reverses and at most 1 MB of
-    # temporaries: the prime mask, or reverse_array's two scratch slices
+    # each block costs its output, the index of the primes it reverses and at
+    # most 1 MB of temporaries: the block's prime mask, or reverse_array's
+    # two scratch slices and its table of padded reversals
     table = build(10 ** 6)
     ctx = base_context(10)
+    n_primes = int(np.count_nonzero(table.omega_total == 1))
     tracemalloc.start()
     try:
-        reversed_prime_values(ctx, 5, table)
+        for N in range(1, 7):
+            revgoldbach.reversed_prime_block(ctx, N, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    vals = table._memo[10]
-    n_primes = int(np.count_nonzero(table.omega_total == 1))
-    assert vals.size == n_primes  # no prime is divisible by 10
-    assert peak <= vals.nbytes + 8 * n_primes + 2 ** 20
+    memo = sum(v.nbytes for v in table._memo.values())
+    largest = max(v.size for v in table._memo.values())
+    assert sum(v.size for v in table._memo.values()) == n_primes  # no prime is divisible by 10
+    assert peak <= memo + 8 * largest + 2 ** 20
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_block_sums_match_direct_at_powers_of_the_base(b, table_1e5):
+    # caps b^j - 1, b^j and b^j + 1 end a block, start one and cut one;
+    # representations(M) reads cap M - 2, estermann_count(M) cap M - 1
+    ctx = base_context(b)
+    checked = 0
+    for j in range(1, len(to_digits(10 ** 5, b)) + 1):
+        for cap in (b ** j - 1, b ** j, b ** j + 1):
+            if max(prime_bound(ctx, cap), cap + 2) > table_1e5.limit:
+                continue
+            rev = reversed_prime_values_direct(ctx, cap, table_1e5)
+            want = int(np.count_nonzero(table_1e5.omega_total[cap + 2 - rev] == 1))
+            assert representations(ctx, cap + 2, table_1e5) == want, (b, cap)
+            want = int(np.count_nonzero(table_1e5.mu[cap + 1 - rev] != 0))
+            assert estermann_count(ctx, cap + 1, table_1e5) == want, (b, cap)
+            checked += 1
+    assert checked >= 9
 
 
 def test_loaded_table_agrees_with_built(tmp_path):
@@ -379,6 +437,21 @@ def test_table_too_small_errors(table_1e5):
         scan_exceptions(ctx, 10 ** 6, table_1e5)
     with pytest.raises(ValueError):
         representations(ctx, 10 ** 6, table_1e5)
+
+
+def test_too_small_table_raises_before_building_a_block():
+    # every target is within the table, but reverses <= 4000 come from
+    # primes up to 9993, beyond it
+    table = build(5000)
+    ctx = base_context(10)
+    msg = r"^table limit 5000 too small; need primes up to 9993 to cover reverses <= 4000$"
+    for call in (lambda: reversed_prime_values(ctx, 4000, table),
+                 lambda: representations(ctx, 4002, table),
+                 lambda: estermann_count(ctx, 4001, table),
+                 lambda: scan_exceptions(ctx, 4002, table)):
+        with pytest.raises(ValueError, match=msg):
+            call()
+    assert table._memo == {}
 
 
 def test_scan_result_json(table_1e5):

@@ -293,6 +293,19 @@ def test_find_min_K_finds_a_passing_K():
         assert not certify_base(base_context(31698), smaller).passed
 
 
+def test_find_min_K_computes_the_row_factors_once_per_base():
+    verifier._row_factors.cache_clear()
+    ctx = base_context(20000)
+    assert find_min_K(ctx, 12) is None
+    info = verifier._row_factors.cache_info()
+    assert (info.misses, info.hits) == (1, 10)
+    # certificates from cached rows equal those from fresh ones, bit for bit
+    for K in (2, 7, 12):
+        cached = certify_base(ctx, K)
+        verifier._row_factors.cache_clear()
+        assert certify_base(ctx, K) == cached
+
+
 def test_certificate_json_round_trip():
     cert = certify_base(base_context(28500), 8)
     again = Certificate.from_dict(json.loads(render([cert], "json")))
