@@ -44,10 +44,7 @@ class BaseContext:
             raise ValueError(f"base must be >= 2, got {self.b}")
         object.__setattr__(self, "b2m1", self.b * self.b - 1)
         object.__setattr__(self, "b3mb", self.b ** 3 - self.b)
-        ps = set()
-        for part in (self.b - 1, self.b, self.b + 1):
-            if part > 1:
-                ps.update(_trial_factor(part))
+        ps = set().union(*map(_trial_factor, (self.b - 1, self.b, self.b + 1)))  # _trial_factor(1) == []
         object.__setattr__(self, "primes_b3mb", tuple(sorted(ps)))
         object.__setattr__(self, "phi_b", _phi(self.b))
 

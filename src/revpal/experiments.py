@@ -4,7 +4,7 @@ its derived counts, each paired with a theoretical main term where one exists.
 
 import math
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -166,17 +166,28 @@ def count_almost_prime_palindromes(
     rough_exponent: float | None = None,
     table: FactorTable | None = None,
 ) -> int:
-    """#{n in P_b(x) : Omega(n) <= omega_max}, optionally also k-free and
-    rough (smallest prime factor >= x^rough_exponent; n = 1 counts as rough)."""
+    """#{n in P_b(x) : Omega(n) <= omega_max}, optionally also k-free and rough:
+    n = 1, or its smallest prime factor spf(n) >= y = x^rough_exponent.  For
+    2 <= n <= x, that is n >= y with no prime p < y, p <= isqrt(x) dividing n:
+    a composite n has spf(n) <= isqrt(n) <= isqrt(x); a prime n has spf(n) = n."""
     if table is None or x > table.limit:
         raise ValueError("a factor table covering x is required")
     if omega_max < 0:
         raise ValueError("omega_max must be >= 0")
+    if rough_exponent is not None and not math.isfinite(rough_exponent):
+        raise ValueError(f"rough_exponent must be finite, got {rough_exponent}")
     pal = enumerate_palindromes(ctx, x)
     keep = table.omega_total[pal] <= omega_max
     if kfree_k is not None:
         keep &= table.kfree_at(pal, kfree_k)
     if rough_exponent is not None:
-        keep &= (pal == 1) | (table.spf[pal] >= x ** rough_exponent)
+        rough = pal == 1
+        if x >= 2 and rough_exponent <= 1:  # else y > x, or P_b(x) is at most {1}
+            y = x ** rough_exponent
+            ps = np.flatnonzero(table.omega_total[: isqrt(x) + 1] == 1)
+            at = np.flatnonzero(pal >= y)
+            for p in ps[ps < y].tolist():
+                at = at[pal[at] % p != 0]
+            rough[at] = True
+        keep &= rough
     return int(np.count_nonzero(keep))
-

@@ -191,7 +191,5 @@ def estermann_count(ctx: BaseContext, M: int, table: FactorTable) -> int:
         raise ValueError(f"target must be >= 1, got {M}")
     if M > table.limit:
         raise ValueError(f"table limit {table.limit} too small for target {M}")
-    if M == 1:
-        return 0
     return sum(int(np.count_nonzero(table.mu[M - vals] != 0))
                for vals in _reversed_blocks(ctx, M - 1, table))

@@ -1,12 +1,11 @@
-"""Bulk arithmetic oracles on [1, limit]: smallest prime factor, Mobius mu,
-Omega (prime factors with multiplicity), primality and k-free tests.
+"""Bulk arithmetic oracles on [1, limit]: Mobius mu, Omega (prime factors
+with multiplicity), primality and k-free tests.
 
-Memory layout: spf is 4 bytes per entry, mu and omega one byte each, so a
-table of limit L costs about 6L bytes.  build adds only a few int64 and
-1-byte temporaries per chunk of at most _CHUNK entries (about 5 MB at
-_CHUNK = 2^18, whatever L is), freed before mu is made, so its peak is
-the table's own 6L bytes.  A table from load_cache is a read-only map of its
-file, not anonymous memory: only the pages a call reads become resident.
+Memory layout: mu and omega are one byte per entry each, so a table of limit
+L costs about 2L bytes.  build adds only temporaries of at most _CHUNK entries,
+an int32 row of smallest prime factors among them (about 5 MB at _CHUNK = 2^18,
+whatever L is).  A table from load_cache is a read-only map of its file, not
+anonymous memory: only the pages a call reads become resident.
 """
 
 import mmap
@@ -22,7 +21,7 @@ import numpy as np
 DEFAULT_LIMIT_BUDGET = 2 ** 31
 
 _CACHE_MAGIC = b"RPFT"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 # entries per chunk of build's sieve pass
 _CHUNK = 2 ** 18
@@ -39,13 +38,13 @@ class FactorTable:
     """
 
     limit: int
-    spf: np.ndarray      # int32, spf[n] = smallest prime factor of n for n >= 2
     mu: np.ndarray       # int8, Mobius function
     omega_total: np.ndarray  # int8, Omega(n)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_prime(self, n: int) -> bool:
-        self._check(n)
+        if not 1 <= n <= self.limit:
+            raise ValueError(f"n = {n} outside table range [1, {self.limit}]")
         return int(self.omega_total[n]) == 1
 
     def kfree_at(self, ns: np.ndarray, k: int) -> np.ndarray:
@@ -69,19 +68,15 @@ class FactorTable:
         flags[at] = keep
         return flags
 
-    def _check(self, n: int):
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n = {n} outside table range [1, {self.limit}]")
-
 
 def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
-    """Sieve all arrays for 1 <= n <= limit, in one pass over chunks [a, e).
+    """Sieve mu and Omega for 1 <= n <= limit, in one pass over chunks [a, e).
 
     spf: in each chunk the primes p <= isqrt(limit), in descending order, write
-    p to their multiples from max(p, the first multiple >= a), so a smaller
-    prime overwrites a larger one and each entry ends at its smallest prime
-    factor.  The entries n >= 2 still 0 have no prime factor up to
-    isqrt(limit), so they are the primes above it, and get n.
+    p to their multiples from max(p, the first multiple >= a) in one zeroed,
+    reused int32 scratch row, so a smaller prime overwrites a larger one and
+    each entry ends at its smallest prime factor.  The entries n >= 2 still 0
+    have no prime factor up to isqrt(limit), so they are primes, and get n.
 
     Omega follows from spf alone (each n is reached from n / spf(n), as in the
     linear sieve of Gries and Misra, CACM 21, 1978): Omega(n) = Omega(n / p) + 1
@@ -104,13 +99,14 @@ def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
             small[p * p :: p] = False
     primes = np.flatnonzero(small).tolist()
 
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    spf = np.empty(min(_CHUNK, limit + 1), dtype=np.int32)
     omega = np.empty(limit + 1, dtype=np.int8)
     omega[:2] = 0
     a = 2
     while a <= limit:
         e = min(2 * a, a + _CHUNK, limit + 1)
-        block = spf[a:e]
+        block = spf[: e - a]
+        block.fill(0)
         for p in reversed(primes[: bisect_left(primes, e)]):
             block[max(p, -(-a // p) * p) - a :: p] = p
         n = np.arange(a, e, dtype=np.int64)
@@ -126,20 +122,19 @@ def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
     for p in primes:
         mu[p * p :: p * p] = 0
 
-    for arr in (spf, mu, omega):
+    for arr in (mu, omega):
         arr.setflags(write=False)
-    return FactorTable(limit=limit, spf=spf, mu=mu, omega_total=omega)
+    return FactorTable(limit=limit, mu=mu, omega_total=omega)
 
 
 def save_cache(table: FactorTable, path: str | Path):
-    """Binary cache: magic + version + limit header, then raw little-endian arrays.
-    Written to a temporary file beside path, then renamed over it atomically."""
+    """Binary cache: magic + version + limit header, then mu and Omega as raw
+    int8 arrays; written to a temporary file beside path, renamed over it atomically."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(struct.pack("<4sIQ", _CACHE_MAGIC, _CACHE_VERSION, table.limit))
-            fh.write(memoryview(np.asarray(table.spf, dtype="<i4")))
             fh.write(memoryview(np.asarray(table.mu, dtype="<i1")))
             fh.write(memoryview(np.asarray(table.omega_total, dtype="<i1")))
         os.replace(tmp, path)
@@ -150,10 +145,11 @@ def save_cache(table: FactorTable, path: str | Path):
 def load_cache(path: str | Path) -> FactorTable:
     """Table of a save_cache file, its arrays read-only views of a map of it.
 
-    The file must be exactly the header plus 6(limit + 1) array bytes.  The
-    map outlives the file's name: save_cache replaces a file by renaming a
-    new one over it, so a loaded table keeps reading the old contents.  A
-    cache file must therefore never be rewritten in place.
+    The file must be version 2, exactly the header plus 2(limit + 1) array
+    bytes, mu then Omega.  The map outlives the file's name: save_cache
+    replaces a file by renaming a new one over it, so a loaded table keeps
+    reading the old contents.  A cache file must therefore never be
+    rewritten in place.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -164,14 +160,12 @@ def load_cache(path: str | Path) -> FactorTable:
         if magic != _CACHE_MAGIC:
             raise ValueError(f"{path} is not a sieve cache file")
         if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported cache version {version}")
+            raise ValueError(f"{path} has unsupported cache version {version}")
         n = limit + 1
         got = os.fstat(fh.fileno()).st_size - 16
-        if got != 6 * n:
-            problem = "truncated" if got < 6 * n else "too long"
-            raise ValueError(f"{path} is {problem}: limit {limit} needs {6 * n} array bytes, got {got}")
+        if got != 2 * n:
+            problem = "truncated" if got < 2 * n else "too long"
+            raise ValueError(f"{path} is {problem}: limit {limit} needs {2 * n} array bytes, got {got}")
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    spf = np.frombuffer(data, dtype="<i4", count=n, offset=16)
-    mu = np.frombuffer(data, dtype="<i1", count=n, offset=16 + 4 * n)
-    omega = np.frombuffer(data, dtype="<i1", count=n, offset=16 + 5 * n)
-    return FactorTable(limit=int(limit), spf=spf, mu=mu, omega_total=omega)
+    mu, omega = np.frombuffer(data, dtype="<i1", count=2 * n, offset=16).reshape(2, n)
+    return FactorTable(limit=int(limit), mu=mu, omega_total=omega)

@@ -13,18 +13,15 @@ from revpal.verifier import _BLOCK_POINTS, _cap_reciprocal
 
 def build_divide_out(limit: int) -> FactorTable:
     """Factor table by division: one loop over the primes p <= isqrt(limit)
-    fills spf, mu and Omega and divides every p^k out of an int32 cofactor
-    array; what is left of n is 1 or its one prime factor above isqrt(limit)."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    fills mu and Omega and divides every p^k out of an int32 cofactor array;
+    what is left of n is 1 or its one prime factor above isqrt(limit)."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     omega = np.zeros(limit + 1, dtype=np.int8)
     rest = np.arange(limit + 1, dtype=np.int32)
     for p in range(2, isqrt(limit) + 1):
-        if spf[p]:
+        if omega[p]:  # a smaller prime divides p
             continue
-        block = spf[p::p]
-        block[block == 0] = p
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         pk = p
@@ -32,29 +29,34 @@ def build_divide_out(limit: int) -> FactorTable:
             omega[pk::pk] += 1
             rest[pk::pk] //= p
             pk *= p
-    np.copyto(spf[2:], rest[2:], where=spf[2:] == 0)
     big = rest > 1
     mu[big] *= -1
     omega[big] += 1
-    return FactorTable(limit=limit, spf=spf, mu=mu, omega_total=omega)
+    return FactorTable(limit=limit, mu=mu, omega_total=omega)
 
 
 def is_k_free(n: int, k: int, table: FactorTable) -> bool:
-    """True iff no prime power p^k divides n; factors n via the spf array."""
+    """True iff no prime power p^k divides n; factors n by trial division.
+    The table only bounds n; none of its arrays is read."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if not 1 <= n <= table.limit:
         raise ValueError(f"n = {n} outside table range [1, {table.limit}]")
-    spf = table.spf
-    while n > 1:
-        p = int(spf[n])
+    p = 2
+    while p ** k <= n:  # a p^k dividing n leaves p^k <= n after smaller primes go
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         if e >= k:
             return False
+        p += 1
     return True
+
+
+def spf_trial(n: int) -> int:
+    """Smallest prime factor of n >= 2 by trial division."""
+    return next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
 
 
 def mu_trial(d: int) -> int:

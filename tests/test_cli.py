@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,30 @@ def test_cache_of_wrong_size_is_rejected(tmp_path, monkeypatch, capsys, edit):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
     assert "sieve_1000.bin" in capsys.readouterr().err
+
+
+def test_version_1_cache_is_rejected_without_traceback(tmp_path, monkeypatch, capsys):
+    # a version-1 file of the right length for its limit: int32 spf, mu, Omega
+    limit = max(2, 1000, revgoldbach.prime_bound(base_context(10), 999))
+    path = tmp_path / f"sieve_{limit}.bin"
+    path.write_bytes(struct.pack("<4sIQ", b"RPFT", 1, limit) + bytes(6 * (limit + 1)))
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path} has unsupported cache version 1\n"
+
+
+def test_almost_prime_with_a_huge_rough_exponent_counts_only_one(capsys):
+    # x^e overflows a float; only n = 1 has every prime factor above x^e > x
+    assert main("almost-prime --x 1000 --omega-max 6 --rough-exponent 1e308".split()) == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
+@pytest.mark.parametrize("e", ["nan", "inf", "-inf"])
+def test_almost_prime_rejects_a_non_finite_rough_exponent(e, capsys):
+    assert main(["almost-prime", "--x", "1000", "--omega-max", "6", f"--rough-exponent={e}"]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("error: rough_exponent must be finite")
 
 
 def test_readme_examples_match_goldens(tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from oracles import (
     count_rev_kfree_primes_via_kfree,
     reversed_prime_values,
     reversed_primes_in_class_direct,
+    spf_trial,
 )
 from revpal import experiments, revgoldbach
 from revpal.cli import render
@@ -127,6 +128,28 @@ def test_almost_prime_palindromes(table_1e5):
     tight = count_almost_prime_palindromes(
         ctx, 10 ** 4, 6, kfree_k=3, rough_exponent=1 / 21, table=table_1e5)
     assert loose >= tight
+
+
+ROUGH_EXPONENTS = [0, 0.0476, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.7, 1, 1.5]
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 16])
+@pytest.mark.parametrize("x", [0, 1, 2, 100, 10 ** 4, 12345, 10 ** 5])
+def test_rough_filter_matches_trial_division_spf(b, x, table_1e5):
+    # at x = 100 and 10^4 with e = 0.5, y = sqrt(x) exactly; with e = 1.5, y > x
+    ctx = base_context(b)
+    pal = enumerate_palindromes(ctx, x).tolist()
+    spf = [1 if n == 1 else spf_trial(n) for n in pal]
+    for e in ROUGH_EXPONENTS:
+        want = sum(n == 1 or p >= x ** e for n, p in zip(pal, spf))
+        got = count_almost_prime_palindromes(ctx, x, 64, rough_exponent=e, table=table_1e5)
+        assert got == want, (b, x, e)
+
+
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+def test_rough_exponent_must_be_finite(e, table_1e5):
+    with pytest.raises(ValueError, match="rough_exponent must be finite"):
+        count_almost_prime_palindromes(base_context(10), 1000, 6, rough_exponent=e, table=table_1e5)
 
 
 def test_sqrt_law_check():

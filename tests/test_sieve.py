@@ -14,7 +14,6 @@ from revpal.sieve import build, load_cache, save_cache
 
 def test_build_small_examples():
     t = build(30)
-    assert t.spf[15] == 3
     assert t.mu[30] == -1
     assert t.omega_total[30] == 3
     assert t.mu[12] == 0
@@ -25,30 +24,6 @@ def test_build_rejects_bad_limits():
         build(1)
     with pytest.raises(ValueError):
         build(100, budget=50)
-
-
-def test_spf_fixed_points_are_primes(table_1e5):
-    ps = {2, 3, 5, 7, 11, 13, 97, 997, 99991}
-    for p in ps:
-        assert table_1e5.is_prime(p)
-        assert table_1e5.spf[p] == p
-    for n in (4, 21, 91, 99989):
-        assert not table_1e5.is_prime(n) or table_1e5.spf[n] == n
-
-
-def test_spf_examples(table_1e5):
-    assert table_1e5.spf[21] == 3
-    assert table_1e5.spf[97] == 97
-    assert table_1e5.spf[10 ** 5] == 2
-
-
-@settings(max_examples=300)
-@given(st.integers(2, 10 ** 5))
-def test_spf_divides_and_is_minimal(table_1e5, n):
-    p = int(table_1e5.spf[n])
-    assert n % p == 0
-    for q in range(2, p):
-        assert n % q != 0
 
 
 def test_is_k_free_examples(table_1e5):
@@ -103,7 +78,6 @@ def test_cache_round_trip(tmp_path):
     save_cache(t, path)
     t2 = load_cache(path)
     assert t2.limit == t.limit
-    assert np.array_equal(t2.spf, t.spf)
     assert np.array_equal(t2.mu, t.mu)
     assert np.array_equal(t2.omega_total, t.omega_total)
 
@@ -112,9 +86,19 @@ def test_cache_file_is_header_plus_little_endian_arrays(tmp_path):
     t = build(5000)
     path = tmp_path / "sieve_5000.bin"
     save_cache(t, path)
-    expected = (struct.pack("<4sIQ", b"RPFT", 1, 5000) + t.spf.astype("<i4").tobytes()
+    # version 2: the header, then mu and Omega, one byte per entry each
+    expected = (struct.pack("<4sIQ", b"RPFT", 2, 5000)
                 + t.mu.astype("<i1").tobytes() + t.omega_total.astype("<i1").tobytes())
     assert path.read_bytes() == expected
+    assert len(expected) == 16 + 2 * 5001
+
+
+def test_cache_rejects_version_1_file(tmp_path):
+    # a version-1 file held int32 spf before mu and Omega, 6 bytes per entry
+    path = tmp_path / "sieve_5000.bin"
+    path.write_bytes(struct.pack("<4sIQ", b"RPFT", 1, 5000) + bytes(6 * 5001))
+    with pytest.raises(ValueError, match="sieve_5000.bin has unsupported cache version 1"):
+        load_cache(path)
 
 
 def test_cache_rejects_truncated_file(tmp_path):
@@ -139,7 +123,7 @@ def test_loaded_table_is_read_only_and_equals_build(tmp_path):
     path = tmp_path / "sieve_5000.bin"
     save_cache(build(5000), path)
     loaded, built = load_cache(path), build(5000)
-    for name in ("spf", "mu", "omega_total"):
+    for name in ("mu", "omega_total"):
         arr = getattr(loaded, name)
         assert not arr.flags.writeable, name
         assert arr.dtype == getattr(built, name).dtype, name
@@ -154,14 +138,11 @@ def test_loaded_table_survives_a_save_over_its_file(tmp_path):
     save_cache(old, path)
     loaded = load_cache(path)
     # same limit, so the same file size; only the contents differ
-    new = sieve.FactorTable(limit=5000, spf=old.spf[::-1].copy(), mu=-old.mu,
-                            omega_total=old.omega_total + 1)
+    new = sieve.FactorTable(limit=5000, mu=-old.mu, omega_total=old.omega_total + 1)
     save_cache(new, path)
-    assert np.array_equal(loaded.spf, old.spf)
     assert np.array_equal(loaded.mu, old.mu)
     assert np.array_equal(loaded.omega_total, old.omega_total)
     reloaded = load_cache(path)
-    assert np.array_equal(reloaded.spf, new.spf)
     assert np.array_equal(reloaded.mu, new.mu)
     assert np.array_equal(reloaded.omega_total, new.omega_total)
 
@@ -180,16 +161,15 @@ def test_range_check(table_1e5):
         is_k_free(10, 1, table_1e5)
 
 
-def _trial_row(n: int) -> tuple[int, int, int]:
-    """(spf, mu, Omega) of n >= 1 by trial division; spf(1) = 0 as in the table."""
-    spf = next((p for p in range(2, n + 1) if n % p == 0), 0)
+def _trial_row(n: int) -> tuple[int, int]:
+    """(mu, Omega) of n >= 1 by trial division."""
     omega, m, p = 0, n, 2
     while m > 1:
         while m % p == 0:
             m //= p
             omega += 1
         p += 1
-    return spf, mu_trial(n), omega
+    return mu_trial(n), omega
 
 
 def test_build_matches_trial_division_around_prime_squares():
@@ -199,7 +179,7 @@ def test_build_matches_trial_division_around_prime_squares():
     expected = [_trial_row(n) for n in range(1, 301)]
     for limit in range(2, 301):
         t = build(limit)
-        rows = list(zip(t.spf.tolist(), t.mu.tolist(), t.omega_total.tolist()))
+        rows = list(zip(t.mu.tolist(), t.omega_total.tolist()))
         assert rows[1:] == expected[:limit], limit
 
 
@@ -231,13 +211,14 @@ def test_build_matches_divide_out_oracle(limit):
     # limits on each side of the chunk size and of the doubling chunks [a, 2a)
     assert sieve._CHUNK == 2 ** 18
     t, ref = build(limit), build_divide_out(limit)
-    for name in ("spf", "mu", "omega_total"):
+    for name in ("mu", "omega_total"):
         got, want = getattr(t, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
-def test_build_memory_is_under_8_bytes_per_entry():
-    # the table itself is 6 bytes per entry; no 4-byte cofactor array on top
+def test_build_memory_is_under_3_bytes_per_entry():
+    # the table itself is 2 bytes per entry; spf lives in one reused
+    # chunk-sized scratch row, never in a limit-sized array
     limit = 10 ** 7
     tracemalloc.start()
     try:
@@ -245,7 +226,7 @@ def test_build_memory_is_under_8_bytes_per_entry():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * limit
+    assert peak < 3 * limit
 
 
 def test_squarefree_flags_match_stride_loop(table_1e5):
