@@ -30,18 +30,21 @@ def _fmt(x: float) -> str:
 
 def _get_table(limit: int) -> sieve.FactorTable:
     cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        path = Path(cache_dir) / f"sieve_{limit}.bin"
-        if path.exists():
-            table = sieve.load_cache(path)
-            if table.limit != limit:
-                raise ValueError(f"{path} holds a table to {table.limit}, not {limit}")
-            return table
-        table = sieve.build(limit)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        sieve.save_cache(table, path)
+    if not cache_dir:
+        return sieve.build(limit)
+    path = Path(cache_dir) / f"sieve_{limit}.bin"
+    try:
+        table = sieve.load_cache(path)
+    except (FileNotFoundError, sieve.CacheVersionError):
+        pass  # no file yet, or one of another format version: build and replace it
+    else:
+        if table.limit != limit:
+            raise ValueError(f"{path} holds a table to {table.limit}, not {limit}")
         return table
-    return sieve.build(limit)
+    table = sieve.build(limit)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    sieve.save_cache(table, path)
+    return table
 
 
 def _cell(v) -> str:

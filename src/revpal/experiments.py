@@ -9,7 +9,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import densities, revgoldbach
-from .digits import BaseContext
+from .digits import BaseContext, reverse
 from .sieve import FactorTable
 
 
@@ -103,15 +103,18 @@ def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable) -> n
     whose reverse is in B*_N (also coprime to b^3 - b), in ascending order.
 
     Reversal maps B_N onto itself, so these are block N of the table's memo
-    of reversed primes, less those sharing a prime with b^3 - b.
+    of reversed primes v = rev(p), less those sharing a prime with
+    (b-1)b(b+1).  v mod b is the leading digit of p, and v = p (mod b-1),
+    v = (-1)^(N-1) p (mod b+1), as b = 1 and b = -1 there.  So v is kept iff
+    gcd(v mod b, b) = 1 and p is not a prime q | b^2 - 1, all q <= b + 1.
     """
     hi = ctx.b ** N
     if hi - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
     rev = revgoldbach.reversed_prime_block(ctx, N, table)
-    keep = np.ones(rev.size, dtype=bool)
-    for p in ctx.primes_b3mb:
-        keep &= rev % p != 0
+    keep = (np.gcd(np.arange(ctx.b), ctx.b) == 1)[rev % ctx.b]
+    qs = [q for q in ctx.primes_b3mb if ctx.b % q and hi // ctx.b <= q < hi]  # in B_N
+    keep[np.searchsorted(rev, [reverse(q, ctx) for q in qs])] = False
     return rev[keep]
 
 
@@ -185,9 +188,9 @@ def count_almost_prime_palindromes(
         if x >= 2 and rough_exponent <= 1:  # else y > x, or P_b(x) is at most {1}
             y = x ** rough_exponent
             ps = np.flatnonzero(table.omega_total[: isqrt(x) + 1] == 1)
-            at = np.flatnonzero(pal >= y)
+            rest = pal[keep & (pal >= y)]  # divide only what is still kept
             for p in ps[ps < y].tolist():
-                at = at[pal[at] % p != 0]
-            rough[at] = True
+                rest = rest[rest % p != 0]
+            rough[np.searchsorted(pal, rest)] = True  # pal is ascending, no repeats
         keep &= rough
     return int(np.count_nonzero(keep))

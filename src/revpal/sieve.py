@@ -2,16 +2,14 @@
 with multiplicity), primality and k-free tests.
 
 Memory layout: mu and omega are one byte per entry each, so a table of limit
-L costs about 2L bytes.  build adds only temporaries of at most _CHUNK entries,
-an int32 row of smallest prime factors among them (about 5 MB at _CHUNK = 2^18,
-whatever L is).  A table from load_cache is a read-only map of its file, not
-anonymous memory: only the pages a call reads become resident.
+L costs about 2L bytes; build keeps no scratch row, and DEFAULT_LIMIT_BUDGET
+guards memory alone.  A table from load_cache is a read-only map of its file,
+not anonymous memory: only the pages a call reads become resident.
 """
 
 import mmap
 import os
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
@@ -24,7 +22,11 @@ _CACHE_MAGIC = b"RPFT"
 _CACHE_VERSION = 2
 
 # entries per chunk of build's sieve pass
-_CHUNK = 2 ** 18
+_CHUNK = 2 ** 20
+
+
+class CacheVersionError(ValueError):
+    """A cache file of another format version: stale, not corrupt."""
 
 
 @dataclass(frozen=True)
@@ -72,19 +74,19 @@ class FactorTable:
 def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
     """Sieve mu and Omega for 1 <= n <= limit, in one pass over chunks [a, e).
 
-    spf: in each chunk the primes p <= isqrt(limit), in descending order, write
-    p to their multiples from max(p, the first multiple >= a) in one zeroed,
-    reused int32 scratch row, so a smaller prime overwrites a larger one and
-    each entry ends at its smallest prime factor.  The entries n >= 2 still 0
-    have no prime factor up to isqrt(limit), so they are primes, and get n.
-
-    Omega follows from spf alone (each n is reached from n / spf(n), as in the
-    linear sieve of Gries and Misra, CACM 21, 1978): Omega(n) = Omega(n / p) + 1
-    with p = spf(n).  The chunks run in increasing order with e <= 2a, so every
-    n / p <= n / 2 < a read lies in an earlier chunk and is final.
+    Omega(n) = Omega(n / p) + 1 for every prime p dividing n, not only the
+    smallest, so each chunk is a few strided adds, in any order of p.  The
+    chunks run in increasing order with e <= 2a, so every n / p <= n / 2 < a
+    read lies in an earlier chunk and is final.
+    - Even n take p = 2: Omega(n) = Omega(n / 2) + 1.
+    - Odd n start at 1; then each odd prime p < a, p <= isqrt(limit), read
+      from the final entries Omega(p) = 1, writes Omega(m) + 1 at its odd
+      multiples n = pm.  An odd composite n has such a p, as p^2 <= n < 2a
+      for its smallest; the entries no p writes are primes, and keep their 1.
 
     mu is Liouville's lambda(n) = (-1)^Omega(n), zeroed at the multiples of p^2
-    for the primes p <= isqrt(limit); no larger p^2 fits in the table.
+    for the primes p <= isqrt(limit); no larger p^2 fits in the table.  budget
+    caps limit, since the table costs 2(limit + 1) bytes.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -92,34 +94,26 @@ def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
         raise ValueError(f"limit {limit} exceeds memory budget {budget}")
 
     root = isqrt(limit)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, isqrt(root) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    primes = np.flatnonzero(small).tolist()
-
-    spf = np.empty(min(_CHUNK, limit + 1), dtype=np.int32)
     omega = np.empty(limit + 1, dtype=np.int8)
     omega[:2] = 0
     a = 2
     while a <= limit:
         e = min(2 * a, a + _CHUNK, limit + 1)
-        block = spf[: e - a]
-        block.fill(0)
-        for p in reversed(primes[: bisect_left(primes, e)]):
-            block[max(p, -(-a // p) * p) - a :: p] = p
-        n = np.arange(a, e, dtype=np.int64)
-        # an entry still 0 is a prime, below 2^31 for any limit <= 2^31
-        np.copyto(block, n, where=block == 0, casting="unsafe")
-        omega[a:e] = omega[n // block] + 1
+        even, first_odd = a + (a & 1), a | 1
+        np.add(omega[even // 2 : (e + 1) // 2], 1, out=omega[even:e:2])
+        odd = omega[first_odd:e:2]
+        odd.fill(1)
+        for p in np.flatnonzero(omega[: min(a, root + 1)] == 1)[1:].tolist():  # odd, < a
+            m = -(-a // p) | 1  # the smallest odd m with pm >= a
+            out = odd[(p * m - first_odd) // 2 :: p]
+            np.add(omega[m : m + 2 * out.size : 2], 1, out=out)
         a = e
 
     mu = np.bitwise_and(omega, 1)
     mu *= -2
     mu += 1
     mu[0] = 0
-    for p in primes:
+    for p in np.flatnonzero(omega[: root + 1] == 1).tolist():
         mu[p * p :: p * p] = 0
 
     for arr in (mu, omega):
@@ -145,11 +139,11 @@ def save_cache(table: FactorTable, path: str | Path):
 def load_cache(path: str | Path) -> FactorTable:
     """Table of a save_cache file, its arrays read-only views of a map of it.
 
-    The file must be version 2, exactly the header plus 2(limit + 1) array
-    bytes, mu then Omega.  The map outlives the file's name: save_cache
-    replaces a file by renaming a new one over it, so a loaded table keeps
-    reading the old contents.  A cache file must therefore never be
-    rewritten in place.
+    The file must be version 2 (another version raises CacheVersionError),
+    exactly the header plus 2(limit + 1) array bytes, mu then Omega.  The map
+    outlives the file's name: save_cache replaces a file by renaming a new one
+    over it, so a loaded table keeps reading the old contents.  A cache file
+    must therefore never be rewritten in place.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -160,7 +154,7 @@ def load_cache(path: str | Path) -> FactorTable:
         if magic != _CACHE_MAGIC:
             raise ValueError(f"{path} is not a sieve cache file")
         if version != _CACHE_VERSION:
-            raise ValueError(f"{path} has unsupported cache version {version}")
+            raise CacheVersionError(f"{path} has unsupported cache version {version}")
         n = limit + 1
         got = os.fstat(fh.fileno()).st_size - 16
         if got != 2 * n:

@@ -201,15 +201,33 @@ def test_cache_of_wrong_size_is_rejected(tmp_path, monkeypatch, capsys, edit):
     assert "sieve_1000.bin" in capsys.readouterr().err
 
 
-def test_version_1_cache_is_rejected_without_traceback(tmp_path, monkeypatch, capsys):
+def test_foreign_cache_file_is_rejected_and_kept(tmp_path, monkeypatch, capsys):
+    # the right size for its name, but not a sieve cache: never overwritten
+    path = tmp_path / "sieve_1000.bin"
+    data = b"NOPE" + bytes(12 + 2 * 1001)
+    path.write_bytes(data)
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
+    assert capsys.readouterr().err == f"error: {path} is not a sieve cache file\n"
+    assert path.read_bytes() == data
+
+
+def test_version_1_cache_is_rebuilt_and_replaced(tmp_path, monkeypatch, capsys):
     # a version-1 file of the right length for its limit: int32 spf, mu, Omega
     limit = max(2, 1000, revgoldbach.prime_bound(base_context(10), 999))
     path = tmp_path / f"sieve_{limit}.bin"
     path.write_bytes(struct.pack("<4sIQ", b"RPFT", 1, limit) + bytes(6 * (limit + 1)))
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
+    fresh = capsys.readouterr()
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {path} has unsupported cache version 1\n"
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
+    assert capsys.readouterr() == fresh
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"RPFT", 2, limit)
+    loaded, built = sieve.load_cache(path), sieve.build(limit)
+    assert loaded.mu.tobytes() == built.mu.tobytes()
+    assert loaded.omega_total.tobytes() == built.omega_total.tobytes()
 
 
 def test_almost_prime_with_a_huge_rough_exponent_counts_only_one(capsys):

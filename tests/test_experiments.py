@@ -212,8 +212,9 @@ def test_first_count_at_N_reverses_only_the_N_digit_primes(monkeypatch):
 
 
 def test_reversed_primes_in_class_match_direct_in_every_base(table_1e5):
-    # the coprime mask over ctx.primes_b3mb is gcd(v, b^3 - b) == 1
-    for b in range(2, 37):
+    # the digit-invariant filter is gcd(v, b^3 - b) == 1; at 100 and 210 the
+    # prime q = b + 1 dividing b^2 - 1 has two digits
+    for b in [*range(2, 37), 100, 210, 1000]:
         ctx = base_context(b)
         N = 1
         while b ** N - 1 <= 10 ** 5:

@@ -24,6 +24,9 @@ def test_build_rejects_bad_limits():
         build(1)
     with pytest.raises(ValueError):
         build(100, budget=50)
+    with pytest.raises(ValueError, match="exceeds memory budget 5000"):
+        build(5001, budget=5000)
+    assert build(5000, budget=5000).limit == 5000
 
 
 def test_is_k_free_examples(table_1e5):
@@ -205,20 +208,32 @@ def test_kfree_flags_match_oracles():
         t.kfree_at(ns, 1)
 
 
-@pytest.mark.parametrize("limit", [2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 2 ** 19 + 7,
-                                   3 * 2 ** 18 + 5, 10 ** 6])
-def test_build_matches_divide_out_oracle(limit):
-    # limits on each side of the chunk size and of the doubling chunks [a, 2a)
-    assert sieve._CHUNK == 2 ** 18
-    t, ref = build(limit), build_divide_out(limit)
+def _assert_same_table(t, ref):
     for name in ("mu", "omega_total"):
         got, want = getattr(t, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t.limit, name)
 
 
-def test_build_memory_is_under_3_bytes_per_entry():
-    # the table itself is 2 bytes per entry; spf lives in one reused
-    # chunk-sized scratch row, never in a limit-sized array
+_C = sieve._CHUNK
+
+
+@pytest.mark.parametrize("limit", sorted({
+    _C - 1, _C, _C + 1, 2 * _C + 7, 3 * _C + 5,
+    2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 2 ** 19 + 7, 3 * 2 ** 18 + 5, 10 ** 6}))
+def test_build_matches_divide_out_oracle(limit):
+    # limits on each side of the chunk size and of the doubling chunks [a, 2a)
+    _assert_same_table(build(limit), build_divide_out(limit))
+
+
+def test_build_matches_divide_out_oracle_at_every_small_limit():
+    # every table end from 2 to 2000, even and odd, so on each side of each
+    # odd multiple pm at which an odd prime's strided add stops
+    for limit in range(2, 2001):
+        _assert_same_table(build(limit), build_divide_out(limit))
+
+
+def test_build_memory_is_under_2_2_bytes_per_entry():
+    # the table itself is 2 bytes per entry; build keeps no scratch row
     limit = 10 ** 7
     tracemalloc.start()
     try:
@@ -226,7 +241,7 @@ def test_build_memory_is_under_3_bytes_per_entry():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * limit
+    assert peak < 2.2 * limit
 
 
 def test_squarefree_flags_match_stride_loop(table_1e5):
