@@ -3,6 +3,7 @@
 representation-count histogram shape near the bottom of the range."""
 
 import argparse
+import json
 
 from revpal import sieve
 from revpal.digits import base_context
@@ -21,7 +22,7 @@ def main():
     # estermann_count(M) reads reverses up to M - 1 for targets M <= limit
     table = sieve.build(max(args.limit, prime_bound(ctx, args.limit - 1)))
     res = scan_exceptions(ctx, args.limit, table)
-    print(res.to_json())
+    print(json.dumps(res.to_dict()))
     for M in range(4, 4 + args.show_counts):
         if M > args.limit:
             break

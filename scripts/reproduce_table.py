@@ -4,9 +4,9 @@
 Each row certifies every base in [b0, b1] with the listed segment count K
 and prints whether all passed, the seconds taken and the row's thinnest
 margin, the least threshold / max_bound - 1 over its bases.
-The full sweep covers 26000 <= b <= 31698 and takes about 11-13 s on one
-worker (11.0 s, rows 5.8 / 4.1 / 0.9 / 0.2 s, on a 2-core Xeon VM with Python
-3.11 and numpy 2.4); pass --quick to spot-check the first and last 3 bases of
+The full sweep covers 26000 <= b <= 31698 and takes about 7.2 s on one
+worker (rows 3.6 / 2.9 / 0.6 / 0.1 s, on a 2-core Xeon VM with Python 3.11
+and numpy 2.4); pass --quick to spot-check the first and last 3 bases of
 each row instead, which takes under a second.
 """
 

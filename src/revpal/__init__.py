@@ -1,7 +1,7 @@
 """revpal: digit reversal, power-free sieving, palindrome counting, restricted
 Euler products, exponential-sum certification, and reverse-Goldbach scans."""
 
-from .digits import BaseContext, base_context, in_b_star, is_palindrome, reverse, to_digits
+from .digits import BaseContext, base_context, reverse, to_digits
 from .sieve import FactorTable, build
 from .densities import kfree_density, palin_kfree_main_term, rev_kfree_main_term, rev_pi_main_term, zeta
 from .experiments import (
@@ -14,7 +14,7 @@ from .experiments import (
     rev_pi_star,
     sqrt_law_check,
 )
-from .verifier import Certificate, arch_length, certify_base, certify_range, f_eval, find_min_K
+from .verifier import Certificate, certify_base, certify_range, f_eval, find_min_K
 from .revgoldbach import (
     ScanResult,
     TargetClass,

@@ -20,10 +20,6 @@ from .verifier import Certificate
 CACHE_ENV = "REVPAL_SIEVE_CACHE"
 
 
-class UsageError(Exception):
-    pass
-
-
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
@@ -123,11 +119,11 @@ def _main_term(a, ctx) -> str:
         v = densities.kfree_density(ctx, a.k)
     elif a.which == "rev-kfree":
         if a.N is None:
-            raise UsageError("--N is required for rev-kfree")
+            raise ValueError("--N is required for rev-kfree")
         v = densities.rev_kfree_main_term(ctx, a.k, a.N)
     else:
         if a.N is None or a.d is None:
-            raise UsageError("--N and --d are required for rev-pi")
+            raise ValueError("--N and --d are required for rev-pi")
         v = densities.rev_pi_main_term(ctx, a.d, a.N)
     return _fmt(v) + "\n"
 
@@ -168,7 +164,7 @@ COMMANDS = {
         "k-free members of P*_b(x)",
         [BASE, RECORD_FORMS, OUTPUT, _num("--k", default=3), _num("--x")],
         lambda a, ctx: render([experiments.count_kfree_palindromes(
-            ctx, a.k, a.x, _get_table(a.x))], a.format)),
+            ctx, a.k, a.x, _get_table(max(2, a.x)))], a.format)),
     "palin-div": (
         "palindromes <= x divisible by d", [BASE, OUTPUT, _num("--x"), _num("--d"), STAR],
         lambda a, ctx: f"{experiments.count_palindromes_div_by(ctx, a.x, a.d, star=a.star)}\n"),
@@ -178,7 +174,7 @@ COMMANDS = {
          _num("--rough-exponent", float, default=None)],
         lambda a, ctx: str(experiments.count_almost_prime_palindromes(
             ctx, a.x, a.omega_max, kfree_k=a.kfree_k, rough_exponent=a.rough_exponent,
-            table=_get_table(a.x))) + "\n"),
+            table=_get_table(max(2, a.x)))) + "\n"),
     "sqrt-law": ("palindrome counts normalized by sqrt(x)",
                  [BASE, _forms("json", "csv"), OUTPUT, _num("--x", nargs="+"), STAR], _sqrt_law),
     "certify": ("certify one base", [RECORD_FORMS, OUTPUT, _num("--b"), _num("--K")], _certify),
@@ -193,8 +189,8 @@ COMMANDS = {
                lambda a, ctx: _fmt(verifier.f_eval(ctx, a.theta)) + "\n"),
     "hcabdlog": (
         "scan for unrepresentable targets", [BASE, OUTPUT, _num("--limit")],
-        lambda a, ctx: revgoldbach.scan_exceptions(
-            ctx, a.limit, _goldbach_table(ctx, a.limit, a.limit - 2)).to_json() + "\n"),
+        lambda a, ctx: json.dumps(revgoldbach.scan_exceptions(
+            ctx, a.limit, _goldbach_table(ctx, a.limit, a.limit - 2)).to_dict()) + "\n"),
     "estermann": (
         "prime + squarefree representation count", [BASE, OUTPUT, _num("--M")],
         lambda a, ctx: str(revgoldbach.estermann_count(
@@ -241,7 +237,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return dispatch(args)
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,7 @@
-"""Base-b digit arithmetic: expansion, reversal, palindrome and coprimality tests."""
+"""Base-b digit arithmetic: expansion and reversal."""
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -146,19 +145,3 @@ def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
                 acc += r
             acc //= b ** (k0 * steps - n_digits)
     return out
-
-
-def is_palindrome(n: int, ctx: BaseContext) -> bool:
-    """True iff b does not divide n and n equals its digital reverse."""
-    if n < 1:
-        raise ValueError("palindrome test is defined for n >= 1 only")
-    if n % ctx.b == 0:
-        return False
-    return reverse(n, ctx) == n
-
-
-def in_b_star(n: int, ctx: BaseContext) -> bool:
-    """True iff n is coprime to b^3 - b."""
-    if n < 1:
-        raise ValueError("membership is defined for n >= 1 only")
-    return gcd(n, ctx.b3mb) == 1

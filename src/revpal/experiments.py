@@ -41,13 +41,6 @@ class CountReport:
             "ratio": self.ratio if self.main_term > 0 else None,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CountReport":
-        return cls(
-            label=d["label"], b=d["b"], k=d["k"], n_or_x=d["N_or_x"],
-            d=d["d"], empirical=d["empirical"], main_term=d["main_term"],
-        )
-
 
 # ---------------------------------------------------------------------------
 # palindrome enumeration
@@ -167,14 +160,15 @@ def count_almost_prime_palindromes(
     omega_max: int,
     kfree_k: int | None = None,
     rough_exponent: float | None = None,
-    table: FactorTable | None = None,
+    *,
+    table: FactorTable,
 ) -> int:
     """#{n in P_b(x) : Omega(n) <= omega_max}, optionally also k-free and rough:
     n = 1, or its smallest prime factor spf(n) >= y = x^rough_exponent.  For
     2 <= n <= x, that is n >= y with no prime p < y, p <= isqrt(x) dividing n:
     a composite n has spf(n) <= isqrt(n) <= isqrt(x); a prime n has spf(n) = n."""
-    if table is None or x > table.limit:
-        raise ValueError("a factor table covering x is required")
+    if x > table.limit:
+        raise ValueError(f"table limit {table.limit} too small for x = {x}")
     if omega_max < 0:
         raise ValueError("omega_max must be >= 0")
     if rough_exponent is not None and not math.isfinite(rough_exponent):

@@ -2,7 +2,6 @@
 scanning for unrepresentable targets, and the prime-plus-squarefree variant.
 """
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -33,9 +32,6 @@ class ScanResult:
             "parity_class": self.parity.value,
             "exceptions": list(self.exceptions),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def parity_class(ctx: BaseContext) -> TargetClass:

@@ -44,11 +44,6 @@ class FactorTable:
     omega_total: np.ndarray  # int8, Omega(n)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def is_prime(self, n: int) -> bool:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n = {n} outside table range [1, {self.limit}]")
-        return int(self.omega_total[n]) == 1
-
     def kfree_at(self, ns: np.ndarray, k: int) -> np.ndarray:
         """Boolean array over the int64 array ns of values in [0, limit], True
         at n >= 1 with no d^k | n, d >= 2.  Square-free (k = 2) is mu(n) != 0.

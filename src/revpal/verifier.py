@@ -29,7 +29,7 @@ most 8 for b <= 31698) are added one after another.
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .digits import BaseContext, base_context
 
-DEFAULT_SLACK = 1e-9
+SLACK = 1e-9  # relative margin: a base passes iff max_bound * (1 + SLACK) < b^(6/5)
 
 # widen the cap decision slightly so rounding at arch boundaries cannot flip it
 _CAP_GUARD = 1.0 + 1e-12
@@ -68,11 +68,6 @@ def f_eval(ctx: BaseContext, theta: float) -> float:
     return float(_capped_inv_sin(xs, b).sum())
 
 
-def arch_length(ctx: BaseContext) -> float:
-    """Width (2/pi) arcsin(1/b) of each capped arch of f_h."""
-    return (2.0 / math.pi) * math.asin(1.0 / ctx.b)
-
-
 @dataclass(frozen=True, slots=True)
 class Certificate:
     b: int
@@ -99,10 +94,6 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.KEYS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @lru_cache(maxsize=1)
@@ -143,16 +134,14 @@ def candidate_bounds(ctx: BaseContext, K: int) -> tuple[list[int], np.ndarray]:
     return [cols[k] for k in pairs], sums[pairs]
 
 
-def certify_base(ctx: BaseContext, K: int, slack: float = DEFAULT_SLACK) -> Certificate:
-    """One base: pass iff max_bound * (1 + slack) < b^(6/5), decided exactly
-    as (max_bound * (1 + slack))^5 < b^6 over the rationals."""
-    if not math.isfinite(slack) or slack < 0:
-        raise ValueError(f"slack must be finite and >= 0, got {slack}")
+def certify_base(ctx: BaseContext, K: int) -> Certificate:
+    """One base: pass iff max_bound * (1 + SLACK) < b^(6/5), decided exactly
+    as (max_bound * (1 + SLACK))^5 < b^6 over the rationals."""
     segments, bounds = candidate_bounds(ctx, K)
     k = int(np.argmax(bounds))
     max_bound = float(bounds[k])
-    return Certificate(b=ctx.b, K=K, max_bound=max_bound, slack=slack, worst_segment=segments[k],
-                       passed=(Fraction(max_bound) * (1 + Fraction(slack))) ** 5 < ctx.b ** 6)
+    return Certificate(b=ctx.b, K=K, max_bound=max_bound, slack=SLACK, worst_segment=segments[k],
+                       passed=(Fraction(max_bound) * (1 + Fraction(SLACK))) ** 5 < ctx.b ** 6)
 
 
 def segment_bounds_naive(ctx: BaseContext, K: int) -> np.ndarray:
@@ -170,18 +159,18 @@ def segment_bounds_naive(ctx: BaseContext, K: int) -> np.ndarray:
     return out
 
 
-def _certify_one(args: tuple[int, int, float]) -> Certificate:
-    b, K, slack = args
-    return certify_base(base_context(b), K, slack)
+def _certify_one(args: tuple[int, int]) -> Certificate:
+    b, K = args
+    return certify_base(base_context(b), K)
 
 
-def certify_range(
-    b0: int, b1: int, K: int, slack: float = DEFAULT_SLACK, workers: int = 1
-) -> list[Certificate]:
+def certify_range(b0: int, b1: int, K: int, workers: int = 1) -> list[Certificate]:
     """Independent certificates for every base in [b0, b1], ascending."""
     if not 2 <= b0 <= b1:
         raise ValueError(f"need 2 <= b0 <= b1, got ({b0}, {b1})")
-    jobs = [(b, K, slack) for b in range(b0, b1 + 1)]
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = [(b, K) for b in range(b0, b1 + 1)]
     # a fork pool starts all its processes at once, however few the jobs
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
@@ -193,10 +182,12 @@ def certify_range(
         return list(pool.map(_certify_one, jobs, chunksize=4))
 
 
-def find_min_K(ctx: BaseContext, K_max: int, slack: float = DEFAULT_SLACK) -> int | None:
+def find_min_K(ctx: BaseContext, K_max: int) -> int | None:
     """Smallest K in [2, K_max] whose certificate passes, testing each K in
     increasing order (no monotonicity assumed)."""
+    if K_max < 2:
+        raise ValueError(f"K_max must be >= 2, got {K_max}")
     for K in range(2, K_max + 1):
-        if certify_base(ctx, K, slack).passed:
+        if certify_base(ctx, K).passed:
             return K
     return None

@@ -1,11 +1,11 @@
 """Reference implementations that the tests compare production code against."""
 
-from math import isqrt, pi, sin
+from math import gcd, isqrt, pi, sin
 
 import numpy as np
 
 from revpal import revgoldbach
-from revpal.digits import BaseContext, in_b_star, is_palindrome, reverse, reverse_array
+from revpal.digits import BaseContext, reverse, reverse_array
 from revpal.revgoldbach import ScanResult, TargetClass, parity_class, prime_bound
 from revpal.sieve import FactorTable
 from revpal.verifier import _BLOCK_POINTS, _cap_reciprocal
@@ -95,6 +95,22 @@ def mobius_sum_oracle(n: int, k: int) -> int:
     return total
 
 
+def is_palindrome(n: int, ctx: BaseContext) -> bool:
+    """True iff b does not divide n and n equals its digital reverse."""
+    if n < 1:
+        raise ValueError("palindrome test is defined for n >= 1 only")
+    if n % ctx.b == 0:
+        return False
+    return reverse(n, ctx) == n
+
+
+def in_b_star(n: int, ctx: BaseContext) -> bool:
+    """True iff n is coprime to b^3 - b."""
+    if n < 1:
+        raise ValueError("membership is defined for n >= 1 only")
+    return gcd(n, ctx.b3mb) == 1
+
+
 def brute_force_palindromes(ctx: BaseContext, x: int, star: bool = False) -> list[int]:
     """Scan every n <= x with the digit-level palindrome test."""
     return [n for n in range(1, x + 1)
@@ -124,7 +140,7 @@ def count_rev_kfree_primes_via_kfree(ctx: BaseContext, k: int, N: int, table: Fa
     ms = ms[np.gcd(ms, ctx.b3mb) == 1]
     count = 0
     for m in ms.tolist():
-        if is_k_free(m, k, table) and table.is_prime(reverse(m, ctx)):
+        if is_k_free(m, k, table) and table.omega_total[reverse(m, ctx)] == 1:
             count += 1
     return count
 

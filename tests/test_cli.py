@@ -120,7 +120,7 @@ def test_determinism_identical_runs():
 
 def test_emit_report_round_trip():
     rep = CountReport(label="x", b=10, k=2, n_or_x=3, d=None, empirical=5, main_term=4.0)
-    assert CountReport.from_dict(json.loads(render([rep], "json"))[0]) == rep
+    assert json.loads(render([rep], "json")) == [rep.to_dict()]
 
 
 def test_emit_certificates_jsonl_ascending():
@@ -234,6 +234,15 @@ def test_almost_prime_with_a_huge_rough_exponent_counts_only_one(capsys):
     # x^e overflows a float; only n = 1 has every prime factor above x^e > x
     assert main("almost-prime --x 1000 --omega-max 6 --rough-exponent 1e308".split()) == 0
     assert capsys.readouterr() == ("1\n", "")
+
+
+@pytest.mark.parametrize("line", ["count-palin-kfree --x 1", "almost-prime --x 1 --omega-max 0"])
+def test_palindrome_counts_at_x_1(line, capsys):
+    # P_b(1) = {1}; the table is sized to 2, the smallest that build makes
+    assert main(line.split()) == 0
+    got = capsys.readouterr()
+    out = json.loads(got.out)
+    assert got.err == "" and (out if isinstance(out, int) else out[0]["empirical"]) == 1
 
 
 @pytest.mark.parametrize("e", ["nan", "inf", "-inf"])
@@ -353,6 +362,8 @@ CLI_BYTES = [
      "b0,b1,K,all_passed,wall_clock_seconds\n28500,28502,8,True,0.004\n", ""),
     ("find-min-k --b 31698 --k-max 8", 0, '{"b": 31698, "K_max": 8, "min_K": 5}\n', ""),
     ("find-min-k --b 20000 --k-max 4", 1, '{"b": 20000, "K_max": 4, "min_K": null}\n', ""),
+    ("find-min-k --b 31698 --k-max 1", 2, "", "error: K_max must be >= 2, got 1\n"),
+    ("find-min-k --b 31698 --k-max -5", 2, "", "error: K_max must be >= 2, got -5\n"),
     ("f-eval --b 20000 --theta 0", 0, "147694.728345\n", ""),
     ("hcabdlog --limit 1000", 0,
      '{"base": 10, "limit": 1000, "scanned_from": 4, "parity_class": "all_targets", '
@@ -373,6 +384,10 @@ CLI_BYTES = [
     ("certify --b 31698 --K 8 --slack 0", 2, "", None),
     ("certify-range --b0 28500 --b1 28500 --K 8 --slack 0", 2, "", None),
     ("certify-range --b0 28500 --b1 28500 --K 8 --timing", 2, "", None),
+    ("certify-range --b0 28500 --b1 28500 --K 8 --workers 0", 2, "",
+     "error: workers must be >= 1, got 0\n"),
+    ("certify-range --b0 28500 --b1 28500 --K 8 --workers -3", 2, "",
+     "error: workers must be >= 1, got -3\n"),
     ("find-min-k --b 31698 --k-max 8 --slack 0", 2, "", None),
 ]
 

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import in_b_star, is_palindrome
 from revpal import digits
 from revpal.digits import (
     BaseContext,
     base_context,
-    in_b_star,
-    is_palindrome,
     reverse,
     reverse_array,
     to_digits,

@@ -15,7 +15,6 @@ from revpal import experiments, revgoldbach
 from revpal.cli import render
 from revpal.digits import base_context, reverse_array
 from revpal.experiments import (
-    CountReport,
     count_almost_prime_palindromes,
     count_kfree_palindromes,
     count_palindromes_div_by,
@@ -75,7 +74,7 @@ def test_count_bounded_by_prime_count(table_1e5):
     ctx = base_context(10)
     for N in (1, 2, 3, 4):
         rep = count_rev_kfree_primes(ctx, 2, N, table_1e5)
-        pi_bn = sum(1 for n in range(10 ** (N - 1), 10 ** N) if table_1e5.is_prime(n))
+        pi_bn = sum(1 for n in range(10 ** (N - 1), 10 ** N) if table_1e5.omega_total[n] == 1)
         assert 0 <= rep.empirical <= pi_bn
 
 
@@ -122,12 +121,22 @@ def test_almost_prime_palindromes(table_1e5):
     assert count_almost_prime_palindromes(ctx, 10 ** 4, 0, table=table_1e5) == 1
     # omega_max = 1 counts 1 and the palindromic primes
     direct = 1 + sum(
-        1 for n in enumerate_palindromes(ctx, 10 ** 4) if table_1e5.is_prime(n))
+        1 for n in enumerate_palindromes(ctx, 10 ** 4) if table_1e5.omega_total[n] == 1)
     assert count_almost_prime_palindromes(ctx, 10 ** 4, 1, table=table_1e5) == direct
     loose = count_almost_prime_palindromes(ctx, 10 ** 4, 6, kfree_k=3, table=table_1e5)
     tight = count_almost_prime_palindromes(
         ctx, 10 ** 4, 6, kfree_k=3, rough_exponent=1 / 21, table=table_1e5)
     assert loose >= tight
+
+
+def test_palindrome_counts_on_a_too_small_table_raise():
+    table, ctx = build(1000), base_context(10)
+    for count in (lambda: count_almost_prime_palindromes(ctx, 1001, 6, table=table),
+                  lambda: count_kfree_palindromes(ctx, 3, 1001, table)):
+        with pytest.raises(ValueError, match=r"^table limit 1000 too small for x = 1001$"):
+            count()
+    with pytest.raises(TypeError):
+        count_almost_prime_palindromes(ctx, 1000, 6)
 
 
 ROUGH_EXPONENTS = [0, 0.0476, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.7, 1, 1.5]
@@ -207,7 +216,7 @@ def test_first_count_at_N_reverses_only_the_N_digit_primes(monkeypatch):
     direct = reversed_primes_in_class_direct(ctx, 3, table)
     got = count_rev_kfree_primes(ctx, 2, 3, table).empirical
     assert got == int(np.count_nonzero(table.kfree_at(direct, 2)))
-    assert reversed_inputs == [[p for p in range(100, 1000) if table.is_prime(p)]]
+    assert reversed_inputs == [[p for p in range(100, 1000) if table.omega_total[p] == 1]]
     assert sorted(table._memo) == [(10, 3)]
 
 
@@ -241,7 +250,7 @@ def test_report_serialization_round_trip(table_1e5):
     ctx = base_context(10)
     rep = count_rev_kfree_primes(ctx, 2, 3, table_1e5)
     parsed = json.loads(render([rep], "json"))
-    assert CountReport.from_dict(parsed[0]) == rep
+    assert parsed == [rep.to_dict()]
     csv_text = render([rep], "csv")
     lines = csv_text.strip().split("\n")
     assert lines[0] == "label,b,k,N_or_x,d,empirical,main_term,ratio"

@@ -255,7 +255,7 @@ def test_squarefree_flags_match_stride_loop(table_1e5):
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_kfree_at_gathered_values_near_prime_powers(k, table_1e5):
     # when max(ns) is p^k itself, p must still be among the primes tried
-    ps = [p for p in range(2, 50) if table_1e5.is_prime(p) and p ** k <= 10 ** 5]
+    ps = [p for p in range(2, 50) if table_1e5.omega_total[p] == 1 and p ** k <= 10 ** 5]
     for p in ps:
         for n in (p ** k - 1, p ** k, p ** k + 1, 2 * p ** k):
             if n <= 10 ** 5:
