@@ -154,12 +154,12 @@ COMMANDS = {
         "r_{b,k}(N) with main term",
         [BASE, RECORD_FORMS, OUTPUT, _num("--k", default=2), _num("--N")],
         lambda a, ctx: render([experiments.count_rev_kfree_primes(
-            ctx, a.k, a.N, _get_table(ctx.b ** a.N))], a.format)),
+            ctx, a.k, a.N, _get_table(max(2, ctx.b ** a.N)))], a.format)),
     "rev-pi-star": (
         "primes with d | reverse, with main term",
         [BASE, RECORD_FORMS, OUTPUT, _num("--N"), _num("--d")],
         lambda a, ctx: render([experiments.rev_pi_star(
-            ctx, a.N, a.d, _get_table(ctx.b ** a.N))], a.format)),
+            ctx, a.N, a.d, _get_table(max(2, ctx.b ** a.N)))], a.format)),
     "count-palin-kfree": (
         "k-free members of P*_b(x)",
         [BASE, RECORD_FORMS, OUTPUT, _num("--k", default=3), _num("--x")],
@@ -214,10 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def dispatch(args: argparse.Namespace, out=None) -> int:
+def dispatch(args: argparse.Namespace) -> int:
     """Run the subcommand in args and return its exit code.  Its text goes to
-    the file --output names, if any, else to out, which defaults to sys.stdout
-    as it is at call time."""
+    the file --output names, if any, else to sys.stdout as it is at call time."""
     # the base is --base, or --b where a command works on one base only
     b = getattr(args, "base", getattr(args, "b", None))
     result = COMMANDS[args.cmd][2](args, base_context(b) if b is not None else None)
@@ -225,7 +224,7 @@ def dispatch(args: argparse.Namespace, out=None) -> int:
     if getattr(args, "output", None):
         Path(args.output).write_text(text)
     else:
-        (sys.stdout if out is None else out).write(text)
+        sys.stdout.write(text)
     return code
 
 

@@ -4,7 +4,7 @@ its derived counts, each paired with a theoretical main term where one exists.
 
 import math
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -113,25 +113,23 @@ def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable) -> n
 
 def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable) -> CountReport:
     """r_{b,k}(N): primes p in B_N with reverse in B*_N and reverse k-free."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    main_term = densities.rev_kfree_main_term(ctx, k, N)  # checks k and N before the table
     rev = _reversed_primes_in_class(ctx, N, table)
     count = int(np.count_nonzero(table.kfree_at(rev, k)))
     return CountReport(
         label="rev_kfree_primes", b=ctx.b, k=k, n_or_x=N, d=None,
-        empirical=count, main_term=densities.rev_kfree_main_term(ctx, k, N),
+        empirical=count, main_term=main_term,
     )
 
 
 def rev_pi_star(ctx: BaseContext, N: int, d: int, table: FactorTable) -> CountReport:
     """pi*_N(0, d): primes p in B_N with reverse in B*_N and d | reverse(p)."""
-    if gcd(d, ctx.b3mb) != 1:
-        raise ValueError(f"d = {d} shares a factor with b^3 - b = {ctx.b3mb}")
+    main_term = densities.rev_pi_main_term(ctx, d, N)  # checks d and N before the table
     rev = _reversed_primes_in_class(ctx, N, table)
     count = int(np.count_nonzero(rev % d == 0))
     return CountReport(
         label="rev_pi_star", b=ctx.b, k=None, n_or_x=N, d=d,
-        empirical=count, main_term=densities.rev_pi_main_term(ctx, d, N),
+        empirical=count, main_term=main_term,
     )
 
 

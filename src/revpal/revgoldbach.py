@@ -125,9 +125,8 @@ def _last_nonzero(a: np.ndarray, top: int) -> int:
     return -1
 
 
-def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
-                    scanned_from: int = 4) -> ScanResult:
-    """All in-class targets in [scanned_from, limit] with zero representations.
+def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanResult:
+    """All in-class targets in [4, limit] with no representation; 4 = rev(2) + 2 is the least sum.
 
     Target t is bit t % 8 of byte t // 8 of the pending set `live` (little
     bit order).  Copy s of the packed composite mask omega_total[:limit+1] != 1
@@ -143,15 +142,13 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
     an upper bound is needed: a stale, too-high top would cost extra ANDs and
     never change the result.
     """
-    if scanned_from < 2:
-        raise ValueError(f"scanned_from must be >= 2, got {scanned_from}")
     if limit > table.limit:
         raise ValueError(f"table limit {table.limit} too small for scan limit {limit}")
     parity = parity_class(ctx)
     rev_vals = chain.from_iterable(_reversed_blocks(ctx, limit - 2, table))
     n = max(limit + 1, 0)
     alive = np.zeros(n, dtype=bool)
-    alive[scanned_from:] = True
+    alive[4:] = True
     if parity is TargetClass.EVEN_TARGETS_ONLY:
         alive[1::2] = False
     live = np.packbits(alive, bitorder="little")
@@ -175,7 +172,7 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable,
         top = _last_nonzero(live, top)
     exceptions = np.flatnonzero(np.unpackbits(live[:top + 1], bitorder="little"))
     return ScanResult(
-        base=ctx.b, limit=limit, scanned_from=scanned_from,
+        base=ctx.b, limit=limit, scanned_from=4,
         parity=parity, exceptions=tuple(exceptions.tolist()),
     )
 
@@ -187,5 +184,5 @@ def estermann_count(ctx: BaseContext, M: int, table: FactorTable) -> int:
         raise ValueError(f"target must be >= 1, got {M}")
     if M > table.limit:
         raise ValueError(f"table limit {table.limit} too small for target {M}")
-    return sum(int(np.count_nonzero(table.mu[M - vals] != 0))
+    return sum(int(np.count_nonzero(table.kfree_at(M - vals, 2)))
                for vals in _reversed_blocks(ctx, M - 1, table))

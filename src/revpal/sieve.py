@@ -1,8 +1,8 @@
-"""Bulk arithmetic oracles on [1, limit]: Mobius mu, Omega (prime factors
-with multiplicity), primality and k-free tests.
+"""Bulk arithmetic oracles on [1, limit]: square-free flags, Omega (prime
+factors with multiplicity), primality and k-free tests.
 
-Memory layout: mu and omega are one byte per entry each, so a table of limit
-L costs about 2L bytes; build keeps no scratch row, and DEFAULT_LIMIT_BUDGET
+Memory layout: the flags and omega are one byte per entry each, so a table of
+limit L costs about 2L bytes; build keeps no scratch row, and DEFAULT_LIMIT_BUDGET
 guards memory alone.  A table from load_cache is a read-only map of its file,
 not anonymous memory: only the pages a call reads become resident.
 """
@@ -19,7 +19,7 @@ import numpy as np
 DEFAULT_LIMIT_BUDGET = 2 ** 31
 
 _CACHE_MAGIC = b"RPFT"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 # entries per chunk of build's sieve pass
 _CHUNK = 2 ** 20
@@ -40,18 +40,18 @@ class FactorTable:
     """
 
     limit: int
-    mu: np.ndarray       # int8, Mobius function
+    squarefree: np.ndarray  # bool, n >= 1 with no p^2 | n
     omega_total: np.ndarray  # int8, Omega(n)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kfree_at(self, ns: np.ndarray, k: int) -> np.ndarray:
         """Boolean array over the int64 array ns of values in [0, limit], True
-        at n >= 1 with no d^k | n, d >= 2.  Square-free (k = 2) is mu(n) != 0.
+        at n >= 1 with no d^k | n, d >= 2; for k = 2 the squarefree flags.
         A square-free n is k-free for every k, so for k >= 3 only the other
         values are tried, against p^k for the primes p with p^k <= their max."""
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
-        flags = self.mu[ns] != 0
+        flags = self.squarefree[ns]
         if k == 2:
             return flags
         at = np.flatnonzero(~flags)
@@ -66,8 +66,8 @@ class FactorTable:
         return flags
 
 
-def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
-    """Sieve mu and Omega for 1 <= n <= limit, in one pass over chunks [a, e).
+def build(limit: int) -> FactorTable:
+    """Omega for 1 <= n <= limit, in one pass over chunks [a, e), then the flags.
 
     Omega(n) = Omega(n / p) + 1 for every prime p dividing n, not only the
     smallest, so each chunk is a few strided adds, in any order of p.  The
@@ -79,14 +79,14 @@ def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
       multiples n = pm.  An odd composite n has such a p, as p^2 <= n < 2a
       for its smallest; the entries no p writes are primes, and keep their 1.
 
-    mu is Liouville's lambda(n) = (-1)^Omega(n), zeroed at the multiples of p^2
-    for the primes p <= isqrt(limit); no larger p^2 fits in the table.  budget
+    The flags are cleared at 0 and at the multiples of p^2 for the primes
+    p <= isqrt(limit); no larger p^2 fits in the table.  DEFAULT_LIMIT_BUDGET
     caps limit, since the table costs 2(limit + 1) bytes.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    if limit > budget:
-        raise ValueError(f"limit {limit} exceeds memory budget {budget}")
+    if limit > DEFAULT_LIMIT_BUDGET:
+        raise ValueError(f"limit {limit} exceeds memory budget {DEFAULT_LIMIT_BUDGET}")
 
     root = isqrt(limit)
     omega = np.empty(limit + 1, dtype=np.int8)
@@ -104,27 +104,25 @@ def build(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> FactorTable:
             np.add(omega[m : m + 2 * out.size : 2], 1, out=out)
         a = e
 
-    mu = np.bitwise_and(omega, 1)
-    mu *= -2
-    mu += 1
-    mu[0] = 0
+    squarefree = np.ones(limit + 1, dtype=bool)
+    squarefree[0] = False
     for p in np.flatnonzero(omega[: root + 1] == 1).tolist():
-        mu[p * p :: p * p] = 0
+        squarefree[p * p :: p * p] = False
 
-    for arr in (mu, omega):
+    for arr in (squarefree, omega):
         arr.setflags(write=False)
-    return FactorTable(limit=limit, mu=mu, omega_total=omega)
+    return FactorTable(limit=limit, squarefree=squarefree, omega_total=omega)
 
 
 def save_cache(table: FactorTable, path: str | Path):
-    """Binary cache: magic + version + limit header, then mu and Omega as raw
-    int8 arrays; written to a temporary file beside path, renamed over it atomically."""
+    """Binary cache: magic + version + limit header, then the flags and Omega, a
+    byte each; written to a temporary file beside path, renamed over it atomically."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(struct.pack("<4sIQ", _CACHE_MAGIC, _CACHE_VERSION, table.limit))
-            fh.write(memoryview(np.asarray(table.mu, dtype="<i1")))
+            fh.write(memoryview(table.squarefree.view(np.uint8)))
             fh.write(memoryview(np.asarray(table.omega_total, dtype="<i1")))
         os.replace(tmp, path)
     finally:
@@ -134,8 +132,8 @@ def save_cache(table: FactorTable, path: str | Path):
 def load_cache(path: str | Path) -> FactorTable:
     """Table of a save_cache file, its arrays read-only views of a map of it.
 
-    The file must be version 2 (another version raises CacheVersionError),
-    exactly the header plus 2(limit + 1) array bytes, mu then Omega.  The map
+    The file must be version 3 (another version raises CacheVersionError),
+    exactly the header plus 2(limit + 1) array bytes, flags then Omega.  The map
     outlives the file's name: save_cache replaces a file by renaming a new one
     over it, so a loaded table keeps reading the old contents.  A cache file
     must therefore never be rewritten in place.
@@ -156,5 +154,5 @@ def load_cache(path: str | Path) -> FactorTable:
             problem = "truncated" if got < 2 * n else "too long"
             raise ValueError(f"{path} is {problem}: limit {limit} needs {2 * n} array bytes, got {got}")
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    mu, omega = np.frombuffer(data, dtype="<i1", count=2 * n, offset=16).reshape(2, n)
-    return FactorTable(limit=int(limit), mu=mu, omega_total=omega)
+    flags, omega = np.frombuffer(data, dtype="<i1", count=2 * n, offset=16).reshape(2, n)
+    return FactorTable(limit=int(limit), squarefree=flags.view(bool), omega_total=omega)

@@ -63,6 +63,8 @@ def _capped_inv_sin(x: np.ndarray, b: int) -> np.ndarray:
 
 def f_eval(ctx: BaseContext, theta: float) -> float:
     """f(theta) = sum over 0 <= h < b of min(b, 1/|sin pi(h/b + theta)|)."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     b = ctx.b
     xs = theta + np.arange(b, dtype=np.float64) / b
     return float(_capped_inv_sin(xs, b).sum())

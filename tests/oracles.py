@@ -13,26 +13,24 @@ from revpal.verifier import _BLOCK_POINTS, _cap_reciprocal
 
 def build_divide_out(limit: int) -> FactorTable:
     """Factor table by division: one loop over the primes p <= isqrt(limit)
-    fills mu and Omega and divides every p^k out of an int32 cofactor array;
-    what is left of n is 1 or its one prime factor above isqrt(limit)."""
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
+    fills the square-free flags and Omega and divides every p^k out of an
+    int32 cofactor array; what is left of n is 1 or its one prime factor above
+    isqrt(limit)."""
+    squarefree = np.ones(limit + 1, dtype=bool)
+    squarefree[0] = False
     omega = np.zeros(limit + 1, dtype=np.int8)
     rest = np.arange(limit + 1, dtype=np.int32)
     for p in range(2, isqrt(limit) + 1):
         if omega[p]:  # a smaller prime divides p
             continue
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
+        squarefree[p * p :: p * p] = False
         pk = p
         while pk <= limit:
             omega[pk::pk] += 1
             rest[pk::pk] //= p
             pk *= p
-    big = rest > 1
-    mu[big] *= -1
-    omega[big] += 1
-    return FactorTable(limit=limit, mu=mu, omega_total=omega)
+    omega[rest > 1] += 1
+    return FactorTable(limit=limit, squarefree=squarefree, omega_total=omega)
 
 
 def is_k_free(n: int, k: int, table: FactorTable) -> bool:
@@ -173,21 +171,18 @@ def reversed_prime_values_direct(ctx: BaseContext, cap: int, table: FactorTable)
     return vals
 
 
-def scan_exceptions_mask(ctx: BaseContext, limit: int, table: FactorTable,
-                         scanned_from: int = 4) -> ScanResult:
-    """revgoldbach.scan_exceptions by a 1-byte mask of the pending targets,
+def scan_exceptions_mask(ctx: BaseContext, limit: int, table: FactorTable) -> ScanResult:
+    """revgoldbach.scan_exceptions by a 1-byte mask of the pending targets 4..limit,
     one slice AND per reversed value r, until fewer than limit / 8 remain; then
     by a sorted int64 array of them, filtered by t - r composite.  It stops
     once no later reversed value reaches the largest pending target."""
-    if scanned_from < 2:
-        raise ValueError(f"scanned_from must be >= 2, got {scanned_from}")
     if limit > table.limit:
         raise ValueError(f"table limit {table.limit} too small for scan limit {limit}")
     parity = parity_class(ctx)
     rev_vals = reversed_prime_values(ctx, limit - 2, table)
     alive = np.zeros(max(limit + 1, 0), dtype=bool)
     not_prime = table.omega_total[: alive.size] != 1
-    alive[scanned_from:] = True
+    alive[4:] = True
     if parity is TargetClass.EVEN_TARGETS_ONLY:
         alive[1::2] = False
 
@@ -204,7 +199,7 @@ def scan_exceptions_mask(ctx: BaseContext, limit: int, table: FactorTable,
         tail = pending[i:]
         pending = np.concatenate((pending[:i], tail[not_prime[tail - r]]))
     return ScanResult(
-        base=ctx.b, limit=limit, scanned_from=scanned_from,
+        base=ctx.b, limit=limit, scanned_from=4,
         parity=parity, exceptions=tuple(int(t) for t in pending),
     )
 

@@ -20,7 +20,8 @@ from revpal.verifier import certify_base
 def run(argv):
     buf = io.StringIO()
     args = build_parser().parse_args(argv)
-    code = dispatch(args, out=buf)
+    with contextlib.redirect_stdout(buf):
+        code = dispatch(args)
     return code, buf.getvalue()
 
 
@@ -213,21 +214,25 @@ def test_foreign_cache_file_is_rejected_and_kept(tmp_path, monkeypatch, capsys):
 
 
 def test_version_1_cache_is_rebuilt_and_replaced(tmp_path, monkeypatch, capsys):
-    # a version-1 file of the right length for its limit: int32 spf, mu, Omega
+    # files of the right length for their limit, in older formats: version 1
+    # held int32 spf, mu and Omega; version 2 held mu and Omega, as long as
+    # version 3
     limit = max(2, 1000, revgoldbach.prime_bound(base_context(10), 999))
     path = tmp_path / f"sieve_{limit}.bin"
-    path.write_bytes(struct.pack("<4sIQ", b"RPFT", 1, limit) + bytes(6 * (limit + 1)))
     monkeypatch.delenv(CACHE_ENV, raising=False)
     assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
     fresh = capsys.readouterr()
+    built = sieve.build(limit)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
-    assert capsys.readouterr() == fresh
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-    assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"RPFT", 2, limit)
-    loaded, built = sieve.load_cache(path), sieve.build(limit)
-    assert loaded.mu.tobytes() == built.mu.tobytes()
-    assert loaded.omega_total.tobytes() == built.omega_total.tobytes()
+    for version, size in ((1, 6), (2, 2)):
+        path.write_bytes(struct.pack("<4sIQ", b"RPFT", version, limit) + bytes(size * (limit + 1)))
+        assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
+        assert capsys.readouterr() == fresh, version
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"RPFT", 3, limit)
+        loaded = sieve.load_cache(path)
+        assert loaded.squarefree.tobytes() == built.squarefree.tobytes(), version
+        assert loaded.omega_total.tobytes() == built.omega_total.tobytes(), version
 
 
 def test_almost_prime_with_a_huge_rough_exponent_counts_only_one(capsys):
@@ -311,6 +316,12 @@ CLI_BYTES = [
     ("rev-pi-star --N 3 --d 7 --format human", 0,
      "rev_pi_star: b=10 k=None N_or_x=3 d=7 empirical=11 main_term=8.27227584578 "
      "ratio=1.3297428912\n", ""),
+    ("count-rev-kfree --N 0", 2, "", "error: N must be >= 1, got 0\n"),
+    ("count-rev-kfree --N -1", 2, "", "error: N must be >= 1, got -1\n"),
+    ("rev-pi-star --N -1 --d 7", 2, "", "error: N must be >= 1, got -1\n"),
+    ("rev-pi-star --N 3 --d -7", 2, "", "error: d must be >= 1, got -7\n"),
+    ("rev-pi-star --N 3 --d 0", 2, "", "error: d must be >= 1, got 0\n"),
+    ("rev-pi-star --N 3 --d 11", 2, "", "error: d = 11 shares a factor with b^3 - b = 990\n"),
     ("count-palin-kfree --base 2 --x 10000", 0,
      '[{"label": "kfree_palindromes", "b": 2, "k": 3, "N_or_x": 10000, "d": null, '
      '"empirical": 84, "main_term": 83.92208439880102, "ratio": 1.0009284278596886}]\n', ""),
@@ -365,6 +376,8 @@ CLI_BYTES = [
     ("find-min-k --b 31698 --k-max 1", 2, "", "error: K_max must be >= 2, got 1\n"),
     ("find-min-k --b 31698 --k-max -5", 2, "", "error: K_max must be >= 2, got -5\n"),
     ("f-eval --b 20000 --theta 0", 0, "147694.728345\n", ""),
+    ("f-eval --b 7 --theta inf", 2, "", "error: theta must be finite, got inf\n"),
+    ("f-eval --b 7 --theta nan", 2, "", "error: theta must be finite, got nan\n"),
     ("hcabdlog --limit 1000", 0,
      '{"base": 10, "limit": 1000, "scanned_from": 4, "parity_class": "all_targets", '
      '"exceptions": [11]}\n', ""),

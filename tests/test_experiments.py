@@ -246,6 +246,26 @@ def test_counting_on_a_too_small_table_raises_before_reversing():
     assert table._memo == {}
 
 
+@pytest.mark.parametrize("N", [0, -1, -3])
+def test_reversed_prime_counts_reject_N_below_1_before_the_table(N):
+    # b^N is a float for N < 0, so a table read would fail as a TypeError
+    table = build(100)
+    ctx = base_context(10)
+    for count in (lambda: count_rev_kfree_primes(ctx, 2, N, table),
+                  lambda: rev_pi_star(ctx, N, 7, table)):
+        with pytest.raises(ValueError, match=f"^N must be >= 1, got {N}$"):
+            count()
+    assert table._memo == {}
+
+
+@pytest.mark.parametrize("d", [0, -1, -2, -7])
+def test_rev_pi_star_rejects_d_below_1_before_counting(d, table_1e5, monkeypatch):
+    # the sign is checked first: -1 and -7 pass the gcd test, 0 and -2 fail it
+    monkeypatch.setattr(experiments, "_reversed_primes_in_class", None)
+    with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
+        rev_pi_star(base_context(10), 3, d, table_1e5)
+
+
 def test_report_serialization_round_trip(table_1e5):
     ctx = base_context(10)
     rep = count_rev_kfree_primes(ctx, 2, 3, table_1e5)

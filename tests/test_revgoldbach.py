@@ -115,20 +115,16 @@ def test_scan_matches_representations_every_base(b, table_1e5):
     unrepresented = [M for M in range(2, 334)
                      if not (even_only and M % 2)
                      and representations(ctx, M, table_1e5) == 0]
-    # single-target scans, where a target whose one representation is
-    # (rev(p1), 2) must not be skipped
-    scans = [(limit, scanned_from) for limit in (5, 50, 333)
-             for scanned_from in (2, 4, 7, 9, limit + 1)]
-    scans += [(M, M) for M in range(2, 51)]
-    for limit, scanned_from in scans:
-        res = scan_exceptions(ctx, limit, table_1e5, scanned_from)
-        assert res.exceptions == tuple(
-            M for M in unrepresented if scanned_from <= M <= limit), (limit, scanned_from)
+    # every limit up to 50, so each target is once the last, where a target
+    # whose one representation is (rev(p1), 2) must not be skipped
+    for limit in [*range(2, 51), 333]:
+        res = scan_exceptions(ctx, limit, table_1e5)
+        assert res.exceptions == tuple(M for M in unrepresented if 4 <= M <= limit), limit
 
 
-def _scan_outcome(scan, ctx, limit, table, scanned_from):
+def _scan_outcome(scan, ctx, limit, table):
     try:
-        return scan(ctx, limit, table, scanned_from)
+        return scan(ctx, limit, table)
     except ValueError as exc:
         return type(exc)
 
@@ -142,10 +138,9 @@ def test_scan_matches_mask_oracle_every_base(b, table_1e6):
     limits = [c + d for c in (64, 1000, 2 * 10 ** 4) for d in range(-4, 4)]
     limits += [-3, 0, 1, 2, 3]
     for limit in limits:
-        for scanned_from in (2, 3, 4, 7, 8, 9, limit + 1):
-            args = (ctx, limit, table_1e6, scanned_from)
-            assert _scan_outcome(scan_exceptions, *args) == \
-                _scan_outcome(scan_exceptions_mask, *args), (limit, scanned_from)
+        args = (ctx, limit, table_1e6)
+        assert _scan_outcome(scan_exceptions, *args) == \
+            _scan_outcome(scan_exceptions_mask, *args), limit
 
 
 class _CountingValues:
@@ -181,18 +176,16 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
 
     monkeypatch.setattr(revgoldbach, "_reversed_blocks", counting)
     for limit in [*range(5, 41), 64, 67, 200, 1000, 1003]:
-        for scanned_from in (2, 4, 9):
-            scan_exceptions(ctx, limit, table_1e5, scanned_from)
-            vals = seen[-1].vals.tolist()
-            pending = {t for t in range(scanned_from, limit + 1)
-                       if not (even_only and t % 2)}
-            expected = len(vals)
-            for i, r in enumerate(vals):
-                if r > 8 * (max(pending, default=-8) // 8) + 5:
-                    expected = i + 1
-                    break
-                pending = {t for t in pending if t < r + 2 or not is_prime[t - r]}
-            assert seen[-1].read == expected, (limit, scanned_from)
+        scan_exceptions(ctx, limit, table_1e5)
+        vals = seen[-1].vals.tolist()
+        pending = {t for t in range(4, limit + 1) if not (even_only and t % 2)}
+        expected = len(vals)
+        for i, r in enumerate(vals):
+            if r > 8 * (max(pending, default=-8) // 8) + 5:
+                expected = i + 1
+                break
+            pending = {t for t in pending if t < r + 2 or not is_prime[t - r]}
+        assert seen[-1].read == expected, limit
 
 
 def test_last_nonzero_searches_down_across_chunk_edges():
@@ -203,12 +196,6 @@ def test_last_nonzero_searches_down_across_chunk_edges():
         assert [revgoldbach._last_nonzero(a, top) for top in range(i, 5000)] == \
             [i] * (5000 - i), i
         assert revgoldbach._last_nonzero(a, i - 1) == -1, i
-
-
-@pytest.mark.parametrize("scanned_from", [1, 0, -5])
-def test_scan_rejects_scanned_from_below_2(scanned_from, table_1e5):
-    with pytest.raises(ValueError):
-        scan_exceptions(base_context(10), 1000, table_1e5, scanned_from)
 
 
 def test_scan_to_1e7_builds_no_block_past_4_digits():
@@ -254,7 +241,7 @@ def test_estermann_counts_squarefree_differences(table_1e5):
     ctx = base_context(10)
     rev_vals = reversed_prime_values(ctx, 999, table_1e5).tolist()
     for M in (50, 314, 1000):
-        direct = sum(1 for r in rev_vals if r <= M - 1 and table_1e5.mu[M - r] != 0)
+        direct = sum(1 for r in rev_vals if r <= M - 1 and table_1e5.squarefree[M - r])
         assert estermann_count(ctx, M, table_1e5) == direct
 
 
@@ -352,7 +339,7 @@ def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
                 rev_r = reversed_prime_values_direct(ctx, M - 2, table)
                 rev_h = reversed_prime_values_direct(ctx, M - 1, table)
                 assert r == int(np.count_nonzero(table.omega_total[M - rev_r] == 1)), (b, M)
-                assert h == int(np.count_nonzero(table.mu[M - rev_h] != 0)), (b, M)
+                assert h == int(np.count_nonzero(table.squarefree[M - rev_h])), (b, M)
     # blocks in the order first read: digit counts 1 to that of 900001,
     # 6 in base 10 and 4 in base 31, each reversed once per table and base
     ps = np.flatnonzero(tables[0].omega_total == 1)
@@ -396,7 +383,7 @@ def test_block_sums_match_direct_at_powers_of_the_base(b, table_1e5):
             rev = reversed_prime_values_direct(ctx, cap, table_1e5)
             want = int(np.count_nonzero(table_1e5.omega_total[cap + 2 - rev] == 1))
             assert representations(ctx, cap + 2, table_1e5) == want, (b, cap)
-            want = int(np.count_nonzero(table_1e5.mu[cap + 1 - rev] != 0))
+            want = int(np.count_nonzero(table_1e5.squarefree[cap + 1 - rev]))
             assert estermann_count(ctx, cap + 1, table_1e5) == want, (b, cap)
             checked += 1
     assert checked >= 9

@@ -9,24 +9,24 @@ from hypothesis import strategies as st
 
 from oracles import build_divide_out, is_k_free, mobius_sum_oracle, mu_trial
 from revpal import sieve
-from revpal.sieve import build, load_cache, save_cache
+from revpal.sieve import CacheVersionError, build, load_cache, save_cache
 
 
 def test_build_small_examples():
     t = build(30)
-    assert t.mu[30] == -1
+    assert t.squarefree[30]
     assert t.omega_total[30] == 3
-    assert t.mu[12] == 0
+    assert not t.squarefree[12]
+    assert not t.squarefree[0] and t.squarefree[1]
 
 
-def test_build_rejects_bad_limits():
+def test_build_rejects_bad_limits(monkeypatch):
     with pytest.raises(ValueError):
         build(1)
-    with pytest.raises(ValueError):
-        build(100, budget=50)
+    monkeypatch.setattr(sieve, "DEFAULT_LIMIT_BUDGET", 5000)
     with pytest.raises(ValueError, match="exceeds memory budget 5000"):
-        build(5001, budget=5000)
-    assert build(5000, budget=5000).limit == 5000
+        build(5001)
+    assert build(5000).limit == 5000
 
 
 def test_is_k_free_examples(table_1e5):
@@ -48,15 +48,15 @@ def test_kfree_matches_oracle_sampled(table_1e5, n, k):
     assert is_k_free(n, k, table_1e5) == (mobius_sum_oracle(n, k) == 1)
 
 
-def test_mu_matches_kfree_status(table_1e5):
-    # mu(n) = 0 exactly when n is not square-free
-    mu = table_1e5.mu
+def test_squarefree_matches_kfree_status(table_1e5):
+    flags = table_1e5.squarefree
+    assert flags.dtype == bool
     for n in range(1, 2000):
-        assert (mu[n] == 0) == (not is_k_free(n, 2, table_1e5))
+        assert flags[n] == is_k_free(n, 2, table_1e5)
 
 
 def test_squarefree_count_1e6(table_1e6):
-    count = int(np.count_nonzero(table_1e6.mu[1:] != 0))
+    count = int(np.count_nonzero(table_1e6.squarefree))
     assert count == 607926
     assert abs(count / 10 ** 6 - 6 / math.pi ** 2) / (6 / math.pi ** 2) < 0.01
 
@@ -70,9 +70,10 @@ def test_omega_additive_on_coprime_pairs(table_1e5, m, n):
 
 @settings(max_examples=200)
 @given(st.integers(2, 300), st.integers(2, 300))
-def test_mu_multiplicative_on_coprime_pairs(table_1e5, m, n):
+def test_squarefree_multiplicative_on_coprime_pairs(table_1e5, m, n):
     if math.gcd(m, n) == 1:
-        assert table_1e5.mu[m * n] == table_1e5.mu[m] * table_1e5.mu[n]
+        flags = table_1e5.squarefree
+        assert flags[m * n] == (flags[m] and flags[n])
 
 
 def test_cache_round_trip(tmp_path):
@@ -81,7 +82,7 @@ def test_cache_round_trip(tmp_path):
     save_cache(t, path)
     t2 = load_cache(path)
     assert t2.limit == t.limit
-    assert np.array_equal(t2.mu, t.mu)
+    assert np.array_equal(t2.squarefree, t.squarefree)
     assert np.array_equal(t2.omega_total, t.omega_total)
 
 
@@ -89,9 +90,10 @@ def test_cache_file_is_header_plus_little_endian_arrays(tmp_path):
     t = build(5000)
     path = tmp_path / "sieve_5000.bin"
     save_cache(t, path)
-    # version 2: the header, then mu and Omega, one byte per entry each
-    expected = (struct.pack("<4sIQ", b"RPFT", 2, 5000)
-                + t.mu.astype("<i1").tobytes() + t.omega_total.astype("<i1").tobytes())
+    # version 3: the header, then the square-free flags (0 or 1) and Omega,
+    # one byte per entry each
+    expected = (struct.pack("<4sIQ", b"RPFT", 3, 5000)
+                + t.squarefree.astype("u1").tobytes() + t.omega_total.astype("<i1").tobytes())
     assert path.read_bytes() == expected
     assert len(expected) == 16 + 2 * 5001
 
@@ -100,7 +102,19 @@ def test_cache_rejects_version_1_file(tmp_path):
     # a version-1 file held int32 spf before mu and Omega, 6 bytes per entry
     path = tmp_path / "sieve_5000.bin"
     path.write_bytes(struct.pack("<4sIQ", b"RPFT", 1, 5000) + bytes(6 * 5001))
-    with pytest.raises(ValueError, match="sieve_5000.bin has unsupported cache version 1"):
+    with pytest.raises(CacheVersionError, match="sieve_5000.bin has unsupported cache version 1"):
+        load_cache(path)
+
+
+def test_cache_rejects_version_2_file(tmp_path):
+    # a version-2 file held int8 mu before Omega: the same size as version 3,
+    # so only the version tells it apart
+    t = build(5000)
+    mu = np.where(t.squarefree, 1 - 2 * (t.omega_total & 1), 0).astype("<i1")
+    path = tmp_path / "sieve_5000.bin"
+    header = struct.pack("<4sIQ", b"RPFT", 2, 5000)
+    path.write_bytes(header + mu.tobytes() + t.omega_total.tobytes())
+    with pytest.raises(CacheVersionError, match="sieve_5000.bin has unsupported cache version 2"):
         load_cache(path)
 
 
@@ -126,7 +140,7 @@ def test_loaded_table_is_read_only_and_equals_build(tmp_path):
     path = tmp_path / "sieve_5000.bin"
     save_cache(build(5000), path)
     loaded, built = load_cache(path), build(5000)
-    for name in ("mu", "omega_total"):
+    for name in ("squarefree", "omega_total"):
         arr = getattr(loaded, name)
         assert not arr.flags.writeable, name
         assert arr.dtype == getattr(built, name).dtype, name
@@ -135,18 +149,28 @@ def test_loaded_table_is_read_only_and_equals_build(tmp_path):
             arr[2] = 0
 
 
+def test_loaded_table_kfree_at_equals_build(tmp_path):
+    # the mapped flags are a bool view of the file's 0/1 bytes
+    path = tmp_path / "sieve_5000.bin"
+    save_cache(build(5000), path)
+    loaded, built = load_cache(path), build(5000)
+    ns = np.arange(5001)
+    for k in (2, 3, 4):
+        assert np.array_equal(loaded.kfree_at(ns, k), built.kfree_at(ns, k)), k
+
+
 def test_loaded_table_survives_a_save_over_its_file(tmp_path):
     path = tmp_path / "sieve_5000.bin"
     old = build(5000)
     save_cache(old, path)
     loaded = load_cache(path)
     # same limit, so the same file size; only the contents differ
-    new = sieve.FactorTable(limit=5000, mu=-old.mu, omega_total=old.omega_total + 1)
+    new = sieve.FactorTable(limit=5000, squarefree=~old.squarefree, omega_total=old.omega_total + 1)
     save_cache(new, path)
-    assert np.array_equal(loaded.mu, old.mu)
+    assert np.array_equal(loaded.squarefree, old.squarefree)
     assert np.array_equal(loaded.omega_total, old.omega_total)
     reloaded = load_cache(path)
-    assert np.array_equal(reloaded.mu, new.mu)
+    assert np.array_equal(reloaded.squarefree, new.squarefree)
     assert np.array_equal(reloaded.omega_total, new.omega_total)
 
 
@@ -165,14 +189,14 @@ def test_range_check(table_1e5):
 
 
 def _trial_row(n: int) -> tuple[int, int]:
-    """(mu, Omega) of n >= 1 by trial division."""
+    """(square-free, Omega) of n >= 1 by trial division."""
     omega, m, p = 0, n, 2
     while m > 1:
         while m % p == 0:
             m //= p
             omega += 1
         p += 1
-    return mu_trial(n), omega
+    return mu_trial(n) != 0, omega
 
 
 def test_build_matches_trial_division_around_prime_squares():
@@ -182,7 +206,7 @@ def test_build_matches_trial_division_around_prime_squares():
     expected = [_trial_row(n) for n in range(1, 301)]
     for limit in range(2, 301):
         t = build(limit)
-        rows = list(zip(t.mu.tolist(), t.omega_total.tolist()))
+        rows = list(zip(t.squarefree.tolist(), t.omega_total.tolist()))
         assert rows[1:] == expected[:limit], limit
 
 
@@ -209,7 +233,7 @@ def test_kfree_flags_match_oracles():
 
 
 def _assert_same_table(t, ref):
-    for name in ("mu", "omega_total"):
+    for name in ("squarefree", "omega_total"):
         got, want = getattr(t, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t.limit, name)
 

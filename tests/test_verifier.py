@@ -34,6 +34,12 @@ def test_f_eval_period_one_over_b():
             assert f_eval(ctx, theta + 1 / b) == pytest.approx(f_eval(ctx, theta), rel=1e-12)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_f_eval_rejects_a_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        f_eval(base_context(7), theta)
+
+
 def test_f_eval_upper_bound():
     for b in (2, 5, 31):
         ctx = base_context(b)
