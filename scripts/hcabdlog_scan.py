@@ -19,8 +19,9 @@ def main():
     args = ap.parse_args()
 
     ctx = base_context(args.base)
-    # estermann_count(M) reads reverses up to M - 1 for targets M <= limit
-    table = sieve.build(max(args.limit, prime_bound(ctx, args.limit - 1)))
+    # estermann_count(M) reads reverses up to M - 1 for targets M <= limit;
+    # 2 is the least limit build accepts
+    table = sieve.build(max(2, args.limit, prime_bound(ctx, args.limit - 1)))
     res = scan_exceptions(ctx, args.limit, table)
     print(json.dumps(res.to_dict()))
     for M in range(4, 4 + args.show_counts):

@@ -25,6 +25,7 @@ def _fmt(x: float) -> str:
 
 
 def _get_table(limit: int) -> sieve.FactorTable:
+    limit = max(2, limit)  # the least limit build accepts
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return sieve.build(limit)
@@ -109,7 +110,7 @@ def _find_min_k(a, ctx) -> tuple[str, int]:
 
 def _goldbach_table(ctx, target: int, cap: int) -> sieve.FactorTable:
     """A table covering target and every prime whose reverse is at most cap."""
-    return _get_table(max(2, target, revgoldbach.prime_bound(ctx, cap)))
+    return _get_table(max(target, revgoldbach.prime_bound(ctx, cap)))
 
 
 def _main_term(a, ctx) -> str:
@@ -154,17 +155,17 @@ COMMANDS = {
         "r_{b,k}(N) with main term",
         [BASE, RECORD_FORMS, OUTPUT, _num("--k", default=2), _num("--N")],
         lambda a, ctx: render([experiments.count_rev_kfree_primes(
-            ctx, a.k, a.N, _get_table(max(2, ctx.b ** a.N)))], a.format)),
+            ctx, a.k, a.N, _get_table(ctx.b ** a.N))], a.format)),
     "rev-pi-star": (
         "primes with d | reverse, with main term",
         [BASE, RECORD_FORMS, OUTPUT, _num("--N"), _num("--d")],
         lambda a, ctx: render([experiments.rev_pi_star(
-            ctx, a.N, a.d, _get_table(max(2, ctx.b ** a.N)))], a.format)),
+            ctx, a.N, a.d, _get_table(ctx.b ** a.N))], a.format)),
     "count-palin-kfree": (
         "k-free members of P*_b(x)",
         [BASE, RECORD_FORMS, OUTPUT, _num("--k", default=3), _num("--x")],
         lambda a, ctx: render([experiments.count_kfree_palindromes(
-            ctx, a.k, a.x, _get_table(max(2, a.x)))], a.format)),
+            ctx, a.k, a.x, _get_table(a.x))], a.format)),
     "palin-div": (
         "palindromes <= x divisible by d", [BASE, OUTPUT, _num("--x"), _num("--d"), STAR],
         lambda a, ctx: f"{experiments.count_palindromes_div_by(ctx, a.x, a.d, star=a.star)}\n"),
@@ -174,7 +175,7 @@ COMMANDS = {
          _num("--rough-exponent", float, default=None)],
         lambda a, ctx: str(experiments.count_almost_prime_palindromes(
             ctx, a.x, a.omega_max, kfree_k=a.kfree_k, rough_exponent=a.rough_exponent,
-            table=_get_table(max(2, a.x)))) + "\n"),
+            table=_get_table(a.x))) + "\n"),
     "sqrt-law": ("palindrome counts normalized by sqrt(x)",
                  [BASE, _forms("json", "csv"), OUTPUT, _num("--x", nargs="+"), STAR], _sqrt_law),
     "certify": ("certify one base", [RECORD_FORMS, OUTPUT, _num("--b"), _num("--K")], _certify),

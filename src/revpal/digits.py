@@ -41,18 +41,16 @@ class BaseContext:
     def __post_init__(self):
         if self.b < 2:
             raise ValueError(f"base must be >= 2, got {self.b}")
-        object.__setattr__(self, "b2m1", self.b * self.b - 1)
-        object.__setattr__(self, "b3mb", self.b ** 3 - self.b)
-        ps = set().union(*map(_trial_factor, (self.b - 1, self.b, self.b + 1)))  # _trial_factor(1) == []
-        object.__setattr__(self, "primes_b3mb", tuple(sorted(ps)))
-        object.__setattr__(self, "phi_b", _phi(self.b))
-
-
-def _phi(b: int) -> int:
-    phi = b
-    for p in _trial_factor(b):
-        phi -= phi // p
-    return phi
+        b = self.b
+        object.__setattr__(self, "b2m1", b * b - 1)
+        object.__setattr__(self, "b3mb", b ** 3 - b)
+        ps = sorted(set().union(*map(_trial_factor, (b - 1, b, b + 1))))  # _trial_factor(1) == []
+        object.__setattr__(self, "primes_b3mb", tuple(ps))
+        phi = b  # phi(b) = b * prod(1 - 1/p) over the primes p | b
+        for p in ps:
+            if b % p == 0:
+                phi -= phi // p
+        object.__setattr__(self, "phi_b", phi)
 
 
 @lru_cache(maxsize=None)

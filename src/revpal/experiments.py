@@ -3,7 +3,7 @@ its derived counts, each paired with a theoretical main term where one exists.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isqrt
 
 import numpy as np
@@ -18,28 +18,18 @@ class CountReport:
     label: str
     b: int
     k: int | None
-    n_or_x: int
+    N_or_x: int
     d: int | None
     empirical: int
     main_term: float
 
     @property
-    def ratio(self) -> float:
-        if self.main_term <= 0:
-            raise ValueError("ratio undefined for non-positive main term")
-        return self.empirical / self.main_term
+    def ratio(self) -> float | None:
+        """empirical / main_term, None where main_term <= 0."""
+        return self.empirical / self.main_term if self.main_term > 0 else None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "b": self.b,
-            "k": self.k,
-            "N_or_x": self.n_or_x,
-            "d": self.d,
-            "empirical": self.empirical,
-            "main_term": self.main_term,
-            "ratio": self.ratio if self.main_term > 0 else None,
-        }
+        return {**asdict(self), "ratio": self.ratio}
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +41,8 @@ def enumerate_palindromes(ctx: BaseContext, x: int, star: bool = False) -> np.nd
 
     The n-digit palindromes are built together from their leading h = ceil(n/2)
     digits, one mirrored digit per step; prefixes above x // b^(n-h) are skipped,
-    since every palindrome they start exceeds x.
+    since every palindrome they start exceeds x.  P* is tested one prime of
+    b^3 - b at a time: the product overflows int64 past b = 2^21.
     """
     b = ctx.b
     blocks = [np.empty(0, dtype=np.int64)]
@@ -66,13 +57,18 @@ def enumerate_palindromes(ctx: BaseContext, x: int, star: bool = False) -> np.nd
         blocks.append(v[v <= x])
         n += 1
     pal = np.concatenate(blocks)
-    return pal[np.gcd(pal, ctx.b3mb) == 1] if star else pal
+    if star:
+        for p in ctx.primes_b3mb:
+            pal = pal[pal % p != 0]
+    return pal
 
 
 def count_palindromes_div_by(ctx: BaseContext, x: int, d: int, star: bool = False) -> int:
-    """#{n in P_b(x) (or P*_b(x)) : d | n}."""
+    """#{n in P_b(x) (or P*_b(x)) : d | n}; 0 for d > x, which no n reaches."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if d > x:
+        return 0
     return int(np.count_nonzero(enumerate_palindromes(ctx, x, star) % d == 0))
 
 
@@ -117,7 +113,7 @@ def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable)
     rev = _reversed_primes_in_class(ctx, N, table)
     count = int(np.count_nonzero(table.kfree_at(rev, k)))
     return CountReport(
-        label="rev_kfree_primes", b=ctx.b, k=k, n_or_x=N, d=None,
+        label="rev_kfree_primes", b=ctx.b, k=k, N_or_x=N, d=None,
         empirical=count, main_term=main_term,
     )
 
@@ -126,9 +122,9 @@ def rev_pi_star(ctx: BaseContext, N: int, d: int, table: FactorTable) -> CountRe
     """pi*_N(0, d): primes p in B_N with reverse in B*_N and d | reverse(p)."""
     main_term = densities.rev_pi_main_term(ctx, d, N)  # checks d and N before the table
     rev = _reversed_primes_in_class(ctx, N, table)
-    count = int(np.count_nonzero(rev % d == 0))
+    count = int(np.count_nonzero(rev % d == 0)) if d < ctx.b ** N else 0  # every rev < b^N
     return CountReport(
-        label="rev_pi_star", b=ctx.b, k=None, n_or_x=N, d=d,
+        label="rev_pi_star", b=ctx.b, k=None, N_or_x=N, d=d,
         empirical=count, main_term=main_term,
     )
 
@@ -146,7 +142,7 @@ def count_kfree_palindromes(ctx: BaseContext, k: int, x: int, table: FactorTable
     pstar = enumerate_palindromes(ctx, x, star=True)
     count = int(np.count_nonzero(table.kfree_at(pstar, k)))
     return CountReport(
-        label="kfree_palindromes", b=ctx.b, k=k, n_or_x=x, d=None,
+        label="kfree_palindromes", b=ctx.b, k=k, N_or_x=x, d=None,
         empirical=count,
         main_term=densities.palin_kfree_main_term(ctx, k, len(pstar)),
     )

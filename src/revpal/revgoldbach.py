@@ -2,7 +2,7 @@
 scanning for unrepresentable targets, and the prime-plus-squarefree variant.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import chain
 
@@ -22,16 +22,12 @@ class ScanResult:
     base: int
     limit: int
     scanned_from: int
-    parity: TargetClass
+    parity_class: TargetClass
     exceptions: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base, "limit": self.limit,
-            "scanned_from": self.scanned_from,
-            "parity_class": self.parity.value,
-            "exceptions": list(self.exceptions),
-        }
+        return {**asdict(self), "parity_class": self.parity_class.value,
+                "exceptions": list(self.exceptions)}
 
 
 def parity_class(ctx: BaseContext) -> TargetClass:
@@ -72,7 +68,8 @@ def prime_bound(ctx: BaseContext, cap: int) -> int:
 def reversed_prime_block(ctx: BaseContext, N: int, table: FactorTable) -> np.ndarray:
     """Block N of the table's reversed-prime memo in base b, read-only: the
     sorted rev(p) over the N-digit primes p <= table.limit but b, the only
-    one with a trailing zero, built on first read into table._memo[b, N]."""
+    one with a trailing zero.  table._memo maps (b, N) to this block, built
+    on its first read and kept for the table's lifetime."""
     b = ctx.b
     vals = table._memo.get((b, N))
     if vals is None:
@@ -147,21 +144,16 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
     parity = parity_class(ctx)
     rev_vals = chain.from_iterable(_reversed_blocks(ctx, limit - 2, table))
     n = max(limit + 1, 0)
-    alive = np.zeros(n, dtype=bool)
-    alive[4:] = True
-    if parity is TargetClass.EVEN_TARGETS_ONLY:
-        alive[1::2] = False
-    live = np.packbits(alive, bitorder="little")
-    del alive
-    packed = np.packbits(table.omega_total[:n] != 1, bitorder="little")
-    below = np.roll(packed, 1)
-    below[:1] = 0xFF
-    shifted = np.empty((8, packed.size), dtype=np.uint8)
-    shifted[0] = packed
+    live = np.full(-(-n // 8), 0x55 if parity is TargetClass.EVEN_TARGETS_ONLY else 0xFF,
+                   dtype=np.uint8)
+    live[:1] &= 0xF0  # targets 0..3
+    live[-1:] &= 0xFF >> (-n % 8)  # bits past limit
+    shifted = np.empty((8, live.size), dtype=np.uint8)
+    shifted[0] = np.packbits(table.omega_total[:n] != 1, bitorder="little")
     for s in range(1, 8):
-        np.left_shift(packed, s, out=shifted[s])
-        shifted[s] |= below >> (8 - s)
-    del packed, below
+        np.left_shift(shifted[0], s, out=shifted[s])
+        shifted[s, 1:] |= shifted[0, :-1] >> (8 - s)
+        shifted[s, :1] |= (1 << s) - 1
 
     top = _last_nonzero(live, live.size - 1)
     for r in map(int, rev_vals):
@@ -173,7 +165,7 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
     exceptions = np.flatnonzero(np.unpackbits(live[:top + 1], bitorder="little"))
     return ScanResult(
         base=ctx.b, limit=limit, scanned_from=4,
-        parity=parity, exceptions=tuple(exceptions.tolist()),
+        parity_class=parity, exceptions=tuple(exceptions.tolist()),
     )
 
 

@@ -33,10 +33,9 @@ class CacheVersionError(ValueError):
 class FactorTable:
     """Immutable sieve output over [0, limit]; index 0 is padding.
 
-    _memo maps (b, N) to block N of the reversed primes in base b, the sorted
-    rev(p) over the N-digit primes p <= limit with b not dividing p, built by
-    the first revgoldbach.reversed_prime_block call for it; it lives and dies
-    with the table and is neither saved, compared nor shown.
+    _memo holds arrays its owners derive from the table (see
+    revgoldbach.reversed_prime_block); it lives and dies with the table and
+    is never saved, compared or shown.
     """
 
     limit: int

@@ -10,9 +10,15 @@ argument in (0, pi), convex in theta.  The larger of two convex sequences is
 convex, so B_i is convex on 0..i_a, where the h = 0 term is b, and on
 i_a + 1..K - 2 - i_a, whose columns lie in (alpha, 1/b - alpha) and whose ends
 are mirrors; each peaks at an end.  candidate_bounds evaluates the segments
-{0} and i_a - 2..i_a + 2 in 0..ceil(K/2) - 1 (the spares absorb an i_a that
-rounding or the _CAP_GUARD kink moves); the smallest argmax among them is
-the certificate's worst_segment.
+{0} and i_a - 2..i_a + 2 in 0..ceil(K/2) - 1; the smallest argmax among them
+is the certificate's worst_segment.  The spares absorb two shifts of the
+kink from the computed i_a.  Rounding: i_a = floor(alpha K b), alpha K b <= K/3,
+and a few ulp of it are under 1e-3 segment for K <= 10^12.  The guard:
+_CAP_GUARD caps g_0 up to sin pi theta = (1 + 1e-12)/b, which moves the kink
+past alpha by about 1e-12 / (pi b cos pi alpha), or 1e-12 K / (pi cos pi alpha)
+< 0.4e-12 K segments, as alpha <= 1/6.  So for K <= _K_MAX = 10^12 the kink
+lies in segment i_a or i_a + 1, and the peaks on either side of it lie in
+i_a - 2..i_a + 2; candidate_bounds refuses a larger K.
 
 Float error, per grid point: sin pi x is formed by angle addition as
 S_h c_j + C_h s_j, with m = min(h, b-h), S_h = sin(pi m/b), C_h = cos(pi m/b)
@@ -41,6 +47,8 @@ SLACK = 1e-9  # relative margin: a base passes iff max_bound * (1 + SLACK) < b^(
 
 # widen the cap decision slightly so rounding at arch boundaries cannot flip it
 _CAP_GUARD = 1.0 + 1e-12
+# the largest K whose guarded cap kink stays within one segment of i_a
+_K_MAX = 10 ** 12
 
 # grid points per block of candidate_bounds; its two 256 kB buffers serve every
 # block and are its only block-sized float arrays (_cap_reciprocal compares with
@@ -113,6 +121,8 @@ def candidate_bounds(ctx: BaseContext, K: int) -> tuple[list[int], np.ndarray]:
     the summation order and the error sources."""
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
+    if K > _K_MAX:
+        raise ValueError(f"K must be <= {_K_MAX}, got {K}")
     b = ctx.b
     i_a = int(math.asin(1.0 / b) / math.pi * K * b)
     # Python ints: the first np.unique or np.sort call pages in numpy's sort code

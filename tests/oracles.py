@@ -200,7 +200,7 @@ def scan_exceptions_mask(ctx: BaseContext, limit: int, table: FactorTable) -> Sc
         pending = np.concatenate((pending[:i], tail[not_prime[tail - r]]))
     return ScanResult(
         base=ctx.b, limit=limit, scanned_from=4,
-        parity=parity, exceptions=tuple(int(t) for t in pending),
+        parity_class=parity, exceptions=tuple(int(t) for t in pending),
     )
 
 

@@ -120,7 +120,7 @@ def test_determinism_identical_runs():
 
 
 def test_emit_report_round_trip():
-    rep = CountReport(label="x", b=10, k=2, n_or_x=3, d=None, empirical=5, main_term=4.0)
+    rep = CountReport(label="x", b=10, k=2, N_or_x=3, d=None, empirical=5, main_term=4.0)
     assert json.loads(render([rep], "json")) == [rep.to_dict()]
 
 
@@ -388,6 +388,24 @@ CLI_BYTES = [
     ("main-term --which rev-pi --N 5 --d 7", 0, "496.336550747\n", ""),
     ("main-term --which rev-kfree", 2, "", "error: --N is required for rev-kfree\n"),
     ("main-term --which rev-pi --N 5", 2, "", "error: --N and --d are required for rev-pi\n"),
+    # b^3 - b past int64 (b > 2^21), and divisors or K past the supported range
+    ("palindromes --base 3000000 --x 100 --star", 0,
+     "[1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59, 61, 67, 71, 73, 77, 79, "
+     "83, 89, 91, 97]\n", ""),
+    ("sqrt-law --base 3000000 --x 100 --star", 0,
+     '[{"x": 100, "count": 26, "normalized": 2.6}]\n', ""),
+    ("palin-div --base 3000000 --x 100 --d 7 --star", 0, "4\n", ""),
+    ("count-palin-kfree --base 3000000 --x 100", 0,
+     '[{"label": "kfree_palindromes", "b": 3000000, "k": 3, "N_or_x": 100, "d": null, '
+     '"empirical": 26, "main_term": 25.877303106435107, "ratio": 1.0047414868953009}]\n', ""),
+    ("palin-div --x 1000 --d 99999999999999999999", 0, "0\n", ""),
+    ("rev-pi-star --N 3 --d 100000000000000000001", 0,
+     '[{"label": "rev_pi_star", "b": 10, "k": null, "N_or_x": 3, "d": 100000000000000000001, '
+     '"empirical": 0, "main_term": 5.790593092043357e-19, "ratio": 0.0}]\n', ""),
+    ("certify --b 26000 --K 100000000000000000000", 2, "",
+     "error: K must be <= 1000000000000, got 100000000000000000000\n"),
+    ("certify-range --b0 26000 --b1 26000 --K 1000000000001", 2, "",
+     "error: K must be <= 1000000000000, got 1000000000001\n"),
     ("palindromes --x 100 --format csv", 2, "", None),
     ("sqrt-law --x 100 --format human", 2, "", None),
     ("palin-div --x 1000 --d 11 --format json", 2, "", None),

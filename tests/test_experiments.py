@@ -40,7 +40,8 @@ def test_single_digits_are_palindromes():
         assert enumerate_palindromes(ctx, b - 1).tolist() == list(range(1, b))
 
 
-@pytest.mark.parametrize("b", [2, 3, 10, 16])
+# b^3 - b is past int64 from b = 2^21 + 1
+@pytest.mark.parametrize("b", [2, 3, 10, 16, 2 ** 21, 2 ** 21 + 1, 3 * 10 ** 6])
 def test_enumeration_matches_brute_force(b):
     ctx = base_context(b)
     for x in (0, 1, 50, 1221, 3000, 10 ** 4):
@@ -92,6 +93,9 @@ def test_rev_pi_star_examples(table_1e5):
     # only 91 among the nine reversed values is divisible by 7
     assert rev_pi_star(ctx, 2, 7, table_1e5).empirical == 1
     assert rev_pi_star(ctx, 2, 101, table_1e5).empirical == 0
+    # the largest d below b^N coprime to 990, and a d past int64, which divides no reverse
+    assert rev_pi_star(ctx, 2, 97, table_1e5).empirical == 1
+    assert rev_pi_star(ctx, 2, 10 ** 20 + 1, table_1e5).empirical == 0
 
 
 def test_rev_pi_star_rejects_shared_factor(table_1e5):
@@ -113,6 +117,15 @@ def test_count_palindromes_div_by(table_1e5):
     assert count_palindromes_div_by(ctx, 100, 11) == 9
     assert count_palindromes_div_by(ctx, 100, 1) == 18
     assert count_palindromes_div_by(ctx, 100, 1, star=True) == 2
+    # d = x counts x alone; a larger d, even past int64, counts nothing
+    assert count_palindromes_div_by(ctx, 99, 99) == 1
+    assert count_palindromes_div_by(ctx, 99, 100) == 0
+    assert count_palindromes_div_by(ctx, 1000, 10 ** 20 - 1, star=True) == 0
+
+
+def test_ratio_is_none_where_the_main_term_is_not_positive():
+    rep = experiments.CountReport(label="x", b=10, k=2, N_or_x=3, d=None, empirical=5, main_term=0.0)
+    assert rep.ratio is None and rep.to_dict()["ratio"] is None
 
 
 def test_almost_prime_palindromes(table_1e5):

@@ -85,14 +85,14 @@ def test_scan_small_base10(table_1e5):
     assert res.exceptions == ()
     res = scan_exceptions(ctx, 1000, table_1e5)
     assert res.exceptions == (11,)
-    assert res.parity is TargetClass.ALL_TARGETS
+    assert res.parity_class is TargetClass.ALL_TARGETS
     assert res.scanned_from == 4
 
 
 def test_scan_base2_even_targets_only(table_1e5):
     ctx = base_context(2)
     res = scan_exceptions(ctx, 100, table_1e5)
-    assert res.parity is TargetClass.EVEN_TARGETS_ONLY
+    assert res.parity_class is TargetClass.EVEN_TARGETS_ONLY
     assert all(e % 2 == 0 for e in res.exceptions)
     # every listed exception really has no representation
     for e in res.exceptions:

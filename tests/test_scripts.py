@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,6 +27,14 @@ def test_hcabdlog_scan_runs_below_a_power_of_the_base():
     res = run_script("hcabdlog_scan.py", "--limit", "500", "--show-counts", "3")
     assert res.returncode == 0, res.stderr
     assert '"exceptions": [11]' in res.stdout
+
+
+@pytest.mark.parametrize("limit", ["0", "1"])
+def test_hcabdlog_scan_sizes_its_table_as_the_cli_does(limit):
+    res = run_script("hcabdlog_scan.py", "--limit", limit)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (f'{{"base": 10, "limit": {limit}, "scanned_from": 4, '
+                          '"parity_class": "all_targets", "exceptions": []}\n')
 
 
 def test_reproduce_table_quick_passes_every_row():

@@ -167,6 +167,33 @@ def test_candidate_segments_hold_the_max_for_every_K_at_20000():
         _assert_candidates_match_every_segment(20000, K)
 
 
+def _window_bounds(ctx, K, lo, hi):
+    """B_i for lo <= i < hi by candidate_bounds' kernel, one column at a time."""
+    sin_h, cos_h = verifier._row_factors(ctx.b)
+    cols = [verifier._cap_reciprocal(math.cos(t) * sin_h + math.sin(t) * cos_h, ctx.b)
+            for t in np.pi * np.arange(lo, hi + 1) / (K * ctx.b)]
+    return np.array([np.maximum(g, h).sum() for g, h in zip(cols, cols[1:])])
+
+
+@pytest.mark.parametrize("b", [2, 3, 7, 26000, 31698])
+def test_candidate_segments_hold_the_max_at_the_largest_K(b):
+    # the guarded cap kink moves past i_a by up to 0.4e-12 K segments; at
+    # K = 10^13 the max of this window falls at i_a + 3 or i_a + 4
+    K = 10 ** 12
+    ctx = base_context(b)
+    i_a = int(math.asin(1.0 / b) / math.pi * K * b)
+    window = _window_bounds(ctx, K, i_a - 5, i_a + 60)
+    segments, bounds = verifier.candidate_bounds(ctx, K)
+    assert segments[1:] == list(range(i_a - 2, i_a + 3))
+    assert i_a - 5 + int(np.argmax(window)) in segments
+    assert window.max() <= bounds.max() * (1 + 1e-15)
+
+
+def test_candidate_bounds_refuse_K_past_the_guard_bound():
+    with pytest.raises(ValueError, match=r"^K must be <= 1000000000000, got 1000000000001$"):
+        verifier.candidate_bounds(base_context(26000), 10 ** 12 + 1)
+
+
 def test_certify_base_memory_is_a_few_columns():
     ctx = base_context(26000)
     tracemalloc.start()
