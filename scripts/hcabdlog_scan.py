@@ -7,7 +7,7 @@ import json
 
 from revpal import sieve
 from revpal.digits import base_context
-from revpal.revgoldbach import estermann_count, prime_bound, representations, scan_exceptions
+from revpal.revgoldbach import estermann_count, representations, scan_exceptions, table_limit
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     ctx = base_context(args.base)
     # estermann_count(M) reads reverses up to M - 1 for targets M <= limit;
     # 2 is the least limit build accepts
-    table = sieve.build(max(2, args.limit, prime_bound(ctx, args.limit - 1)))
+    table = sieve.build(max(2, table_limit(ctx, args.limit, args.limit - 1)))
     res = scan_exceptions(ctx, args.limit, table)
     print(json.dumps(res.to_dict()))
     for M in range(4, 4 + args.show_counts):

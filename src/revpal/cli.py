@@ -24,7 +24,9 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _get_table(limit: int) -> sieve.FactorTable:
+def _get_table(limit: int, *_checked) -> sieve.FactorTable:
+    # _checked: the values of the library's argument checks for the call the
+    # table feeds, passed so that they run, and raise, before it is built
     limit = max(2, limit)  # the least limit build accepts
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
@@ -108,11 +110,6 @@ def _find_min_k(a, ctx) -> tuple[str, int]:
     return json.dumps({"b": a.b, "K_max": a.k_max, "min_K": k}) + "\n", int(k is None)
 
 
-def _goldbach_table(ctx, target: int, cap: int) -> sieve.FactorTable:
-    """A table covering target and every prime whose reverse is at most cap."""
-    return _get_table(max(target, revgoldbach.prime_bound(ctx, cap)))
-
-
 def _main_term(a, ctx) -> str:
     if a.which == "zeta":
         v = densities.zeta(a.k)
@@ -154,18 +151,18 @@ COMMANDS = {
     "count-rev-kfree": (
         "r_{b,k}(N) with main term",
         [BASE, RECORD_FORMS, OUTPUT, _num("--k", default=2), _num("--N")],
-        lambda a, ctx: render([experiments.count_rev_kfree_primes(
-            ctx, a.k, a.N, _get_table(ctx.b ** a.N))], a.format)),
+        lambda a, ctx: render([experiments.count_rev_kfree_primes(ctx, a.k, a.N, _get_table(
+            ctx.b ** a.N, densities.rev_kfree_main_term(ctx, a.k, a.N)))], a.format)),
     "rev-pi-star": (
         "primes with d | reverse, with main term",
         [BASE, RECORD_FORMS, OUTPUT, _num("--N"), _num("--d")],
-        lambda a, ctx: render([experiments.rev_pi_star(
-            ctx, a.N, a.d, _get_table(ctx.b ** a.N))], a.format)),
+        lambda a, ctx: render([experiments.rev_pi_star(ctx, a.N, a.d, _get_table(
+            ctx.b ** a.N, densities.rev_pi_main_term(ctx, a.d, a.N)))], a.format)),
     "count-palin-kfree": (
         "k-free members of P*_b(x)",
         [BASE, RECORD_FORMS, OUTPUT, _num("--k", default=3), _num("--x")],
-        lambda a, ctx: render([experiments.count_kfree_palindromes(
-            ctx, a.k, a.x, _get_table(a.x))], a.format)),
+        lambda a, ctx: render([experiments.count_kfree_palindromes(ctx, a.k, a.x, _get_table(
+            a.x, densities.palin_kfree_main_term(ctx, a.k, 0)))], a.format)),
     "palin-div": (
         "palindromes <= x divisible by d", [BASE, OUTPUT, _num("--x"), _num("--d"), STAR],
         lambda a, ctx: f"{experiments.count_palindromes_div_by(ctx, a.x, a.d, star=a.star)}\n"),
@@ -174,8 +171,8 @@ COMMANDS = {
         [BASE, OUTPUT, _num("--x"), _num("--omega-max"), _num("--kfree-k", default=None),
          _num("--rough-exponent", float, default=None)],
         lambda a, ctx: str(experiments.count_almost_prime_palindromes(
-            ctx, a.x, a.omega_max, kfree_k=a.kfree_k, rough_exponent=a.rough_exponent,
-            table=_get_table(a.x))) + "\n"),
+            ctx, a.x, a.omega_max, a.kfree_k, a.rough_exponent, table=_get_table(
+                a.x, experiments._check_almost_prime(a.omega_max, a.rough_exponent)))) + "\n"),
     "sqrt-law": ("palindrome counts normalized by sqrt(x)",
                  [BASE, _forms("json", "csv"), OUTPUT, _num("--x", nargs="+"), STAR], _sqrt_law),
     "certify": ("certify one base", [RECORD_FORMS, OUTPUT, _num("--b"), _num("--K")], _certify),
@@ -190,12 +187,12 @@ COMMANDS = {
                lambda a, ctx: _fmt(verifier.f_eval(ctx, a.theta)) + "\n"),
     "hcabdlog": (
         "scan for unrepresentable targets", [BASE, OUTPUT, _num("--limit")],
-        lambda a, ctx: json.dumps(revgoldbach.scan_exceptions(
-            ctx, a.limit, _goldbach_table(ctx, a.limit, a.limit - 2)).to_dict()) + "\n"),
+        lambda a, ctx: json.dumps(revgoldbach.scan_exceptions(ctx, a.limit, _get_table(
+            revgoldbach.table_limit(ctx, a.limit, a.limit - 2))).to_dict()) + "\n"),
     "estermann": (
         "prime + squarefree representation count", [BASE, OUTPUT, _num("--M")],
-        lambda a, ctx: str(revgoldbach.estermann_count(
-            ctx, a.M, _goldbach_table(ctx, a.M, a.M - 1))) + "\n"),
+        lambda a, ctx: str(revgoldbach.estermann_count(ctx, a.M, _get_table(
+            revgoldbach.table_limit(ctx, a.M, a.M - 1)))) + "\n"),
     "main-term": (
         "theoretical main terms",
         [BASE, ("--which", {"choices": ["rev-kfree", "rev-pi", "kfree-density", "zeta"],

@@ -16,12 +16,15 @@ def zeta(k: int) -> float:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     M = 1000
-    s = sum(n ** -float(k) for n in range(M - 1, 0, -1))
-    # tail: integral term, half-step correction, two Bernoulli corrections
-    s += M ** (1.0 - k) / (k - 1)
-    s += 0.5 * M ** (-float(k))
-    s += (k / 12.0) * M ** (-(k + 1.0))
-    s -= (k * (k + 1) * (k + 2) / 720.0) * M ** (-(k + 3.0))
+    try:
+        s = sum(n ** -float(k) for n in range(M - 1, 0, -1))
+        # tail: integral term, half-step correction, two Bernoulli corrections
+        s += M ** (1.0 - k) / (k - 1)
+        s += 0.5 * M ** (-float(k))
+        s += (k / 12.0) * M ** (-(k + 1.0))
+        s -= (k * (k + 1) * (k + 2) / 720.0) * M ** (-(k + 3.0))
+    except OverflowError:  # k(k+1)(k+2) from k of 103 digits
+        raise ValueError(f"k = {k} is too large: zeta's tail terms overflow a float") from None
     return s
 
 
@@ -29,26 +32,29 @@ def kfree_density(ctx: BaseContext, k: int) -> float:
     """Density of k-free integers among those coprime to b^3 - b:
     (1/zeta(k)) * prod_{p | b^3-b} (1 - p^-k)^-1.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    z = zeta(k)  # checks k first
     prod = 1.0
     for p in ctx.primes_b3mb:
         prod /= 1.0 - p ** -float(k)
-    return prod / zeta(k)
+    return prod / z
 
 
-def log_prime_main_term(ctx: BaseContext, N: int) -> float:
-    """log of (phi(b)/b) * b^N / (N log b), the expected prime count over
-    N-digit numbers whose reverse is coprime to b."""
+def _prime_main_term(ctx: BaseContext, log_factor: float, N: int) -> float:
+    """e^log_factor (phi(b)/b) b^N / (N log b), the expected prime count over
+    N-digit numbers whose reverse is coprime to b, scaled; a ValueError where
+    it overflows a float."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     logb = math.log(ctx.b)
-    return math.log(ctx.phi_b / ctx.b) + N * logb - math.log(N * logb)
+    try:
+        return math.exp(log_factor + (math.log(ctx.phi_b / ctx.b) + N * logb - math.log(N * logb)))
+    except OverflowError:
+        raise ValueError(f"the main term at N = {N} overflows a float") from None
 
 
 def rev_kfree_main_term(ctx: BaseContext, k: int, N: int) -> float:
     """Main term for the count of N-digit primes with k-free reverse."""
-    return math.exp(math.log(kfree_density(ctx, k)) + log_prime_main_term(ctx, N))
+    return _prime_main_term(ctx, math.log(kfree_density(ctx, k)), N)
 
 
 def palin_kfree_main_term(ctx: BaseContext, k: int, pstar_count: int) -> float:
@@ -66,4 +72,4 @@ def rev_pi_main_term(ctx: BaseContext, d: int, N: int) -> float:
         raise ValueError(f"d must be >= 1, got {d}")
     if math.gcd(d, ctx.b3mb) != 1:
         raise ValueError(f"d = {d} shares a factor with b^3 - b = {ctx.b3mb}")
-    return math.exp(log_prime_main_term(ctx, N) - math.log(d))
+    return _prime_main_term(ctx, -math.log(d), N)

@@ -109,9 +109,10 @@ def _padded_reversals(b: int) -> tuple[int, np.ndarray | None]:
 def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
     """Digital reverse of every entry of ns in base ctx.b.
 
-    ns must be an ascending int64 array with no entry divisible by b, such as
-    primes from np.nonzero over prime flags.  Entries with equal digit counts
-    form contiguous blocks, found with np.searchsorted.  Each block is reversed
+    ns must be a non-decreasing int64 array of positive entries, such as
+    primes from np.nonzero over prime flags; an entry divisible by b reverses
+    as its digit string, so 120 gives 21 in base 10.  Entries with equal digit
+    counts form contiguous blocks, found with np.searchsorted.  Each block is reversed
     into its slice of the output in slices of _REVERSE_SLICE entries, through
     two reused scratch buffers, so the temporaries stay a fixed size.  A step
     reverses k0 digits (see _padded_reversals) by one divmod by b^k0 and one

@@ -9,7 +9,7 @@ from math import isqrt
 import numpy as np
 
 from . import densities, revgoldbach
-from .digits import BaseContext, reverse
+from .digits import BaseContext, reverse, reverse_array
 from .sieve import FactorTable
 
 
@@ -40,9 +40,10 @@ def enumerate_palindromes(ctx: BaseContext, x: int, star: bool = False) -> np.nd
     """P_b(x), or its subset P*_b(x) coprime to b^3 - b, as an ascending int64 array.
 
     The n-digit palindromes are built together from their leading h = ceil(n/2)
-    digits, one mirrored digit per step; prefixes above x // b^(n-h) are skipped,
-    since every palindrome they start exceeds x.  P* is tested one prime of
-    b^3 - b at a time: the product overflows int64 past b = 2^21.
+    digits v: for n > 1 the palindrome is v b^(n-h) + rev(v // b^(2h-n)), its
+    first n - h digits mirrored by reverse_array.  Prefixes above x // b^(n-h)
+    are skipped, since every palindrome they start exceeds x.  P* is tested one
+    prime of b^3 - b at a time: the product overflows int64 past b = 2^21.
     """
     b = ctx.b
     blocks = [np.empty(0, dtype=np.int64)]
@@ -50,10 +51,8 @@ def enumerate_palindromes(ctx: BaseContext, x: int, star: bool = False) -> np.nd
     while b ** (n - 1) <= x:
         h = (n + 1) // 2
         v = np.arange(b ** (h - 1), min(b ** h, x // b ** (n - h) + 1), dtype=np.int64)
-        q = v // b ** (2 * h - n)
-        for _ in range(n - h):
-            v = v * b + q % b
-            q //= b
+        if n > 1:
+            v = v * b ** (n - h) + reverse_array(v // b ** (2 * h - n), ctx)
         blocks.append(v[v <= x])
         n += 1
     pal = np.concatenate(blocks)
@@ -148,6 +147,14 @@ def count_kfree_palindromes(ctx: BaseContext, k: int, x: int, table: FactorTable
     )
 
 
+def _check_almost_prime(omega_max: int, rough_exponent: float | None):
+    """The argument checks of count_almost_prime_palindromes that need no table."""
+    if omega_max < 0:
+        raise ValueError("omega_max must be >= 0")
+    if rough_exponent is not None and not math.isfinite(rough_exponent):
+        raise ValueError(f"rough_exponent must be finite, got {rough_exponent}")
+
+
 def count_almost_prime_palindromes(
     ctx: BaseContext,
     x: int,
@@ -161,12 +168,9 @@ def count_almost_prime_palindromes(
     n = 1, or its smallest prime factor spf(n) >= y = x^rough_exponent.  For
     2 <= n <= x, that is n >= y with no prime p < y, p <= isqrt(x) dividing n:
     a composite n has spf(n) <= isqrt(n) <= isqrt(x); a prime n has spf(n) = n."""
+    _check_almost_prime(omega_max, rough_exponent)
     if x > table.limit:
         raise ValueError(f"table limit {table.limit} too small for x = {x}")
-    if omega_max < 0:
-        raise ValueError("omega_max must be >= 0")
-    if rough_exponent is not None and not math.isfinite(rough_exponent):
-        raise ValueError(f"rough_exponent must be finite, got {rough_exponent}")
     pal = enumerate_palindromes(ctx, x)
     keep = table.omega_total[pal] <= omega_max
     if kfree_k is not None:

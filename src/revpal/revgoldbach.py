@@ -83,16 +83,23 @@ def reversed_prime_block(ctx: BaseContext, N: int, table: FactorTable) -> np.nda
     return vals
 
 
-def _reversed_blocks(ctx: BaseContext, cap: int, table: FactorTable):
+def table_limit(ctx: BaseContext, target: int, cap: int) -> int:
+    """The least table limit that covers target and every prime whose
+    reverse is at most cap."""
+    return max(target, prime_bound(ctx, cap))
+
+
+def _reversed_blocks(ctx: BaseContext, target: int, cap: int, table: FactorTable):
     """Blocks 1 to d of the memo, d the digit count of cap, the last cut at
     cap, as a lazy iterator: together the sorted rev(p) <= cap over primes
-    p <= prime_bound(ctx, cap) with b not dividing p.  The table must cover
-    that bound, checked before any block is built, so the cut is exact."""
-    bound = prime_bound(ctx, cap)
-    if bound > table.limit:
+    p <= prime_bound(ctx, cap) with b not dividing p.  The table must reach
+    table_limit(ctx, target, cap), checked before any block is built, so the
+    cut is exact and every M - rev(p) of a target M is in the table."""
+    need = table_limit(ctx, target, cap)
+    if need > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small; "
-            f"need primes up to {bound} to cover reverses <= {cap}"
+            f"need {need} for target {target} and reverses <= {cap}"
         )
     d = len(to_digits(cap, ctx.b)) if cap >= 1 else 0
     blocks = (reversed_prime_block(ctx, N, table) for N in range(1, d + 1))
@@ -104,10 +111,8 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
     M = rev(p1) + p2."""
     if M < 2:
         raise ValueError(f"target must be >= 2, got {M}")
-    if M > table.limit:
-        raise ValueError(f"table limit {table.limit} too small for target {M}")
     return sum(int(np.count_nonzero(table.omega_total[M - vals] == 1))
-               for vals in _reversed_blocks(ctx, M - 2, table))
+               for vals in _reversed_blocks(ctx, M, M - 2, table))
 
 
 def _last_nonzero(a: np.ndarray, top: int) -> int:
@@ -139,10 +144,8 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
     an upper bound is needed: a stale, too-high top would cost extra ANDs and
     never change the result.
     """
-    if limit > table.limit:
-        raise ValueError(f"table limit {table.limit} too small for scan limit {limit}")
     parity = parity_class(ctx)
-    rev_vals = chain.from_iterable(_reversed_blocks(ctx, limit - 2, table))
+    rev_vals = chain.from_iterable(_reversed_blocks(ctx, limit, limit - 2, table))
     n = max(limit + 1, 0)
     live = np.full(-(-n // 8), 0x55 if parity is TargetClass.EVEN_TARGETS_ONLY else 0xFF,
                    dtype=np.uint8)
@@ -174,7 +177,5 @@ def estermann_count(ctx: BaseContext, M: int, table: FactorTable) -> int:
     M - rev(p) square-free."""
     if M < 1:
         raise ValueError(f"target must be >= 1, got {M}")
-    if M > table.limit:
-        raise ValueError(f"table limit {table.limit} too small for target {M}")
     return sum(int(np.count_nonzero(table.kfree_at(M - vals, 2)))
-               for vals in _reversed_blocks(ctx, M - 1, table))
+               for vals in _reversed_blocks(ctx, M, M - 1, table))

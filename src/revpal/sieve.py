@@ -47,7 +47,8 @@ class FactorTable:
         """Boolean array over the int64 array ns of values in [0, limit], True
         at n >= 1 with no d^k | n, d >= 2; for k = 2 the squarefree flags.
         A square-free n is k-free for every k, so for k >= 3 only the other
-        values are tried, against p^k for the primes p with p^k <= their max."""
+        values are tried, against p^k for the primes p with p^k <= their max;
+        there are none once 2^k > max, and p^k is never formed then."""
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
         flags = self.squarefree[ns]
@@ -57,7 +58,8 @@ class FactorTable:
         rest = ns[at]
         top = int(rest.max(initial=0))
         keep = rest >= 1
-        for p in np.flatnonzero(self.omega_total[: isqrt(top) + 1] == 1).tolist():
+        root = isqrt(top) if k < top.bit_length() else 0  # else 2^k > top
+        for p in np.flatnonzero(self.omega_total[: root + 1] == 1).tolist():
             if p ** k > top:
                 break
             keep &= rest % p ** k != 0

@@ -38,6 +38,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -171,27 +172,22 @@ def segment_bounds_naive(ctx: BaseContext, K: int) -> np.ndarray:
     return out
 
 
-def _certify_one(args: tuple[int, int]) -> Certificate:
-    b, K = args
-    return certify_base(base_context(b), K)
-
-
 def certify_range(b0: int, b1: int, K: int, workers: int = 1) -> list[Certificate]:
     """Independent certificates for every base in [b0, b1], ascending."""
     if not 2 <= b0 <= b1:
         raise ValueError(f"need 2 <= b0 <= b1, got ({b0}, {b1})")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(b, K) for b in range(b0, b1 + 1)]
+    ctxs = [base_context(b) for b in range(b0, b1 + 1)]
     # a fork pool starts all its processes at once, however few the jobs
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(ctxs), os.cpu_count() or 1)
     if workers <= 1:
-        return [_certify_one(j) for j in jobs]
+        return list(map(certify_base, ctxs, repeat(K)))
     # not at module level: it costs every import of revpal about 2 MB and 16 ms
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map yields results in job order, which is ascending b
-        return list(pool.map(_certify_one, jobs, chunksize=4))
+        return list(pool.map(certify_base, ctxs, repeat(K), chunksize=4))
 
 
 def find_min_K(ctx: BaseContext, K_max: int) -> int | None:
@@ -199,6 +195,8 @@ def find_min_K(ctx: BaseContext, K_max: int) -> int | None:
     increasing order (no monotonicity assumed)."""
     if K_max < 2:
         raise ValueError(f"K_max must be >= 2, got {K_max}")
+    if K_max > _K_MAX:  # refused before the first certificate, not after 10^12 of them
+        raise ValueError(f"K_max must be <= {_K_MAX}, got {K_max}")
     for K in range(2, K_max + 1):
         if certify_base(ctx, K).passed:
             return K

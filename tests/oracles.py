@@ -10,6 +10,10 @@ from revpal.revgoldbach import ScanResult, TargetClass, parity_class, prime_boun
 from revpal.sieve import FactorTable
 from revpal.verifier import _BLOCK_POINTS, _cap_reciprocal
 
+# the least k for which zeta's tail term k(k+1)(k+2)/720 no longer fits a float
+ZETA_OVERFLOW_K = int("5643803094122362077939707069896083707827438283144585224311014275783412"
+                      "180059929638814564872415160725735")
+
 
 def build_divide_out(limit: int) -> FactorTable:
     """Factor table by division: one loop over the primes p <= isqrt(limit)
@@ -148,7 +152,7 @@ def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.
     array: sorted rev(p) <= cap over primes p <= prime_bound(ctx, cap) with b
     not dividing p.  It builds the blocks it reads, as the counts do."""
     return np.concatenate([np.empty(0, dtype=np.int64),
-                           *revgoldbach._reversed_blocks(ctx, cap, table)])
+                           *revgoldbach._reversed_blocks(ctx, 0, cap, table)])
 
 
 def reversed_prime_values_direct(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import ZETA_OVERFLOW_K
 from revpal import cli, revgoldbach, sieve
 from revpal.cli import CACHE_ENV, COMMANDS, build_parser, dispatch, main, render
 from revpal.digits import base_context
@@ -257,6 +258,27 @@ def test_almost_prime_rejects_a_non_finite_rough_exponent(e, capsys):
     assert got.out == "" and got.err.startswith("error: rough_exponent must be finite")
 
 
+@pytest.mark.parametrize("line, err", [
+    ("count-rev-kfree --k 1 --N 8", "k must be >= 2, got 1"),
+    ("count-rev-kfree --N 312", "the main term at N = 312 overflows a float"),
+    ("rev-pi-star --N 8 --d 2", "d = 2 shares a factor with b^3 - b = 990"),
+    ("count-palin-kfree --k 2 --x 100000000", "k must be >= 3, got 2"),
+    ("almost-prime --x 100000000 --omega-max -1", "omega_max must be >= 0"),
+    ("almost-prime --x 100000000 --omega-max 6 --rough-exponent nan",
+     "rough_exponent must be finite, got nan"),
+])
+def test_argument_errors_come_before_any_table(line, err, tmp_path, monkeypatch, capsys):
+    # the library's own checks run first: no table is built, and none is cached
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_get_table", lambda *args: pytest.fail("a table was requested"))
+        assert main(line.split()) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert main(line.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_examples_match_goldens(tmp_path, monkeypatch, capsys):
     # the benchmark's golden runner captures file descriptor 1, so pytest's
     # own capture is suspended while it runs
@@ -375,6 +397,11 @@ CLI_BYTES = [
     ("find-min-k --b 20000 --k-max 4", 1, '{"b": 20000, "K_max": 4, "min_K": null}\n', ""),
     ("find-min-k --b 31698 --k-max 1", 2, "", "error: K_max must be >= 2, got 1\n"),
     ("find-min-k --b 31698 --k-max -5", 2, "", "error: K_max must be >= 2, got -5\n"),
+    # K_max past the kernel's range is refused before the first certificate
+    ("find-min-k --b 31698 --k-max 1000000000000", 0,
+     '{"b": 31698, "K_max": 1000000000000, "min_K": 5}\n', ""),
+    ("find-min-k --b 31698 --k-max 10000000000000", 2, "",
+     "error: K_max must be <= 1000000000000, got 10000000000000\n"),
     ("f-eval --b 20000 --theta 0", 0, "147694.728345\n", ""),
     ("f-eval --b 7 --theta inf", 2, "", "error: theta must be finite, got inf\n"),
     ("f-eval --b 7 --theta nan", 2, "", "error: theta must be finite, got nan\n"),
@@ -388,6 +415,19 @@ CLI_BYTES = [
     ("main-term --which rev-pi --N 5 --d 7", 0, "496.336550747\n", ""),
     ("main-term --which rev-kfree", 2, "", "error: --N is required for rev-kfree\n"),
     ("main-term --which rev-pi --N 5", 2, "", "error: --N and --d are required for rev-pi\n"),
+    # on both sides of the first N, or k, whose main term overflows a float
+    ("main-term --which rev-kfree --N 311", 0, "5.35007128783e+307\n", ""),
+    ("main-term --which rev-kfree --N 312", 2, "",
+     "error: the main term at N = 312 overflows a float\n"),
+    ("main-term --which rev-pi --N 312 --d 7", 0, "7.95411139017e+307\n", ""),
+    ("main-term --which rev-pi --N 313 --d 7", 2, "",
+     "error: the main term at N = 313 overflows a float\n"),
+    ("main-term --which zeta --k " + str(ZETA_OVERFLOW_K - 1), 0, "1\n", ""),
+    ("main-term --which zeta --k " + str(ZETA_OVERFLOW_K), 2, "",
+     f"error: k = {ZETA_OVERFLOW_K} is too large: zeta's tail terms overflow a float\n"),
+    ("main-term --which kfree-density --k " + str(ZETA_OVERFLOW_K - 1), 0, "1\n", ""),
+    ("main-term --which kfree-density --k " + str(ZETA_OVERFLOW_K), 2, "",
+     f"error: k = {ZETA_OVERFLOW_K} is too large: zeta's tail terms overflow a float\n"),
     # b^3 - b past int64 (b > 2^21), and divisors or K past the supported range
     ("palindromes --base 3000000 --x 100 --star", 0,
      "[1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59, 61, 67, 71, 73, 77, 79, "

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import mu_trial
+from oracles import ZETA_OVERFLOW_K, mu_trial
 from revpal import densities
 from revpal.densities import (
     kfree_density,
@@ -107,3 +107,24 @@ def test_main_terms_positive_finite():
             for N in (1, 5, 30):
                 v = rev_kfree_main_term(ctx, k, N)
                 assert v > 0 and math.isfinite(v)
+
+
+def test_main_terms_that_overflow_a_float_raise_value_error():
+    ctx = base_context(10)
+    assert math.isfinite(rev_kfree_main_term(ctx, 2, 311))
+    assert math.isfinite(rev_pi_main_term(ctx, 7, 312))
+    assert zeta(ZETA_OVERFLOW_K - 1) == kfree_density(ctx, ZETA_OVERFLOW_K - 1) == 1.0
+    for call in (lambda: rev_kfree_main_term(ctx, 2, 312),
+                 lambda: rev_pi_main_term(ctx, 7, 313),
+                 lambda: rev_kfree_main_term(ctx, 2, 10 ** 400),
+                 lambda: zeta(ZETA_OVERFLOW_K),
+                 lambda: kfree_density(ctx, 10 ** 400),
+                 lambda: palin_kfree_main_term(ctx, 10 ** 400, 5)):
+        with pytest.raises(ValueError, match="overflow"):
+            call()
+
+
+def test_kfree_density_checks_k_before_the_product():
+    # at k = 0 the product would divide by 1 - p^0 = 0
+    with pytest.raises(ValueError, match=r"^k must be >= 2, got 0$"):
+        kfree_density(base_context(10), 0)

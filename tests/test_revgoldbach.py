@@ -168,10 +168,10 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
     seen = []
     blocks = revgoldbach._reversed_blocks
 
-    def counting(ctx, cap, table):
+    def counting(ctx, target, cap, table):
         # the blocks joined into one counted iterable, which the scan chains
         seen.append(_CountingValues(np.concatenate([np.empty(0, np.int64),
-                                                    *blocks(ctx, cap, table)])))
+                                                    *blocks(ctx, target, cap, table)])))
         return [seen[-1]]
 
     monkeypatch.setattr(revgoldbach, "_reversed_blocks", counting)
@@ -430,11 +430,11 @@ def test_too_small_table_raises_before_building_a_block():
     # primes up to 9993, beyond it
     table = build(5000)
     ctx = base_context(10)
-    msg = r"^table limit 5000 too small; need primes up to 9993 to cover reverses <= 4000$"
-    for call in (lambda: reversed_prime_values(ctx, 4000, table),
-                 lambda: representations(ctx, 4002, table),
-                 lambda: estermann_count(ctx, 4001, table),
-                 lambda: scan_exceptions(ctx, 4002, table)):
+    for target, call in ((0, lambda: reversed_prime_values(ctx, 4000, table)),
+                         (4002, lambda: representations(ctx, 4002, table)),
+                         (4001, lambda: estermann_count(ctx, 4001, table)),
+                         (4002, lambda: scan_exceptions(ctx, 4002, table))):
+        msg = rf"^table limit 5000 too small; need 9993 for target {target} and reverses <= 4000$"
         with pytest.raises(ValueError, match=msg):
             call()
     assert table._memo == {}

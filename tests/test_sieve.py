@@ -1,6 +1,11 @@
 import math
+import os
+import resource
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +235,47 @@ def test_kfree_flags_match_oracles():
             assert flags[n] == (mobius_sum_oracle(n, k) == 1) == is_k_free(n, k, t), (n, k)
     with pytest.raises(ValueError):
         t.kfree_at(ns, 1)
+
+
+def test_kfree_at_edge_where_2_to_the_k_passes_the_largest_value():
+    # 4096 = 2^12 is the largest value, the only one besides 0 that is not
+    # 12-free; every n >= 1 up to it is k-free for k >= 13, where no p^k is formed
+    t = build(4096)
+    ns = np.arange(4097)
+    assert np.flatnonzero(~t.kfree_at(ns, 12)).tolist() == [0, 4096]
+    for k in (13, 64):
+        assert t.kfree_at(ns, k).tolist() == [False] + [True] * 4096, k
+
+
+_HUGE_K = """
+import contextlib, io, json
+import numpy as np
+from revpal import cli, sieve
+assert sieve.build(1000).kfree_at(np.array([343]), 10 ** 12).tolist() == [True]
+rows = []
+for k in (40, 10 ** 12):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["count-palin-kfree", "--k", str(k), "--x", "1000"]) == 0
+    [row] = json.loads(out.getvalue())
+    assert row.pop("k") == k
+    rows.append(row)
+assert rows[0] == rows[1], rows
+"""
+
+
+def test_huge_k_forms_no_huge_power():
+    # p^k for k = 10^12 would grow without bound, so the check runs in a child
+    # capped at 1 GiB of address space and 60 s, which fails alone if it regresses
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    res = subprocess.run([sys.executable, "-c", _HUGE_K], env=env, preexec_fn=cap_memory,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def _assert_same_table(t, ref):

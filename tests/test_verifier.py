@@ -279,8 +279,8 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("cores, workers, want", [
@@ -306,6 +306,16 @@ def test_find_min_K_finds_a_passing_K():
     # every smaller K really does fail
     for smaller in range(2, k):
         assert not certify_base(base_context(31698), smaller).passed
+
+
+def test_find_min_K_refuses_K_max_past_the_kernel_range_before_any_certificate(monkeypatch):
+    monkeypatch.setattr(verifier, "certify_base", lambda *a: pytest.fail("certified a K"))
+    with pytest.raises(ValueError, match=r"^K_max must be <= 1000000000000, got 1000000000001$"):
+        find_min_K(base_context(20000), 10 ** 12 + 1)
+
+
+def test_find_min_K_accepts_K_max_at_the_kernel_range():
+    assert find_min_K(base_context(31698), 10 ** 12) == 5
 
 
 def test_find_min_K_computes_the_row_factors_once_per_base():
