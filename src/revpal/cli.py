@@ -172,7 +172,7 @@ COMMANDS = {
          _num("--rough-exponent", float, default=None)],
         lambda a, ctx: str(experiments.count_almost_prime_palindromes(
             ctx, a.x, a.omega_max, a.kfree_k, a.rough_exponent, table=_get_table(
-                a.x, experiments._check_almost_prime(a.omega_max, a.rough_exponent)))) + "\n"),
+                a.x, experiments._check_almost_prime(a.omega_max, a.kfree_k, a.rough_exponent)))) + "\n"),
     "sqrt-law": ("palindrome counts normalized by sqrt(x)",
                  [BASE, _forms("json", "csv"), OUTPUT, _num("--x", nargs="+"), STAR], _sqrt_law),
     "certify": ("certify one base", [RECORD_FORMS, OUTPUT, _num("--b"), _num("--K")], _certify),

@@ -5,26 +5,26 @@ leading asymptotics for the reversed-prime and palindrome counting functions.
 import math
 
 from .digits import BaseContext
+from .sieve import check_k
 
 
 def zeta(k: int) -> float:
     """zeta(k) for integer k >= 2, via partial sum plus Euler-Maclaurin tail.
 
     With cutoff M = 1000 the correction terms leave an error far below
-    double precision for every k >= 2.
+    double precision for every k >= 2.  From k = 54 it is 1.0, the nearest double:
+    zeta(k) - 1 < 2^-k + (integral of x^-k over x >= 2) = 2^-k (1 + 2/(k - 1)) < 2^-53.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_k(k)
+    if k >= 54:
+        return 1.0
     M = 1000
-    try:
-        s = sum(n ** -float(k) for n in range(M - 1, 0, -1))
-        # tail: integral term, half-step correction, two Bernoulli corrections
-        s += M ** (1.0 - k) / (k - 1)
-        s += 0.5 * M ** (-float(k))
-        s += (k / 12.0) * M ** (-(k + 1.0))
-        s -= (k * (k + 1) * (k + 2) / 720.0) * M ** (-(k + 3.0))
-    except OverflowError:  # k(k+1)(k+2) from k of 103 digits
-        raise ValueError(f"k = {k} is too large: zeta's tail terms overflow a float") from None
+    s = sum(n ** -float(k) for n in range(M - 1, 0, -1))
+    # tail: integral term, half-step correction, two Bernoulli corrections
+    s += M ** (1.0 - k) / (k - 1)
+    s += 0.5 * M ** (-float(k))
+    s += (k / 12.0) * M ** (-(k + 1.0))
+    s -= (k * (k + 1) * (k + 2) / 720.0) * M ** (-(k + 3.0))
     return s
 
 
@@ -35,7 +35,7 @@ def kfree_density(ctx: BaseContext, k: int) -> float:
     z = zeta(k)  # checks k first
     prod = 1.0
     for p in ctx.primes_b3mb:
-        prod /= 1.0 - p ** -float(k)
+        prod /= 1.0 - p ** -float(min(k, 54))  # p^-k <= 2^-54 rounds 1 - p^-k to 1.0
     return prod / z
 
 
@@ -59,8 +59,7 @@ def rev_kfree_main_term(ctx: BaseContext, k: int, N: int) -> float:
 
 def palin_kfree_main_term(ctx: BaseContext, k: int, pstar_count: int) -> float:
     """Main term for k-free palindromes: |P*_b(x)| times the k-free density."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    check_k(k, 3)
     if pstar_count < 0:
         raise ValueError("pstar_count must be >= 0")
     return pstar_count * kfree_density(ctx, k)

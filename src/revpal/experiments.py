@@ -10,7 +10,7 @@ import numpy as np
 
 from . import densities, revgoldbach
 from .digits import BaseContext, reverse, reverse_array
-from .sieve import FactorTable
+from .sieve import FactorTable, check_k
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ def rev_pi_star(ctx: BaseContext, N: int, d: int, table: FactorTable) -> CountRe
 
 def count_kfree_palindromes(ctx: BaseContext, k: int, x: int, table: FactorTable) -> CountReport:
     """p_{k,b}(x): k-free members of P*_b(x), with the Theorem-2-style main term."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    check_k(k, 3)
     if x > table.limit:
         raise ValueError(f"table limit {table.limit} too small for x = {x}")
     pstar = enumerate_palindromes(ctx, x, star=True)
@@ -147,12 +146,13 @@ def count_kfree_palindromes(ctx: BaseContext, k: int, x: int, table: FactorTable
     )
 
 
-def _check_almost_prime(omega_max: int, rough_exponent: float | None):
+def _check_almost_prime(omega_max: int, kfree_k: int | None, rough_exponent: float | None):
     """The argument checks of count_almost_prime_palindromes that need no table."""
     if omega_max < 0:
         raise ValueError("omega_max must be >= 0")
     if rough_exponent is not None and not math.isfinite(rough_exponent):
         raise ValueError(f"rough_exponent must be finite, got {rough_exponent}")
+    check_k(kfree_k)
 
 
 def count_almost_prime_palindromes(
@@ -168,7 +168,7 @@ def count_almost_prime_palindromes(
     n = 1, or its smallest prime factor spf(n) >= y = x^rough_exponent.  For
     2 <= n <= x, that is n >= y with no prime p < y, p <= isqrt(x) dividing n:
     a composite n has spf(n) <= isqrt(n) <= isqrt(x); a prime n has spf(n) = n."""
-    _check_almost_prime(omega_max, rough_exponent)
+    _check_almost_prime(omega_max, kfree_k, rough_exponent)
     if x > table.limit:
         raise ValueError(f"table limit {table.limit} too small for x = {x}")
     pal = enumerate_palindromes(ctx, x)

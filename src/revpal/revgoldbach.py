@@ -11,6 +11,8 @@ import numpy as np
 from .digits import BaseContext, reverse_array, to_digits
 from .sieve import FactorTable
 
+_SPARSE_RATIO = 1024  # scan_exceptions's packed phase ends at <= n / _SPARSE_RATIO nonzero bytes
+
 
 class TargetClass(Enum):
     EVEN_TARGETS_ONLY = "even_targets_only"
@@ -116,60 +118,84 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
 
 
 def _last_nonzero(a: np.ndarray, top: int) -> int:
-    """Largest i <= top with a[i] != 0, or -1; searched downward from top in
-    chunks of 1024 entries, so it costs about the entries skipped, not a.size."""
+    """Largest i <= top with a[:, i] not all zero, or -1, in about the time to skip i + 1..top."""
     while top >= 0:
         lo = max(top - 1023, 0)
-        nz = np.flatnonzero(a[lo:top + 1])
+        nz = np.flatnonzero(a[:, lo:top + 1].any(axis=0))
         if nz.size:
             return lo + int(nz[-1])
         top = lo - 1
     return -1
 
 
+def _sparse_tail(live: np.ndarray, top: int, rs, omega: np.ndarray) -> np.ndarray:
+    """The sorted targets 2i + h of the bits i of live[h, :top + 1], unpacked from nonzero bytes,
+    less each t with t - r prime for the further values r of rs, read until r > max pending - 2;
+    each r tests the entries >= r + 2 and compacts them in place, in buffers allocated once."""
+    h, q = np.divmod(np.flatnonzero(live[:, :top + 1] != 0), top + 1)  # 2-D nonzero is slower
+    bits = np.flatnonzero(np.unpackbits(live[h, q], bitorder="little"))
+    pending = np.sort(16 * q[bits >> 3] + 2 * (bits & 7) + h[bits >> 3])
+    size = pending.size
+    diff, at, kept = np.empty_like(pending), np.empty(size, omega.dtype), np.empty(size, bool)
+    for r in rs:
+        if size == 0 or r > pending[size - 1] - 2:
+            break
+        lo = int(np.searchsorted(pending[:size], r + 2))
+        k = size - lo
+        np.take(omega, np.subtract(pending[lo:size], r, out=diff[:k]), out=at[:k], mode="clip")
+        np.not_equal(at[:k], 1, out=kept[:k])
+        size = lo + np.count_nonzero(kept[:k])
+        pending[lo:size] = np.compress(kept[:k], pending[lo:lo + k], out=diff[:size - lo])
+    return pending[:size]
+
+
 def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanResult:
     """All in-class targets in [4, limit] with no representation; 4 = rev(2) + 2 is the least sum.
 
-    Target t is bit t % 8 of byte t // 8 of the pending set `live` (little
-    bit order).  Copy s of the packed composite mask omega_total[:limit+1] != 1
-    is that mask moved up s bits, with ones shifted in below index 0, so a
-    reversed value r = 8q + s clears every pending t with t - r prime by one
-    in-place AND of live[q:] with copy s.  Targets t < r meet the shifted-in
-    ones and are never touched, and t - r in {0, 1} reads not-prime, so the
-    rule t >= r + 2 needs no special case.
+    Parity rule: t - r is an odd prime only if t and r differ in parity, so r clears
+    odd primes in the half h = 1 - r % 2 alone.  Bit i of live[h] is target t = 2i + h;
+    bit j of the odd mask says 2j + 1 is not prime (bit 0 is set), and copy s of it is
+    moved up s bits with ones shifted in.  As t - r = 2(i - c) + 1 for c = (r + 1) // 2
+    = 8q + s, one AND of live[h, q:] with copy s clears those t (t <= r meets the
+    shifted-in ones, t = r + 1 reads 1); p = 2 clears the one bit t = r + 2 <= limit.
 
-    `top`, the last nonzero byte of live, is found after each AND by a chunked
-    search down from its old value.  The ANDs end at byte top, and the scan
-    stops once r > 8 * top + 5, when r + 2 exceeds every pending target.  Only
-    an upper bound is needed: a stale, too-high top would cost extra ANDs and
-    never change the result.
+    Stop rules: the ANDs end at `top`, the last byte nonzero in either half, and stop once
+    r > 16 * top + 14, when they would start past it.  Every 8 ANDs, once at most n /
+    _SPARSE_RATIO bytes are nonzero (n = limit + 1), _sparse_tail stops once r > max pending - 2.
     """
     parity = parity_class(ctx)
-    rev_vals = chain.from_iterable(_reversed_blocks(ctx, limit, limit - 2, table))
+    rev_vals = map(int, chain.from_iterable(_reversed_blocks(ctx, limit, limit - 2, table)))
     n = max(limit + 1, 0)
-    live = np.full(-(-n // 8), 0x55 if parity is TargetClass.EVEN_TARGETS_ONLY else 0xFF,
-                   dtype=np.uint8)
-    live[:1] &= 0xF0  # targets 0..3
-    live[-1:] &= 0xFF >> (-n % 8)  # bits past limit
-    shifted = np.empty((8, live.size), dtype=np.uint8)
-    shifted[0] = np.packbits(table.omega_total[:n] != 1, bitorder="little")
+    m = -(-n // 16)  # bytes per half
+    live = np.zeros((2, m), dtype=np.uint8)
+    for h, bits in enumerate(((n + 1) // 2, n // 2 if parity is TargetClass.ALL_TARGETS else 0)):
+        live[h, :bits // 8] = 0xFF  # bits of targets 2i + h <= limit
+        live[h, bits // 8:bits // 8 + 1] = (1 << bits % 8) - 1
+    live[:, :1] &= 0xFC  # targets 0..3
+    odd, chunk = table.omega_total[1:n:2], np.empty(2 ** 16, dtype=bool)
+    shifted = np.zeros((8, m), dtype=np.uint8)
+    for lo in range(0, odd.size, 2 ** 16):
+        part = np.not_equal(odd[lo:lo + 2 ** 16], 1, out=chunk[:odd.size - lo])
+        shifted[0, lo // 8:(lo + part.size + 7) // 8] = np.packbits(part, bitorder="little")
     for s in range(1, 8):
         np.left_shift(shifted[0], s, out=shifted[s])
         shifted[s, 1:] |= shifted[0, :-1] >> (8 - s)
         shifted[s, :1] |= (1 << s) - 1
 
-    top = _last_nonzero(live, live.size - 1)
-    for r in map(int, rev_vals):
-        if r > 8 * top + 5:
+    top, tail = _last_nonzero(live, m - 1), ()
+    for k, r in enumerate(rev_vals):
+        if r > 16 * top + 14:
             break
-        q, s = divmod(r, 8)
-        live[q:top + 1] &= shifted[s, :top + 1 - q]
+        q, s = divmod((r + 1) // 2, 8)
+        live[1 - r % 2, q:top + 1] &= shifted[s, :top + 1 - q]
+        live[r % 2, (r + 2) >> 4] &= 0xFF ^ 1 << ((r + 2) >> 1 & 7)
         top = _last_nonzero(live, top)
-    exceptions = np.flatnonzero(np.unpackbits(live[:top + 1], bitorder="little"))
-    return ScanResult(
-        base=ctx.b, limit=limit, scanned_from=4,
-        parity_class=parity, exceptions=tuple(exceptions.tolist()),
-    )
+        if k % 8 == 7 and np.count_nonzero(live[:, :top + 1]) * _SPARSE_RATIO <= n:
+            tail = rev_vals
+            break
+    exceptions = _sparse_tail(live, top, tail, table.omega_total).tolist()
+    return ScanResult(base=ctx.b, limit=limit, scanned_from=4, parity_class=parity,
+                      exceptions=tuple(exceptions))
 
 
 def estermann_count(ctx: BaseContext, M: int, table: FactorTable) -> int:

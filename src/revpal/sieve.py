@@ -29,6 +29,12 @@ class CacheVersionError(ValueError):
     """A cache file of another format version: stale, not corrupt."""
 
 
+def check_k(k: int | None, least: int = 2) -> None:
+    """The one check of a k-free count's k: k >= least (2, or 3 for palindromes), or None."""
+    if k is not None and k < least:
+        raise ValueError(f"k must be >= {least}, got {k}")
+
+
 @dataclass(frozen=True)
 class FactorTable:
     """Immutable sieve output over [0, limit]; index 0 is padding.
@@ -49,8 +55,7 @@ class FactorTable:
         A square-free n is k-free for every k, so for k >= 3 only the other
         values are tried, against p^k for the primes p with p^k <= their max;
         there are none once 2^k > max, and p^k is never formed then."""
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
+        check_k(k)
         flags = self.squarefree[ns]
         if k == 2:
             return flags

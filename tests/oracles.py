@@ -10,7 +10,7 @@ from revpal.revgoldbach import ScanResult, TargetClass, parity_class, prime_boun
 from revpal.sieve import FactorTable
 from revpal.verifier import _BLOCK_POINTS, _cap_reciprocal
 
-# the least k for which zeta's tail term k(k+1)(k+2)/720 no longer fits a float
+# the least k for which zeta's tail term k(k+1)(k+2)/720 would not fit a float
 ZETA_OVERFLOW_K = int("5643803094122362077939707069896083707827438283144585224311014275783412"
                       "180059929638814564872415160725735")
 

@@ -266,6 +266,7 @@ def test_almost_prime_rejects_a_non_finite_rough_exponent(e, capsys):
     ("almost-prime --x 100000000 --omega-max -1", "omega_max must be >= 0"),
     ("almost-prime --x 100000000 --omega-max 6 --rough-exponent nan",
      "rough_exponent must be finite, got nan"),
+    ("almost-prime --x 100000000 --omega-max 6 --kfree-k 1", "k must be >= 2, got 1"),
 ])
 def test_argument_errors_come_before_any_table(line, err, tmp_path, monkeypatch, capsys):
     # the library's own checks run first: no table is built, and none is cached
@@ -273,6 +274,7 @@ def test_argument_errors_come_before_any_table(line, err, tmp_path, monkeypatch,
         m.setattr(cli, "_get_table", lambda *args: pytest.fail("a table was requested"))
         assert main(line.split()) == 2
         assert capsys.readouterr() == ("", f"error: {err}\n")
+    monkeypatch.setattr(sieve, "build", lambda limit: pytest.fail("a table was built"))
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     assert main(line.split()) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
@@ -423,11 +425,13 @@ CLI_BYTES = [
     ("main-term --which rev-pi --N 313 --d 7", 2, "",
      "error: the main term at N = 313 overflows a float\n"),
     ("main-term --which zeta --k " + str(ZETA_OVERFLOW_K - 1), 0, "1\n", ""),
-    ("main-term --which zeta --k " + str(ZETA_OVERFLOW_K), 2, "",
-     f"error: k = {ZETA_OVERFLOW_K} is too large: zeta's tail terms overflow a float\n"),
+    ("main-term --which zeta --k " + str(ZETA_OVERFLOW_K), 0, "1\n", ""),
     ("main-term --which kfree-density --k " + str(ZETA_OVERFLOW_K - 1), 0, "1\n", ""),
-    ("main-term --which kfree-density --k " + str(ZETA_OVERFLOW_K), 2, "",
-     f"error: k = {ZETA_OVERFLOW_K} is too large: zeta's tail terms overflow a float\n"),
+    ("main-term --which kfree-density --k " + str(ZETA_OVERFLOW_K), 0, "1\n", ""),
+    # zeta(53) = 1 + 2^-52 prints as 1 at 12 digits, as zeta(k) = 1.0 from 54 on
+    ("main-term --which zeta --k 53", 0, "1\n", ""),
+    ("main-term --which zeta --k " + str(10 ** 103), 0, "1\n", ""),
+    ("main-term --which kfree-density --k " + str(10 ** 400), 0, "1\n", ""),
     # b^3 - b past int64 (b > 2^21), and divisors or K past the supported range
     ("palindromes --base 3000000 --x 100 --star", 0,
      "[1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59, 61, 67, 71, 73, 77, 79, "

@@ -113,15 +113,24 @@ def test_main_terms_that_overflow_a_float_raise_value_error():
     ctx = base_context(10)
     assert math.isfinite(rev_kfree_main_term(ctx, 2, 311))
     assert math.isfinite(rev_pi_main_term(ctx, 7, 312))
-    assert zeta(ZETA_OVERFLOW_K - 1) == kfree_density(ctx, ZETA_OVERFLOW_K - 1) == 1.0
     for call in (lambda: rev_kfree_main_term(ctx, 2, 312),
                  lambda: rev_pi_main_term(ctx, 7, 313),
-                 lambda: rev_kfree_main_term(ctx, 2, 10 ** 400),
-                 lambda: zeta(ZETA_OVERFLOW_K),
-                 lambda: kfree_density(ctx, 10 ** 400),
-                 lambda: palin_kfree_main_term(ctx, 10 ** 400, 5)):
+                 lambda: rev_kfree_main_term(ctx, 2, 10 ** 400)):
         with pytest.raises(ValueError, match="overflow"):
             call()
+
+
+def test_zeta_and_the_kfree_density_are_one_from_k_54():
+    # 1 + (zeta(k) - 1) rounds to 1.0 from k = 54 on, not at 53; neither the
+    # tail term (from ZETA_OVERFLOW_K) nor float(k) (from about 1.8e308) is formed
+    assert zeta(53) == 1 + 2 ** -52
+    for k in range(54, 80):
+        assert 1.0 + math.fsum(n ** -float(k) for n in range(2, 1000)) == 1.0, k
+    for b in (2, 10, 937):
+        ctx = base_context(b)
+        for k in (54, 55, 10 ** 3, ZETA_OVERFLOW_K - 1, ZETA_OVERFLOW_K, 10 ** 103, 10 ** 400):
+            assert zeta(k) == kfree_density(ctx, k) == 1.0, (b, k)
+        assert palin_kfree_main_term(ctx, 10 ** 400, 5) == 5.0
 
 
 def test_kfree_density_checks_k_before_the_product():

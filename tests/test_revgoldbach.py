@@ -129,18 +129,44 @@ def _scan_outcome(scan, ctx, limit, table):
         return type(exc)
 
 
+# _SPARSE_RATIO settings: the scan's own, a switch to the sparse tail at the
+# first check, and none while a target is pending (any count of nonzero bytes
+# times 2^40 exceeds every n here)
+SWITCHES = (revgoldbach._SPARSE_RATIO, 0, 2 ** 40)
+
+
 @pytest.mark.parametrize("b", range(2, 37))
-def test_scan_matches_mask_oracle_every_base(b, table_1e6):
-    # limits at every residue mod 8 around 64, 1000 and 2 * 10^4, so the last
-    # packed byte holds 1 to 8 targets, and limits -3 to 3, below or at the
-    # first targets
+def test_scan_matches_mask_oracle_every_base(b, table_1e6, monkeypatch):
+    # limits at every residue mod 16 around 64, 1000 and 2 * 10^4, so the last
+    # packed byte of each half holds 1 to 8 targets, and limits -3 to 3, below
+    # or at the first targets
     ctx = base_context(b)
-    limits = [c + d for c in (64, 1000, 2 * 10 ** 4) for d in range(-4, 4)]
+    limits = [c + d for c in (64, 1000, 2 * 10 ** 4) for d in range(-8, 8)]
     limits += [-3, 0, 1, 2, 3]
-    for limit in limits:
-        args = (ctx, limit, table_1e6)
-        assert _scan_outcome(scan_exceptions, *args) == \
-            _scan_outcome(scan_exceptions_mask, *args), limit
+    for ratio in SWITCHES:
+        monkeypatch.setattr(revgoldbach, "_SPARSE_RATIO", ratio)
+        for limit in limits:
+            args = (ctx, limit, table_1e6)
+            assert _scan_outcome(scan_exceptions, *args) == \
+                _scan_outcome(scan_exceptions_mask, *args), (ratio, limit)
+
+
+@pytest.mark.parametrize("b", [3, 10])
+def test_scan_switches_to_the_sparse_tail_by_itself_at_1e6(b, monkeypatch):
+    ctx = base_context(b)
+    limit = 10 ** 6
+    table = build(revgoldbach.table_limit(ctx, limit, limit - 2))
+    switched = []
+    tail = revgoldbach._sparse_tail
+
+    def spy(live, top, rs, omega):
+        # rs is the scan's own iterator after a switch, () without one
+        switched.append(rs != ())
+        return tail(live, top, rs, omega)
+
+    monkeypatch.setattr(revgoldbach, "_sparse_tail", spy)
+    assert scan_exceptions(ctx, limit, table) == scan_exceptions_mask(ctx, limit, table)
+    assert switched == [True]
 
 
 class _CountingValues:
@@ -157,11 +183,12 @@ class _CountingValues:
 
 @pytest.mark.parametrize("b", range(2, 37))
 def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monkeypatch):
-    # the scan reads reversed values up to the first r > 8 * top + 5, top the
-    # last byte still holding a pending target: r + 2 is beyond all of them.
-    # Reading on to r = 8 * top + 6 changes no result (the bits it reaches have
-    # t - r in {0, 1}), so only the count of values read shows it; small
-    # limits such as 16 in base 10 end on such an r
+    # the packed phase reads reversed values up to the first r > 16 * top + 14,
+    # top the last byte of either half still holding a pending target; every
+    # 8 values it counts the nonzero bytes, and once they are at most
+    # n / _SPARSE_RATIO the sparse tail reads up to the first r > max pending - 2.
+    # Reading on would change no result, so only the count of values read
+    # shows it; each limit runs at every setting of SWITCHES
     ctx = base_context(b)
     is_prime = table_1e5.omega_total == 1
     even_only = parity_class(ctx) is TargetClass.EVEN_TARGETS_ONLY
@@ -175,27 +202,33 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
         return [seen[-1]]
 
     monkeypatch.setattr(revgoldbach, "_reversed_blocks", counting)
-    for limit in [*range(5, 41), 64, 67, 200, 1000, 1003]:
-        scan_exceptions(ctx, limit, table_1e5)
-        vals = seen[-1].vals.tolist()
-        pending = {t for t in range(4, limit + 1) if not (even_only and t % 2)}
-        expected = len(vals)
-        for i, r in enumerate(vals):
-            if r > 8 * (max(pending, default=-8) // 8) + 5:
-                expected = i + 1
-                break
-            pending = {t for t in pending if t < r + 2 or not is_prime[t - r]}
-        assert seen[-1].read == expected, limit
+    for ratio in SWITCHES:
+        monkeypatch.setattr(revgoldbach, "_SPARSE_RATIO", ratio)
+        for limit in [*range(5, 41), 64, 67, 200, 1000, 1003]:
+            scan_exceptions(ctx, limit, table_1e5)
+            vals = seen[-1].vals.tolist()
+            pending = {t for t in range(4, limit + 1) if not (even_only and t % 2)}
+            expected, sparse = len(vals), False
+            for i, r in enumerate(vals):
+                if sparse and r > max(pending, default=0) - 2 or \
+                        not sparse and r > 16 * (max(pending, default=-16) // 16) + 14:
+                    expected = i + 1
+                    break
+                pending = {t for t in pending if t < r + 2 or not is_prime[t - r]}
+                nonzero_bytes = len({(t % 2, t // 16) for t in pending})
+                sparse = sparse or i % 8 == 7 and nonzero_bytes * ratio <= limit + 1
+            assert seen[-1].read == expected, (ratio, limit)
 
 
 def test_last_nonzero_searches_down_across_chunk_edges():
-    a = np.zeros(5000, dtype=np.uint8)
-    for i in (0, 1, 1023, 1024, 2500, 4999):
-        a[:] = 0
-        a[i] = 1
-        assert [revgoldbach._last_nonzero(a, top) for top in range(i, 5000)] == \
-            [i] * (5000 - i), i
-        assert revgoldbach._last_nonzero(a, i - 1) == -1, i
+    a = np.zeros((2, 5000), dtype=np.uint8)
+    for h in (0, 1):
+        for i in (0, 1, 1023, 1024, 2500, 4999):
+            a[:] = 0
+            a[h, i] = 1
+            assert [revgoldbach._last_nonzero(a, top) for top in range(i, 5000)] == \
+                [i] * (5000 - i), (h, i)
+            assert revgoldbach._last_nonzero(a, i - 1) == -1, (h, i)
 
 
 def test_scan_to_1e7_builds_no_block_past_4_digits():
@@ -218,8 +251,9 @@ def test_scan_memory_is_a_few_bytes_per_target(table_1e6):
 
 
 def test_scan_memory_is_under_3_bytes_per_target(table_1e6):
-    # one bit per pending target and 8 shifted packed copies of the composite
-    # mask: about 1.5 bytes per target, 2.4 when the reversed primes are built
+    # one bit per pending target and 8 shifted packed copies of the odd mask,
+    # one bit per odd number: about 0.8 bytes per target, 0.93 when the
+    # reversed primes are built
     limit = 10 ** 6
     tracemalloc.start()
     try:
