@@ -76,7 +76,7 @@ def reversed_prime_block(ctx: BaseContext, N: int, table: FactorTable) -> np.nda
     vals = table._memo.get((b, N))
     if vals is None:
         lo = b ** (N - 1)
-        ps = np.flatnonzero(table.omega_total[lo: min(lo * b, table.limit + 1)] == 1)
+        ps = np.flatnonzero(table.prime[lo: min(lo * b, table.limit + 1)])
         ps += lo
         vals = reverse_array(ps[1:] if ps[:1].tolist() == [b] else ps, ctx)
         vals.sort()  # in place: a sorted copy would add the block to the peak
@@ -113,7 +113,7 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
     M = rev(p1) + p2."""
     if M < 2:
         raise ValueError(f"target must be >= 2, got {M}")
-    return sum(int(np.count_nonzero(table.omega_total[M - vals] == 1))
+    return sum(int(np.count_nonzero(table.prime[M - vals]))
                for vals in _reversed_blocks(ctx, M, M - 2, table))
 
 
@@ -128,7 +128,7 @@ def _last_nonzero(a: np.ndarray, top: int) -> int:
     return -1
 
 
-def _sparse_tail(live: np.ndarray, top: int, rs, omega: np.ndarray) -> np.ndarray:
+def _sparse_tail(live: np.ndarray, top: int, rs, prime: np.ndarray) -> np.ndarray:
     """The sorted targets 2i + h of the bits i of live[h, :top + 1], unpacked from nonzero bytes,
     less each t with t - r prime for the further values r of rs, read until r > max pending - 2;
     each r tests the entries >= r + 2 and compacts them in place, in buffers allocated once."""
@@ -136,14 +136,14 @@ def _sparse_tail(live: np.ndarray, top: int, rs, omega: np.ndarray) -> np.ndarra
     bits = np.flatnonzero(np.unpackbits(live[h, q], bitorder="little"))
     pending = np.sort(16 * q[bits >> 3] + 2 * (bits & 7) + h[bits >> 3])
     size = pending.size
-    diff, at, kept = np.empty_like(pending), np.empty(size, omega.dtype), np.empty(size, bool)
+    diff, kept = np.empty_like(pending), np.empty(size, bool)
     for r in rs:
         if size == 0 or r > pending[size - 1] - 2:
             break
         lo = int(np.searchsorted(pending[:size], r + 2))
         k = size - lo
-        np.take(omega, np.subtract(pending[lo:size], r, out=diff[:k]), out=at[:k], mode="clip")
-        np.not_equal(at[:k], 1, out=kept[:k])
+        np.take(prime, np.subtract(pending[lo:size], r, out=diff[:k]), out=kept[:k], mode="clip")
+        np.logical_not(kept[:k], out=kept[:k])
         size = lo + np.count_nonzero(kept[:k])
         pending[lo:size] = np.compress(kept[:k], pending[lo:lo + k], out=diff[:size - lo])
     return pending[:size]
@@ -172,10 +172,10 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
         live[h, :bits // 8] = 0xFF  # bits of targets 2i + h <= limit
         live[h, bits // 8:bits // 8 + 1] = (1 << bits % 8) - 1
     live[:, :1] &= 0xFC  # targets 0..3
-    odd, chunk = table.omega_total[1:n:2], np.empty(2 ** 16, dtype=bool)
+    odd, chunk = table.prime[1:n:2], np.empty(2 ** 16, dtype=bool)
     shifted = np.zeros((8, m), dtype=np.uint8)
     for lo in range(0, odd.size, 2 ** 16):
-        part = np.not_equal(odd[lo:lo + 2 ** 16], 1, out=chunk[:odd.size - lo])
+        part = np.logical_not(odd[lo:lo + 2 ** 16], out=chunk[:odd.size - lo])
         shifted[0, lo // 8:(lo + part.size + 7) // 8] = np.packbits(part, bitorder="little")
     for s in range(1, 8):
         np.left_shift(shifted[0], s, out=shifted[s])
@@ -193,7 +193,7 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
         if k % 8 == 7 and np.count_nonzero(live[:, :top + 1]) * _SPARSE_RATIO <= n:
             tail = rev_vals
             break
-    exceptions = _sparse_tail(live, top, tail, table.omega_total).tolist()
+    exceptions = _sparse_tail(live, top, tail, table.prime).tolist()
     return ScanResult(base=ctx.b, limit=limit, scanned_from=4, parity_class=parity,
                       exceptions=tuple(exceptions))
 

@@ -216,8 +216,8 @@ def test_foreign_cache_file_is_rejected_and_kept(tmp_path, monkeypatch, capsys):
 
 def test_version_1_cache_is_rebuilt_and_replaced(tmp_path, monkeypatch, capsys):
     # files of the right length for their limit, in older formats: version 1
-    # held int32 spf, mu and Omega; version 2 held mu and Omega, as long as
-    # version 3
+    # held int32 spf, mu and Omega; version 2 held mu and Omega, version 3 the
+    # square-free flags and Omega, both as long as version 4
     limit = max(2, 1000, revgoldbach.prime_bound(base_context(10), 999))
     path = tmp_path / f"sieve_{limit}.bin"
     monkeypatch.delenv(CACHE_ENV, raising=False)
@@ -225,15 +225,15 @@ def test_version_1_cache_is_rebuilt_and_replaced(tmp_path, monkeypatch, capsys):
     fresh = capsys.readouterr()
     built = sieve.build(limit)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    for version, size in ((1, 6), (2, 2)):
+    for version, size in ((1, 6), (2, 2), (3, 2)):
         path.write_bytes(struct.pack("<4sIQ", b"RPFT", version, limit) + bytes(size * (limit + 1)))
         assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
         assert capsys.readouterr() == fresh, version
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"RPFT", 3, limit)
+        assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"RPFT", 4, limit)
         loaded = sieve.load_cache(path)
         assert loaded.squarefree.tobytes() == built.squarefree.tobytes(), version
-        assert loaded.omega_total.tobytes() == built.omega_total.tobytes(), version
+        assert loaded.prime.tobytes() == built.prime.tobytes(), version
 
 
 def test_almost_prime_with_a_huge_rough_exponent_counts_only_one(capsys):

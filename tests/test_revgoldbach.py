@@ -34,7 +34,7 @@ def test_representations_examples(table_1e5):
 def test_representations_symmetric_pipeline(table_1e5):
     # iterating p2 instead of p1 must give the same count
     ctx = base_context(10)
-    flags = table_1e5.omega_total == 1
+    flags = table_1e5.prime
     all_rev = set(reversed_prime_values(ctx, 10 ** 4, table_1e5).tolist())
     for M in (4, 5, 6, 11, 100, 1234, 9999):
         by_p2 = sum(
@@ -47,7 +47,7 @@ def test_representations_symmetric_pipeline(table_1e5):
 def test_representations_match_prime_flags_count(table_1e5):
     # reverses of every prime in the table, not only those below prime_bound
     ctx = base_context(10)
-    flags = table_1e5.omega_total == 1
+    flags = table_1e5.prime
     ps = np.flatnonzero(flags)
     revs = reverse_array(ps[ps % 10 != 0], ctx)
     rng = np.random.default_rng(5)
@@ -159,10 +159,10 @@ def test_scan_switches_to_the_sparse_tail_by_itself_at_1e6(b, monkeypatch):
     switched = []
     tail = revgoldbach._sparse_tail
 
-    def spy(live, top, rs, omega):
+    def spy(live, top, rs, prime):
         # rs is the scan's own iterator after a switch, () without one
         switched.append(rs != ())
-        return tail(live, top, rs, omega)
+        return tail(live, top, rs, prime)
 
     monkeypatch.setattr(revgoldbach, "_sparse_tail", spy)
     assert scan_exceptions(ctx, limit, table) == scan_exceptions_mask(ctx, limit, table)
@@ -190,7 +190,7 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
     # Reading on would change no result, so only the count of values read
     # shows it; each limit runs at every setting of SWITCHES
     ctx = base_context(b)
-    is_prime = table_1e5.omega_total == 1
+    is_prime = table_1e5.prime
     even_only = parity_class(ctx) is TargetClass.EVEN_TARGETS_ONLY
     seen = []
     blocks = revgoldbach._reversed_blocks
@@ -282,7 +282,7 @@ def test_estermann_counts_squarefree_differences(table_1e5):
 @pytest.mark.parametrize("b", [2, 3, 5, 7])
 def test_parity_soundness_of_reversed_primes(b, table_1e6):
     # for b odd or b = 2, the reverse of every odd prime is odd
-    ps = np.flatnonzero(table_1e6.omega_total == 1)
+    ps = np.flatnonzero(table_1e6.prime)
     ps = ps[(ps % b != 0) & (ps != 2)]
     rev_vals = reverse_array(ps, base_context(b))
     assert np.all(rev_vals % 2 == 1)
@@ -295,7 +295,7 @@ def test_reversed_prime_values_sorted_and_correct(table_1e5):
     expected = sorted(
         reverse(p, ctx)
         for p in range(2, 1000)
-        if table_1e5.omega_total[p] == 1 and p % 10 != 0 and reverse(p, ctx) <= 500
+        if table_1e5.prime[p] and p % 10 != 0 and reverse(p, ctx) <= 500
     )
     assert vals.tolist() == expected
 
@@ -329,7 +329,7 @@ def _blocks_direct(b: int, table) -> dict:
     """Every block of the memo in base b, reversed one prime at a time: for
     each digit count N, the sorted reverses of the N-digit primes <= limit."""
     ctx, blocks = base_context(b), {}
-    for p in np.flatnonzero(table.omega_total == 1).tolist():
+    for p in np.flatnonzero(table.prime).tolist():
         if p % b:
             blocks.setdefault((b, len(to_digits(p, b))), []).append(reverse(p, ctx))
     return {key: sorted(vals) for key, vals in blocks.items()}
@@ -342,7 +342,7 @@ def test_memo_holds_every_prime_up_to_the_table_limit():
     for limit in (10 ** 5, 54321):
         table = build(limit)
         rev_vals = reversed_prime_values_direct(ctx, 998, table)
-        want = int(np.count_nonzero(table.omega_total[1000 - rev_vals] == 1))
+        want = int(np.count_nonzero(table.prime[1000 - rev_vals]))
         assert representations(ctx, 1000, table) == want
         assert sorted(table._memo) == [(10, 1), (10, 2), (10, 3)]
         expected = _blocks_direct(10, table)
@@ -350,7 +350,7 @@ def test_memo_holds_every_prime_up_to_the_table_limit():
             vals = revgoldbach.reversed_prime_block(ctx, N, table)
             assert vals.tolist() == expected.get((10, N), []), (limit, N)
         assert {k: v.tolist() for k, v in table._memo.items() if v.size} == expected
-        assert sum(map(len, expected.values())) == np.count_nonzero(table.omega_total == 1)
+        assert sum(map(len, expected.values())) == np.count_nonzero(table.prime)
 
 
 def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
@@ -372,11 +372,11 @@ def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
             for M, (r, h) in counts.items():
                 rev_r = reversed_prime_values_direct(ctx, M - 2, table)
                 rev_h = reversed_prime_values_direct(ctx, M - 1, table)
-                assert r == int(np.count_nonzero(table.omega_total[M - rev_r] == 1)), (b, M)
+                assert r == int(np.count_nonzero(table.prime[M - rev_r])), (b, M)
                 assert h == int(np.count_nonzero(table.squarefree[M - rev_h])), (b, M)
     # blocks in the order first read: digit counts 1 to that of 900001,
     # 6 in base 10 and 4 in base 31, each reversed once per table and base
-    ps = np.flatnonzero(tables[0].omega_total == 1)
+    ps = np.flatnonzero(tables[0].prime)
     sizes = {b: [int(np.count_nonzero((ps % b != 0) & (b ** (N - 1) <= ps) & (ps < b ** N)))
                  for N in range(1, len(to_digits(900001, b)) + 1)]
              for b in (10, 31)}
@@ -386,22 +386,24 @@ def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
 
 def test_reversed_prime_memo_build_memory():
     # each block costs its output, the index of the primes it reverses and at
-    # most 1 MB of temporaries: the block's prime mask, or reverse_array's
-    # two scratch slices and its table of padded reversals
-    table = build(10 ** 6)
+    # most 1 MB of temporaries: reverse_array's two scratch slices and its
+    # table of padded reversals.  No whole-block prime mask fits: at 10^7 it
+    # would be 9 MB
     ctx = base_context(10)
-    n_primes = int(np.count_nonzero(table.omega_total == 1))
-    tracemalloc.start()
-    try:
-        for N in range(1, 7):
-            revgoldbach.reversed_prime_block(ctx, N, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    memo = sum(v.nbytes for v in table._memo.values())
-    largest = max(v.size for v in table._memo.values())
-    assert sum(v.size for v in table._memo.values()) == n_primes  # no prime is divisible by 10
-    assert peak <= memo + 8 * largest + 2 ** 20
+    for digits in (6, 7):
+        table = build(10 ** digits)
+        n_primes = int(np.count_nonzero(table.prime))
+        tracemalloc.start()
+        try:
+            for N in range(1, digits + 1):
+                revgoldbach.reversed_prime_block(ctx, N, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        memo = sum(v.nbytes for v in table._memo.values())
+        largest = max(v.size for v in table._memo.values())
+        assert sum(v.size for v in table._memo.values()) == n_primes  # no prime is divisible by 10
+        assert peak <= memo + 8 * largest + 2 ** 20, digits
 
 
 @pytest.mark.parametrize("b", range(2, 37))
@@ -415,7 +417,7 @@ def test_block_sums_match_direct_at_powers_of_the_base(b, table_1e5):
             if max(prime_bound(ctx, cap), cap + 2) > table_1e5.limit:
                 continue
             rev = reversed_prime_values_direct(ctx, cap, table_1e5)
-            want = int(np.count_nonzero(table_1e5.omega_total[cap + 2 - rev] == 1))
+            want = int(np.count_nonzero(table_1e5.prime[cap + 2 - rev]))
             assert representations(ctx, cap + 2, table_1e5) == want, (b, cap)
             want = int(np.count_nonzero(table_1e5.squarefree[cap + 1 - rev]))
             assert estermann_count(ctx, cap + 1, table_1e5) == want, (b, cap)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import build_divide_out, is_k_free, mobius_sum_oracle, mu_trial
+from oracles import build_divide_out, is_k_free, mobius_sum_oracle, mu_trial, spf_trial
 from revpal import sieve
 from revpal.sieve import CacheVersionError, build, load_cache, save_cache
 
@@ -20,7 +20,7 @@ from revpal.sieve import CacheVersionError, build, load_cache, save_cache
 def test_build_small_examples():
     t = build(30)
     assert t.squarefree[30]
-    assert t.omega_total[30] == 3
+    assert np.flatnonzero(t.prime).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not t.squarefree[12]
     assert not t.squarefree[0] and t.squarefree[1]
 
@@ -68,13 +68,6 @@ def test_squarefree_count_1e6(table_1e6):
 
 @settings(max_examples=200)
 @given(st.integers(2, 300), st.integers(2, 300))
-def test_omega_additive_on_coprime_pairs(table_1e5, m, n):
-    if math.gcd(m, n) == 1:
-        assert table_1e5.omega_total[m * n] == table_1e5.omega_total[m] + table_1e5.omega_total[n]
-
-
-@settings(max_examples=200)
-@given(st.integers(2, 300), st.integers(2, 300))
 def test_squarefree_multiplicative_on_coprime_pairs(table_1e5, m, n):
     if math.gcd(m, n) == 1:
         flags = table_1e5.squarefree
@@ -88,38 +81,33 @@ def test_cache_round_trip(tmp_path):
     t2 = load_cache(path)
     assert t2.limit == t.limit
     assert np.array_equal(t2.squarefree, t.squarefree)
-    assert np.array_equal(t2.omega_total, t.omega_total)
+    assert np.array_equal(t2.prime, t.prime)
 
 
 def test_cache_file_is_header_plus_little_endian_arrays(tmp_path):
     t = build(5000)
     path = tmp_path / "sieve_5000.bin"
     save_cache(t, path)
-    # version 3: the header, then the square-free flags (0 or 1) and Omega,
+    # version 4: the header, then the square-free and the prime flags (0 or 1),
     # one byte per entry each
-    expected = (struct.pack("<4sIQ", b"RPFT", 3, 5000)
-                + t.squarefree.astype("u1").tobytes() + t.omega_total.astype("<i1").tobytes())
+    expected = (struct.pack("<4sIQ", b"RPFT", 4, 5000)
+                + t.squarefree.astype("u1").tobytes() + t.prime.astype("u1").tobytes())
     assert path.read_bytes() == expected
     assert len(expected) == 16 + 2 * 5001
 
 
-def test_cache_rejects_version_1_file(tmp_path):
-    # a version-1 file held int32 spf before mu and Omega, 6 bytes per entry
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_cache_rejects_older_version_file(tmp_path, version):
+    # version 1 held int32 spf before mu and Omega, 6 bytes per entry; version 2
+    # held int8 mu before Omega, and version 3 the square-free flags before
+    # Omega: as long as version 4, so only the version tells them apart
+    t, omega = build_divide_out(5000)
+    mu = np.where(t.squarefree, 1 - 2 * (omega & 1), 0).astype("<i1")
+    arrays = {1: bytes(6 * 5001), 2: mu.tobytes() + omega.tobytes(),
+              3: t.squarefree.tobytes() + omega.tobytes()}[version]
     path = tmp_path / "sieve_5000.bin"
-    path.write_bytes(struct.pack("<4sIQ", b"RPFT", 1, 5000) + bytes(6 * 5001))
-    with pytest.raises(CacheVersionError, match="sieve_5000.bin has unsupported cache version 1"):
-        load_cache(path)
-
-
-def test_cache_rejects_version_2_file(tmp_path):
-    # a version-2 file held int8 mu before Omega: the same size as version 3,
-    # so only the version tells it apart
-    t = build(5000)
-    mu = np.where(t.squarefree, 1 - 2 * (t.omega_total & 1), 0).astype("<i1")
-    path = tmp_path / "sieve_5000.bin"
-    header = struct.pack("<4sIQ", b"RPFT", 2, 5000)
-    path.write_bytes(header + mu.tobytes() + t.omega_total.tobytes())
-    with pytest.raises(CacheVersionError, match="sieve_5000.bin has unsupported cache version 2"):
+    path.write_bytes(struct.pack("<4sIQ", b"RPFT", version, 5000) + arrays)
+    with pytest.raises(CacheVersionError, match=f"sieve_5000.bin has unsupported cache version {version}"):
         load_cache(path)
 
 
@@ -145,7 +133,7 @@ def test_loaded_table_is_read_only_and_equals_build(tmp_path):
     path = tmp_path / "sieve_5000.bin"
     save_cache(build(5000), path)
     loaded, built = load_cache(path), build(5000)
-    for name in ("squarefree", "omega_total"):
+    for name in ("squarefree", "prime"):
         arr = getattr(loaded, name)
         assert not arr.flags.writeable, name
         assert arr.dtype == getattr(built, name).dtype, name
@@ -170,13 +158,13 @@ def test_loaded_table_survives_a_save_over_its_file(tmp_path):
     save_cache(old, path)
     loaded = load_cache(path)
     # same limit, so the same file size; only the contents differ
-    new = sieve.FactorTable(limit=5000, squarefree=~old.squarefree, omega_total=old.omega_total + 1)
+    new = sieve.FactorTable(limit=5000, squarefree=~old.squarefree, prime=~old.prime)
     save_cache(new, path)
     assert np.array_equal(loaded.squarefree, old.squarefree)
-    assert np.array_equal(loaded.omega_total, old.omega_total)
+    assert np.array_equal(loaded.prime, old.prime)
     reloaded = load_cache(path)
     assert np.array_equal(reloaded.squarefree, new.squarefree)
-    assert np.array_equal(reloaded.omega_total, new.omega_total)
+    assert np.array_equal(reloaded.prime, new.prime)
 
 
 def test_cache_rejects_garbage(tmp_path):
@@ -193,25 +181,19 @@ def test_range_check(table_1e5):
         is_k_free(10, 1, table_1e5)
 
 
-def _trial_row(n: int) -> tuple[int, int]:
-    """(square-free, Omega) of n >= 1 by trial division."""
-    omega, m, p = 0, n, 2
-    while m > 1:
-        while m % p == 0:
-            m //= p
-            omega += 1
-        p += 1
-    return mu_trial(n) != 0, omega
+def _trial_row(n: int) -> tuple[bool, bool]:
+    """(square-free, prime) of n >= 1 by trial division."""
+    return mu_trial(n) != 0, n > 1 and spf_trial(n) == n
 
 
 def test_build_matches_trial_division_around_prime_squares():
     # every limit from 2 to 300 puts the table's end on each side of the
-    # p^2 boundaries, where a factor moves from the leftover fix-up into
-    # the sieve loop over p <= isqrt(limit)
+    # p^2 boundaries, where p joins the sieve of [0, isqrt(limit)] and the
+    # primes that clear the chunks above it
     expected = [_trial_row(n) for n in range(1, 301)]
     for limit in range(2, 301):
         t = build(limit)
-        rows = list(zip(t.squarefree.tolist(), t.omega_total.tolist()))
+        rows = list(zip(t.squarefree.tolist(), t.prime.tolist()))
         assert rows[1:] == expected[:limit], limit
 
 
@@ -221,7 +203,7 @@ def test_prime_flags_match_eratosthenes(table_1e5):
     for p in range(2, math.isqrt(10 ** 5) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    assert np.array_equal(table_1e5.omega_total == 1, flags)
+    assert np.array_equal(table_1e5.prime, flags)
 
 
 def test_kfree_flags_match_oracles():
@@ -279,7 +261,7 @@ def test_huge_k_forms_no_huge_power():
 
 
 def _assert_same_table(t, ref):
-    for name in ("squarefree", "omega_total"):
+    for name in ("squarefree", "prime"):
         got, want = getattr(t, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t.limit, name)
 
@@ -288,18 +270,20 @@ _C = sieve._CHUNK
 
 
 @pytest.mark.parametrize("limit", sorted({
-    _C - 1, _C, _C + 1, 2 * _C + 7, 3 * _C + 5,
-    2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 2 ** 19 + 7, 3 * 2 ** 18 + 5, 10 ** 6}))
+    _C - 1, _C, _C + 1, _C + 1024, _C + 1025, 2 * _C + 7, 2 * _C + 1448, 2 * _C + 1449,
+    3 * _C + 5, 2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 2 ** 19 + 7, 3 * 2 ** 18 + 5, 10 ** 6}))
 def test_build_matches_divide_out_oracle(limit):
-    # limits on each side of the chunk size and of the doubling chunks [a, 2a)
-    _assert_same_table(build(limit), build_divide_out(limit))
+    # limits on each side of multiples of the chunk size; the chunks start
+    # at isqrt(limit) + 1, so _C + 1024 and 2 * _C + 1448 end exactly on a chunk
+    _assert_same_table(build(limit), build_divide_out(limit)[0])
 
 
 def test_build_matches_divide_out_oracle_at_every_small_limit():
     # every table end from 2 to 2000, even and odd, so on each side of each
-    # odd multiple pm at which an odd prime's strided add stops
+    # multiple at which a prime's strided clear stops; the prime flags must
+    # be the oracle's Omega = 1
     for limit in range(2, 2001):
-        _assert_same_table(build(limit), build_divide_out(limit))
+        _assert_same_table(build(limit), build_divide_out(limit)[0])
 
 
 def test_build_memory_is_under_2_2_bytes_per_entry():
@@ -325,7 +309,7 @@ def test_squarefree_flags_match_stride_loop(table_1e5):
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_kfree_at_gathered_values_near_prime_powers(k, table_1e5):
     # when max(ns) is p^k itself, p must still be among the primes tried
-    ps = [p for p in range(2, 50) if table_1e5.omega_total[p] == 1 and p ** k <= 10 ** 5]
+    ps = [p for p in range(2, 50) if table_1e5.prime[p] and p ** k <= 10 ** 5]
     for p in ps:
         for n in (p ** k - 1, p ** k, p ** k + 1, 2 * p ** k):
             if n <= 10 ** 5:
