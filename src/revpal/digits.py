@@ -110,7 +110,7 @@ def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
     """Digital reverse of every entry of ns in base ctx.b.
 
     ns must be a non-decreasing int64 array of positive entries, such as
-    primes from np.nonzero over prime flags; an entry divisible by b reverses
+    FactorTable.primes(lo, hi); an entry divisible by b reverses
     as its digit string, so 120 gives 21 in base 10.  Entries with equal digit
     counts form contiguous blocks, found with np.searchsorted.  Each block is reversed
     into its slice of the output in slices of _REVERSE_SLICE entries, through

@@ -155,18 +155,19 @@ def _check_almost_prime(omega_max: int, kfree_k: int | None, rough_exponent: flo
     check_k(kfree_k)
 
 
-def _omega(ns: np.ndarray, x: int, ps: np.ndarray, prime: np.ndarray) -> np.ndarray:
+def _omega(ns: np.ndarray, x: int, ps: np.ndarray, table: FactorTable) -> np.ndarray:
     """Omega(n) at each n in [1, x] of ns, ps the primes <= isqrt(x): each p with p^3 <= x is
     divided out with multiplicity.  The cofactor m <= x then has only prime factors > x^(1/3),
-    so at most two: Omega(m) is 0 for m = 1, 1 for m prime, else 2."""
-    m, omega = ns.copy(), np.zeros(ns.size, dtype=np.int64)
+    so at most two: Omega(m) is 0 for m = 1, 1 for m prime, else 2.  The cofactors are held
+    in the narrowest unsigned type that holds x, where division is fastest."""
+    m, omega = ns.astype(np.min_scalar_type(x)), np.zeros(ns.size, dtype=np.int64)
     for p in ps[ps ** 3 <= x].tolist():
         at = np.flatnonzero(m % p == 0)
         while at.size:
             m[at] //= p
             omega[at] += 1
             at = at[m[at] % p == 0]
-    return omega + np.where(m == 1, 0, 2 - prime[m])
+    return omega + np.where(m == 1, 0, 2 - table.is_prime(m))
 
 
 def count_almost_prime_palindromes(
@@ -186,8 +187,8 @@ def count_almost_prime_palindromes(
     if x > table.limit:
         raise ValueError(f"table limit {table.limit} too small for x = {x}")
     pal = enumerate_palindromes(ctx, x)
-    ps = np.flatnonzero(table.prime[: isqrt(max(x, 0)) + 1])
-    keep = _omega(pal, x, ps, table.prime) <= omega_max
+    ps = table.primes(0, isqrt(max(x, 0)) + 1)
+    keep = _omega(pal, x, ps, table) <= omega_max
     if kfree_k is not None:
         keep &= table.kfree_at(pal, kfree_k)
     if rough_exponent is not None:

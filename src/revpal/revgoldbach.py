@@ -75,9 +75,7 @@ def reversed_prime_block(ctx: BaseContext, N: int, table: FactorTable) -> np.nda
     b = ctx.b
     vals = table._memo.get((b, N))
     if vals is None:
-        lo = b ** (N - 1)
-        ps = np.flatnonzero(table.prime[lo: min(lo * b, table.limit + 1)])
-        ps += lo
+        ps = table.primes(b ** (N - 1), b ** N)
         vals = reverse_array(ps[1:] if ps[:1].tolist() == [b] else ps, ctx)
         vals.sort()  # in place: a sorted copy would add the block to the peak
         vals.setflags(write=False)
@@ -113,7 +111,7 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
     M = rev(p1) + p2."""
     if M < 2:
         raise ValueError(f"target must be >= 2, got {M}")
-    return sum(int(np.count_nonzero(table.prime[M - vals]))
+    return sum(int(np.count_nonzero(table.is_prime(M - vals)))
                for vals in _reversed_blocks(ctx, M, M - 2, table))
 
 
@@ -128,7 +126,7 @@ def _last_nonzero(a: np.ndarray, top: int) -> int:
     return -1
 
 
-def _sparse_tail(live: np.ndarray, top: int, rs, prime: np.ndarray) -> np.ndarray:
+def _sparse_tail(live: np.ndarray, top: int, rs, table: FactorTable) -> np.ndarray:
     """The sorted targets 2i + h of the bits i of live[h, :top + 1], unpacked from nonzero bytes,
     less each t with t - r prime for the further values r of rs, read until r > max pending - 2;
     each r tests the entries >= r + 2 and compacts them in place, in buffers allocated once."""
@@ -142,8 +140,7 @@ def _sparse_tail(live: np.ndarray, top: int, rs, prime: np.ndarray) -> np.ndarra
             break
         lo = int(np.searchsorted(pending[:size], r + 2))
         k = size - lo
-        np.take(prime, np.subtract(pending[lo:size], r, out=diff[:k]), out=kept[:k], mode="clip")
-        np.logical_not(kept[:k], out=kept[:k])
+        np.logical_not(table.is_prime(np.subtract(pending[lo:size], r, out=diff[:k])), out=kept[:k])
         size = lo + np.count_nonzero(kept[:k])
         pending[lo:size] = np.compress(kept[:k], pending[lo:lo + k], out=diff[:size - lo])
     return pending[:size]
@@ -154,10 +151,13 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
 
     Parity rule: t - r is an odd prime only if t and r differ in parity, so r clears
     odd primes in the half h = 1 - r % 2 alone.  Bit i of live[h] is target t = 2i + h;
-    bit j of the odd mask says 2j + 1 is not prime (bit 0 is set), and copy s of it is
-    moved up s bits with ones shifted in.  As t - r = 2(i - c) + 1 for c = (r + 1) // 2
-    = 8q + s, one AND of live[h, q:] with copy s clears those t (t <= r meets the
-    shifted-in ones, t = r + 1 reads 1); p = 2 clears the one bit t = r + 2 <= limit.
+    the odd mask is the complement of the table's prime bits, so its bit j says 2j + 1
+    is not prime (bit 0 is set), and copy s of it is moved up s bits with ones shifted
+    in.  As t - r = 2(i - c) + 1 for c = (r + 1) // 2 = 8q + s, one AND of live[h, q:]
+    with copy s clears those t (t <= r meets the shifted-in ones, t = r + 1 reads 1);
+    p = 2 clears the one bit t = r + 2 <= limit.  The mask's bits past limit (inverted
+    padding, or a larger table's primes) are read only for targets t > limit, whose live
+    bits are 0: a pending t <= limit reads the bit of t - r <= t.
 
     Stop rules: the ANDs end at `top`, the last byte nonzero in either half, and stop once
     r > 16 * top + 14, when they would start past it.  Every 8 ANDs, once at most n /
@@ -172,11 +172,8 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
         live[h, :bits // 8] = 0xFF  # bits of targets 2i + h <= limit
         live[h, bits // 8:bits // 8 + 1] = (1 << bits % 8) - 1
     live[:, :1] &= 0xFC  # targets 0..3
-    odd, chunk = table.prime[1:n:2], np.empty(2 ** 16, dtype=bool)
-    shifted = np.zeros((8, m), dtype=np.uint8)
-    for lo in range(0, odd.size, 2 ** 16):
-        part = np.logical_not(odd[lo:lo + 2 ** 16], out=chunk[:odd.size - lo])
-        shifted[0, lo // 8:(lo + part.size + 7) // 8] = np.packbits(part, bitorder="little")
+    shifted = np.empty((8, m), dtype=np.uint8)
+    np.invert(table.prime_bits[:m], out=shifted[0])
     for s in range(1, 8):
         np.left_shift(shifted[0], s, out=shifted[s])
         shifted[s, 1:] |= shifted[0, :-1] >> (8 - s)
@@ -193,7 +190,7 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
         if k % 8 == 7 and np.count_nonzero(live[:, :top + 1]) * _SPARSE_RATIO <= n:
             tail = rev_vals
             break
-    exceptions = _sparse_tail(live, top, tail, table.prime).tolist()
+    exceptions = _sparse_tail(live, top, tail, table).tolist()
     return ScanResult(base=ctx.b, limit=limit, scanned_from=4, parity_class=parity,
                       exceptions=tuple(exceptions))
 

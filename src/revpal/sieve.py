@@ -1,9 +1,10 @@
-"""Bulk arithmetic oracles on [1, limit]: square-free and prime flags, k-free tests.
+"""Bulk arithmetic oracles on [1, limit]: prime and square-free bits, k-free tests.
 
-Memory layout: the square-free and prime flags are one byte per entry each, so a
-table of limit L costs about 2L bytes; build keeps no scratch row, and
-DEFAULT_LIMIT_BUDGET guards memory alone.  A table from load_cache is a read-only
-map of its file, not anonymous memory: only the pages a call reads become resident.
+Memory layout: read-only uint8 arrays in little bit order.  Bit j of prime_bits says 2j + 1
+is prime (limit // 16 + 1 bytes, so n >> 1 is in range for every n <= limit; the readers
+add 2); bit n of sqf_bits says n >= 1 is square-free (limit // 8 + 1 bytes).  That is about
+0.19 bytes per entry, and DEFAULT_LIMIT_BUDGET guards memory alone.  A table from load_cache
+is a read-only map of its file: only the pages a call reads become resident.
 """
 
 import mmap
@@ -18,9 +19,14 @@ import numpy as np
 DEFAULT_LIMIT_BUDGET = 2 ** 31
 
 _CACHE_MAGIC = b"RPFT"
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 
-_CHUNK = 2 ** 20  # entries per chunk of build's sieve of Eratosthenes
+_CHUNK = 2 ** 20  # entries per chunk of _packed_sieve, a multiple of 8
+_UNPACK = 2 ** 15  # bytes per chunk that primes unpacks
+# n's bit in its byte: bit n & 7 of sqf_bits[n >> 3]; bit (n >> 1) & 7 of prime_bits[n >> 4], none for even n
+_BIT = np.array([1 << r for r in range(8)], dtype=np.uint8)
+_ODD_MASK = np.array([r & 1 and 1 << (r >> 1) for r in range(16)], dtype=np.uint8)
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 class CacheVersionError(ValueError):
@@ -35,7 +41,7 @@ def check_k(k: int | None, least: int = 2) -> None:
 
 @dataclass(frozen=True)
 class FactorTable:
-    """Immutable sieve output over [0, limit]; index 0 is padding.
+    """Immutable sieve output over [0, limit], packed in bits (see the module docstring).
 
     _memo holds arrays its owners derive from the table (see
     revgoldbach.reversed_prime_block); it lives and dies with the table and
@@ -43,18 +49,52 @@ class FactorTable:
     """
 
     limit: int
-    squarefree: np.ndarray  # bool, n >= 1 with no p^2 | n
-    prime: np.ndarray  # bool, n prime
+    prime_bits: np.ndarray  # uint8, bit j: 2j + 1 is prime
+    sqf_bits: np.ndarray  # uint8, bit n: n >= 1 with no p^2 | n
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def is_prime(self, ns: np.ndarray) -> np.ndarray:
+        """Boolean array over the integer array ns of values in [0, limit], True at the primes."""
+        return (self.prime_bits[ns >> 4] & _ODD_MASK[ns & 15]).view(bool) | (ns == 2)  # | makes each 0 or 1
+
+    def primes(self, lo: int, hi: int) -> np.ndarray:
+        """The primes p with lo <= p < hi and p <= limit, as an ascending int64 array.
+
+        The odd ones are p = 2j + 1 for the set bits j0 <= j < j1 of prime_bits.  They are
+        counted first, through _POPCOUNT over their bytes less the bits of the end bytes
+        outside [j0, j1), so the array is allocated once at its size; it is filled from
+        chunks of _UNPACK bytes unpacked one at a time, so the peak is the output plus one
+        chunk's bits and indices.
+        """
+        bits, hi = self.prime_bits, min(hi, self.limit + 1)
+        j0 = max(lo, 0) // 2
+        j1 = max(hi // 2, j0)
+        starts = range(j0 >> 3, -(-j1 // 8), _UNPACK)
+        count = 0
+        if j0 < j1:
+            count = sum(int(_POPCOUNT[bits[a:min(a + _UNPACK, -(-j1 // 8))]].sum()) for a in starts)
+            first, last = int(bits[j0 >> 3]), int(bits[(j1 - 1) >> 3])  # less their bits outside [j0, j1)
+            count -= int(_POPCOUNT[first & (1 << j0 % 8) - 1]) + int(_POPCOUNT[last >> (j1 - 1) % 8 + 1])
+        k = int(lo <= 2 < hi)
+        out = np.empty(k + count, dtype=np.int64)
+        out[:k] = 2
+        for a in starts:
+            at = max(j0 - 8 * a, 0)
+            flags = np.unpackbits(bits[a:a + _UNPACK], bitorder="little").view(bool)  # bool: 4x faster
+            js = np.flatnonzero(flags[at:j1 - 8 * a])
+            np.multiply(js, 2, out=out[k:k + js.size])
+            out[k:k + js.size] += 2 * (8 * a + at) + 1
+            k += js.size
+        return out
 
     def kfree_at(self, ns: np.ndarray, k: int) -> np.ndarray:
         """Boolean array over the int64 array ns of values in [0, limit], True
-        at n >= 1 with no d^k | n, d >= 2; for k = 2 the squarefree flags.
+        at n >= 1 with no d^k | n, d >= 2; for k = 2 the square-free bits.
         A square-free n is k-free for every k, so for k >= 3 only the other
         values are tried, against p^k for the primes p with p^k <= their max;
         there are none once 2^k > max, and p^k is never formed then."""
         check_k(k)
-        flags = self.squarefree[ns]
+        flags = (self.sqf_bits[ns >> 3] & _BIT[ns & 7]) != 0
         if k == 2:
             return flags
         at = np.flatnonzero(~flags)
@@ -62,7 +102,7 @@ class FactorTable:
         top = int(rest.max(initial=0))
         keep = rest >= 1
         root = isqrt(top) if k < top.bit_length() else 0  # else 2^k > top
-        for p in np.flatnonzero(self.prime[: root + 1]).tolist():
+        for p in self.primes(0, root + 1).tolist():
             if p ** k > top:
                 break
             keep &= rest % p ** k != 0
@@ -70,14 +110,36 @@ class FactorTable:
         return flags
 
 
-def build(limit: int) -> FactorTable:
-    """Prime and square-free flags for 0 <= n <= limit.
+def _packed_sieve(nbytes: int, size: int, firsts: list[int], steps: list[int]) -> np.ndarray:
+    """nbytes of read-only little-order bits, those 0 < i < size set but at firsts[t] + m steps[t], m >= 0.
 
-    A sieve of Eratosthenes on [0, isqrt(limit)] gives the small primes; each then
-    clears its multiples from max(p^2, a) in every chunk [a, a + _CHUNK) above, so a
-    chunk stays in cache while all of them pass over it.  The square-free flags are
-    cleared at 0 and at the multiples of p^2 for the same primes; no larger p^2 fits.
-    DEFAULT_LIMIT_BUDGET caps limit, since the table costs 2(limit + 1) bytes.
+    The steps ascend.  Chunks [a, a + _CHUNK) are sieved in one reused bool buffer and packed,
+    so each progression passes over a chunk in cache and no full-length bool array exists.
+    The loop over the progressions is Python, so the chunk is large (at 2^18 entries
+    build(10**9) took twice as long); steps >= _CHUNK hit a chunk at most once, all in one gather.
+    """
+    out, buf = np.zeros(nbytes, dtype=np.uint8), np.empty(min(_CHUNK, size), dtype=bool)
+    few = sum(step < _CHUNK for step in steps)
+    big_first, big_step = np.array(firsts[few:], dtype=np.int64), np.array(steps[few:], dtype=np.int64)
+    for a in range(0, size, _CHUNK):
+        seg = buf[:size - a]
+        seg[:] = True
+        for first, step in zip(firsts[:few], steps[:few]):
+            seg[max(first - a, (first - a) % step)::step] = False
+        at = np.maximum(big_first - a, (big_first - a) % big_step)
+        seg[at[at < seg.size]] = False
+        out[a // 8:a // 8 + -(-seg.size // 8)] = np.packbits(seg, bitorder="little")
+    out[0] &= 0xFE  # 1 is not prime, 0 is not square-free
+    out.setflags(write=False)
+    return out
+
+
+def build(limit: int) -> FactorTable:
+    """Prime and square-free bits for 0 <= n <= limit.
+
+    A sieve of Eratosthenes on [0, isqrt(limit)] gives the small primes p.  The odd ones clear
+    the odd entries j with 2j + 1 = p^2 + 2mp, and every p^2 clears its multiples from the
+    square-free bits; no larger p^2 fits.  DEFAULT_LIMIT_BUDGET caps limit.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -85,36 +147,26 @@ def build(limit: int) -> FactorTable:
         raise ValueError(f"limit {limit} exceeds memory budget {DEFAULT_LIMIT_BUDGET}")
 
     root = isqrt(limit)
-    prime = np.ones(limit + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, isqrt(root) + 1):
-        if prime[p]:
-            prime[p * p : root + 1 : p] = False
-    small = np.flatnonzero(prime[: root + 1]).tolist()
-    for a in range(root + 1, limit + 1, _CHUNK):
-        for p in small:
-            prime[max(p * p, -(-a // p) * p) : a + _CHUNK : p] = False
-
-    squarefree = np.ones(limit + 1, dtype=bool)
-    squarefree[0] = False
-    for p in small:
-        squarefree[p * p :: p * p] = False
-
-    for arr in (squarefree, prime):
-        arr.setflags(write=False)
-    return FactorTable(limit=limit, squarefree=squarefree, prime=prime)
+    flags = np.ones(root + 1, dtype=bool)
+    for d in range(2, isqrt(root) + 1):
+        flags[d * d::d] = False
+    small = (np.flatnonzero(flags[2:]) + 2).tolist()
+    squares = [p * p for p in small]
+    prime_bits = _packed_sieve(limit // 16 + 1, (limit + 1) // 2, [q // 2 for q in squares[1:]], small[1:])
+    sqf_bits = _packed_sieve(limit // 8 + 1, limit + 1, squares, squares)
+    return FactorTable(limit=limit, prime_bits=prime_bits, sqf_bits=sqf_bits)
 
 
 def save_cache(table: FactorTable, path: str | Path):
     """Binary cache: magic + version + limit header, then the square-free and prime
-    flags, a byte each; written to a temporary file beside path, renamed over it atomically."""
+    bits; written to a temporary file beside path, renamed over it atomically."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(struct.pack("<4sIQ", _CACHE_MAGIC, _CACHE_VERSION, table.limit))
-            fh.write(memoryview(table.squarefree.view(np.uint8)))
-            fh.write(memoryview(table.prime.view(np.uint8)))
+            fh.write(memoryview(table.sqf_bits))
+            fh.write(memoryview(table.prime_bits))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -123,9 +175,9 @@ def save_cache(table: FactorTable, path: str | Path):
 def load_cache(path: str | Path) -> FactorTable:
     """Table of a save_cache file, its arrays read-only views of a map of it.
 
-    The file must be version 4 (another version raises CacheVersionError),
-    exactly the header plus 2(limit + 1) bytes, the square-free then the prime
-    flags.  The map outlives the file's name: save_cache replaces a file by
+    The file must be version 5 (another version raises CacheVersionError),
+    exactly the header plus limit // 8 + 1 square-free bytes, then limit // 16 + 1
+    prime bytes.  The map outlives the file's name: save_cache replaces a file by
     renaming a new one over it, so a loaded table keeps reading the old
     contents.  A cache file must therefore never be rewritten in place.
     """
@@ -139,11 +191,11 @@ def load_cache(path: str | Path) -> FactorTable:
             raise ValueError(f"{path} is not a sieve cache file")
         if version != _CACHE_VERSION:
             raise CacheVersionError(f"{path} has unsupported cache version {version}")
-        n = limit + 1
-        got = os.fstat(fh.fileno()).st_size - 16
-        if got != 2 * n:
-            problem = "truncated" if got < 2 * n else "too long"
-            raise ValueError(f"{path} is {problem}: limit {limit} needs {2 * n} array bytes, got {got}")
+        n_sqf, n_prime = limit // 8 + 1, limit // 16 + 1
+        need, got = n_sqf + n_prime, os.fstat(fh.fileno()).st_size - 16
+        if got != need:
+            problem = "truncated" if got < need else "too long"
+            raise ValueError(f"{path} is {problem}: limit {limit} needs {need} array bytes, got {got}")
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    squarefree, prime = np.frombuffer(data, dtype=bool, count=2 * n, offset=16).reshape(2, n)
-    return FactorTable(limit=int(limit), squarefree=squarefree, prime=prime)
+    sqf_bits, prime_bits = np.split(np.frombuffer(data, dtype=np.uint8, offset=16), [n_sqf])
+    return FactorTable(limit=int(limit), prime_bits=prime_bits, sqf_bits=sqf_bits)

@@ -15,11 +15,11 @@ ZETA_OVERFLOW_K = int("564380309412236207793970706989608370782743828314458522431
                       "180059929638814564872415160725735")
 
 
-def build_divide_out(limit: int) -> tuple[FactorTable, np.ndarray]:
-    """Factor table by division, and Omega beside it: one loop over the primes
-    p <= isqrt(limit) fills the square-free flags and Omega and divides every
-    p^k out of an int32 cofactor array; what is left of n is 1 or its one prime
-    factor above isqrt(limit).  The prime flags are Omega = 1."""
+def build_divide_out(limit: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """(prime flags, square-free flags), and Omega, over [0, limit] by division: one
+    loop over the primes p <= isqrt(limit) fills the square-free flags and Omega
+    and divides every p^k out of an int32 cofactor array; what is left of n is 1
+    or its one prime factor above isqrt(limit).  The prime flags are Omega = 1."""
     squarefree = np.ones(limit + 1, dtype=bool)
     squarefree[0] = False
     omega = np.zeros(limit + 1, dtype=np.int8)
@@ -34,7 +34,7 @@ def build_divide_out(limit: int) -> tuple[FactorTable, np.ndarray]:
             rest[pk::pk] //= p
             pk *= p
     omega[rest > 1] += 1
-    return FactorTable(limit=limit, squarefree=squarefree, prime=omega == 1), omega
+    return (omega == 1, squarefree), omega
 
 
 def is_k_free(n: int, k: int, table: FactorTable) -> bool:
@@ -126,7 +126,7 @@ def reversed_primes_in_class_direct(ctx: BaseContext, N: int, table: FactorTable
     lo, hi = b ** (N - 1), b ** N
     if hi - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
-    ps = np.flatnonzero(table.prime[lo:hi]) + lo
+    ps = table.primes(lo, hi)
     rev = reverse_array(ps[ps % b != 0], ctx)
     return rev[np.gcd(rev, ctx.b3mb) == 1]
 
@@ -140,9 +140,10 @@ def count_rev_kfree_primes_via_kfree(ctx: BaseContext, k: int, N: int, table: Fa
         raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
     ms = np.arange(lo, hi, dtype=np.int64)
     ms = ms[np.gcd(ms, ctx.b3mb) == 1]
+    prime = table.is_prime(np.arange(hi))
     count = 0
     for m in ms.tolist():
-        if is_k_free(m, k, table) and table.prime[reverse(m, ctx)]:
+        if is_k_free(m, k, table) and prime[reverse(m, ctx)]:
             count += 1
     return count
 
@@ -167,7 +168,7 @@ def reversed_prime_values_direct(ctx: BaseContext, cap: int, table: FactorTable)
             f"table limit {table.limit} too small; "
             f"need primes up to {bound} to cover reverses <= {cap}"
         )
-    ps = np.flatnonzero(table.prime[: bound + 1]).astype(np.int64)
+    ps = table.primes(0, bound + 1)
     ps = ps[ps % b != 0]
     vals = reverse_array(ps, ctx)
     vals = vals[vals <= cap]
@@ -185,7 +186,7 @@ def scan_exceptions_mask(ctx: BaseContext, limit: int, table: FactorTable) -> Sc
     parity = parity_class(ctx)
     rev_vals = reversed_prime_values(ctx, limit - 2, table)
     alive = np.zeros(max(limit + 1, 0), dtype=bool)
-    not_prime = ~table.prime[: alive.size]
+    not_prime = ~table.is_prime(np.arange(alive.size))
     alive[4:] = True
     if parity is TargetClass.EVEN_TARGETS_ONLY:
         alive[1::2] = False

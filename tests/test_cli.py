@@ -206,7 +206,7 @@ def test_cache_of_wrong_size_is_rejected(tmp_path, monkeypatch, capsys, edit):
 def test_foreign_cache_file_is_rejected_and_kept(tmp_path, monkeypatch, capsys):
     # the right size for its name, but not a sieve cache: never overwritten
     path = tmp_path / "sieve_1000.bin"
-    data = b"NOPE" + bytes(12 + 2 * 1001)
+    data = b"NOPE" + bytes(12 + 1000 // 8 + 1 + 1000 // 16 + 1)
     path.write_bytes(data)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
@@ -217,7 +217,8 @@ def test_foreign_cache_file_is_rejected_and_kept(tmp_path, monkeypatch, capsys):
 def test_version_1_cache_is_rebuilt_and_replaced(tmp_path, monkeypatch, capsys):
     # files of the right length for their limit, in older formats: version 1
     # held int32 spf, mu and Omega; version 2 held mu and Omega, version 3 the
-    # square-free flags and Omega, both as long as version 4
+    # square-free flags and Omega, version 4 the square-free and prime flags,
+    # each 2 bytes per entry
     limit = max(2, 1000, revgoldbach.prime_bound(base_context(10), 999))
     path = tmp_path / f"sieve_{limit}.bin"
     monkeypatch.delenv(CACHE_ENV, raising=False)
@@ -225,15 +226,15 @@ def test_version_1_cache_is_rebuilt_and_replaced(tmp_path, monkeypatch, capsys):
     fresh = capsys.readouterr()
     built = sieve.build(limit)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    for version, size in ((1, 6), (2, 2), (3, 2)):
+    for version, size in ((1, 6), (2, 2), (3, 2), (4, 2)):
         path.write_bytes(struct.pack("<4sIQ", b"RPFT", version, limit) + bytes(size * (limit + 1)))
         assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
         assert capsys.readouterr() == fresh, version
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"RPFT", 4, limit)
+        assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"RPFT", 5, limit)
         loaded = sieve.load_cache(path)
-        assert loaded.squarefree.tobytes() == built.squarefree.tobytes(), version
-        assert loaded.prime.tobytes() == built.prime.tobytes(), version
+        assert loaded.sqf_bits.tobytes() == built.sqf_bits.tobytes(), version
+        assert loaded.prime_bits.tobytes() == built.prime_bits.tobytes(), version
 
 
 def test_almost_prime_with_a_huge_rough_exponent_counts_only_one(capsys):

@@ -234,7 +234,7 @@ def test_reverse_array_memory_is_the_output_and_fixed_buffers(b):
     # every prime below 10^6: beyond the output, only the two scratch slices
     # and the base's table of padded reversals, built here from a cold cache
     from revpal.sieve import build
-    ps = np.flatnonzero(build(10 ** 6).prime)
+    ps = build(10 ** 6).primes(0, 10 ** 6 + 1)
     ps = ps[ps % b != 0]
     digits._padded_reversals.cache_clear()
     tracemalloc.start()

@@ -77,7 +77,7 @@ def test_count_bounded_by_prime_count(table_1e5):
     ctx = base_context(10)
     for N in (1, 2, 3, 4):
         rep = count_rev_kfree_primes(ctx, 2, N, table_1e5)
-        pi_bn = sum(1 for n in range(10 ** (N - 1), 10 ** N) if table_1e5.prime[n])
+        pi_bn = table_1e5.primes(10 ** (N - 1), 10 ** N).size
         assert 0 <= rep.empirical <= pi_bn
 
 
@@ -135,8 +135,8 @@ def test_almost_prime_palindromes(table_1e5):
     # omega_max = 0 counts only n = 1
     assert count_almost_prime_palindromes(ctx, 10 ** 4, 0, table=table_1e5) == 1
     # omega_max = 1 counts 1 and the palindromic primes
-    direct = 1 + sum(
-        1 for n in enumerate_palindromes(ctx, 10 ** 4) if table_1e5.prime[n])
+    direct = 1 + int(np.count_nonzero(
+        table_1e5.is_prime(enumerate_palindromes(ctx, 10 ** 4))))
     assert count_almost_prime_palindromes(ctx, 10 ** 4, 1, table=table_1e5) == direct
     loose = count_almost_prime_palindromes(ctx, 10 ** 4, 6, kfree_k=3, table=table_1e5)
     tight = count_almost_prime_palindromes(
@@ -149,14 +149,14 @@ def test_palindrome_omega_matches_divide_out_oracle(table_1e5):
     # the primes divided out; a palindromic cube p^3 <= x is right only if p
     # is divided out.  Every member of P_b(x) is compared with Omega by division
     _, omega = build_divide_out(10 ** 5)
-    xs = sorted({p ** 3 + d for p in range(2, 47) if table_1e5.prime[p] for d in (-1, 0, 1)})
+    xs = sorted({p ** 3 + d for p in table_1e5.primes(2, 47).tolist() for d in (-1, 0, 1)})
     cubes = set()
     for b in range(2, 17):
         ctx = base_context(b)
         for x in xs + [10 ** 5]:
             pal = enumerate_palindromes(ctx, x)
-            ps = np.flatnonzero(table_1e5.prime[: isqrt(x) + 1])
-            assert experiments._omega(pal, x, ps, table_1e5.prime).tolist() == omega[pal].tolist(), (b, x)
+            ps = table_1e5.primes(0, isqrt(x) + 1)
+            assert experiments._omega(pal, x, ps, table_1e5).tolist() == omega[pal].tolist(), (b, x)
             cubes.update((b, x) for p in ps.tolist() if p ** 3 == x and x in pal)
     assert {(2, 27), (10, 343), (10, 1331)} <= cubes
 
@@ -229,7 +229,7 @@ def test_counting_reverses_each_tables_primes_once(monkeypatch):
                 got = rev_pi_star(ctx, N, d, table).empirical
                 assert got == int(np.count_nonzero(direct % d == 0)), (b, N, d)
     # block N, the N-digit primes less b itself, reversed once at its first count
-    ps = np.flatnonzero(table.prime)
+    ps = table.primes(0, table.limit + 1)
     assert calls == [(b, int(np.count_nonzero((ps % b != 0) & (b ** (N - 1) <= ps) & (ps < b ** N))))
                      for b, n_max in ((10, 6), (7, 7)) for N in range(1, n_max + 1)]
     assert sum(size for b, size in calls if b == 7) == np.count_nonzero(ps < 7 ** 7) - 1
@@ -248,7 +248,7 @@ def test_first_count_at_N_reverses_only_the_N_digit_primes(monkeypatch):
     direct = reversed_primes_in_class_direct(ctx, 3, table)
     got = count_rev_kfree_primes(ctx, 2, 3, table).empirical
     assert got == int(np.count_nonzero(table.kfree_at(direct, 2)))
-    assert reversed_inputs == [[p for p in range(100, 1000) if table.prime[p]]]
+    assert reversed_inputs == [table.primes(100, 1000).tolist()]
     assert sorted(table._memo) == [(10, 3)]
 
 

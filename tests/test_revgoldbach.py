@@ -34,7 +34,7 @@ def test_representations_examples(table_1e5):
 def test_representations_symmetric_pipeline(table_1e5):
     # iterating p2 instead of p1 must give the same count
     ctx = base_context(10)
-    flags = table_1e5.prime
+    flags = table_1e5.is_prime(np.arange(10 ** 5 + 1))
     all_rev = set(reversed_prime_values(ctx, 10 ** 4, table_1e5).tolist())
     for M in (4, 5, 6, 11, 100, 1234, 9999):
         by_p2 = sum(
@@ -47,7 +47,7 @@ def test_representations_symmetric_pipeline(table_1e5):
 def test_representations_match_prime_flags_count(table_1e5):
     # reverses of every prime in the table, not only those below prime_bound
     ctx = base_context(10)
-    flags = table_1e5.prime
+    flags = table_1e5.is_prime(np.arange(10 ** 5 + 1))
     ps = np.flatnonzero(flags)
     revs = reverse_array(ps[ps % 10 != 0], ctx)
     rng = np.random.default_rng(5)
@@ -190,7 +190,7 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
     # Reading on would change no result, so only the count of values read
     # shows it; each limit runs at every setting of SWITCHES
     ctx = base_context(b)
-    is_prime = table_1e5.prime
+    is_prime = table_1e5.is_prime(np.arange(10 ** 5 + 1))
     even_only = parity_class(ctx) is TargetClass.EVEN_TARGETS_ONLY
     seen = []
     blocks = revgoldbach._reversed_blocks
@@ -274,15 +274,16 @@ def test_estermann_examples(table_1e5):
 def test_estermann_counts_squarefree_differences(table_1e5):
     ctx = base_context(10)
     rev_vals = reversed_prime_values(ctx, 999, table_1e5).tolist()
+    squarefree = table_1e5.kfree_at(np.arange(10 ** 5 + 1), 2)
     for M in (50, 314, 1000):
-        direct = sum(1 for r in rev_vals if r <= M - 1 and table_1e5.squarefree[M - r])
+        direct = sum(1 for r in rev_vals if r <= M - 1 and squarefree[M - r])
         assert estermann_count(ctx, M, table_1e5) == direct
 
 
 @pytest.mark.parametrize("b", [2, 3, 5, 7])
 def test_parity_soundness_of_reversed_primes(b, table_1e6):
     # for b odd or b = 2, the reverse of every odd prime is odd
-    ps = np.flatnonzero(table_1e6.prime)
+    ps = table_1e6.primes(0, 10 ** 6 + 1)
     ps = ps[(ps % b != 0) & (ps != 2)]
     rev_vals = reverse_array(ps, base_context(b))
     assert np.all(rev_vals % 2 == 1)
@@ -294,8 +295,8 @@ def test_reversed_prime_values_sorted_and_correct(table_1e5):
     assert np.all(np.diff(vals) > 0)
     expected = sorted(
         reverse(p, ctx)
-        for p in range(2, 1000)
-        if table_1e5.prime[p] and p % 10 != 0 and reverse(p, ctx) <= 500
+        for p in table_1e5.primes(2, 1000).tolist()
+        if p % 10 != 0 and reverse(p, ctx) <= 500
     )
     assert vals.tolist() == expected
 
@@ -329,7 +330,7 @@ def _blocks_direct(b: int, table) -> dict:
     """Every block of the memo in base b, reversed one prime at a time: for
     each digit count N, the sorted reverses of the N-digit primes <= limit."""
     ctx, blocks = base_context(b), {}
-    for p in np.flatnonzero(table.prime).tolist():
+    for p in table.primes(0, table.limit + 1).tolist():
         if p % b:
             blocks.setdefault((b, len(to_digits(p, b))), []).append(reverse(p, ctx))
     return {key: sorted(vals) for key, vals in blocks.items()}
@@ -342,7 +343,7 @@ def test_memo_holds_every_prime_up_to_the_table_limit():
     for limit in (10 ** 5, 54321):
         table = build(limit)
         rev_vals = reversed_prime_values_direct(ctx, 998, table)
-        want = int(np.count_nonzero(table.prime[1000 - rev_vals]))
+        want = int(np.count_nonzero(table.is_prime(1000 - rev_vals)))
         assert representations(ctx, 1000, table) == want
         assert sorted(table._memo) == [(10, 1), (10, 2), (10, 3)]
         expected = _blocks_direct(10, table)
@@ -350,7 +351,7 @@ def test_memo_holds_every_prime_up_to_the_table_limit():
             vals = revgoldbach.reversed_prime_block(ctx, N, table)
             assert vals.tolist() == expected.get((10, N), []), (limit, N)
         assert {k: v.tolist() for k, v in table._memo.items() if v.size} == expected
-        assert sum(map(len, expected.values())) == np.count_nonzero(table.prime)
+        assert sum(map(len, expected.values())) == table.primes(0, limit + 1).size
 
 
 def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
@@ -372,11 +373,11 @@ def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
             for M, (r, h) in counts.items():
                 rev_r = reversed_prime_values_direct(ctx, M - 2, table)
                 rev_h = reversed_prime_values_direct(ctx, M - 1, table)
-                assert r == int(np.count_nonzero(table.prime[M - rev_r])), (b, M)
-                assert h == int(np.count_nonzero(table.squarefree[M - rev_h])), (b, M)
+                assert r == int(np.count_nonzero(table.is_prime(M - rev_r))), (b, M)
+                assert h == int(np.count_nonzero(table.kfree_at(M - rev_h, 2))), (b, M)
     # blocks in the order first read: digit counts 1 to that of 900001,
     # 6 in base 10 and 4 in base 31, each reversed once per table and base
-    ps = np.flatnonzero(tables[0].prime)
+    ps = tables[0].primes(0, 10 ** 6 + 1)
     sizes = {b: [int(np.count_nonzero((ps % b != 0) & (b ** (N - 1) <= ps) & (ps < b ** N)))
                  for N in range(1, len(to_digits(900001, b)) + 1)]
              for b in (10, 31)}
@@ -392,7 +393,7 @@ def test_reversed_prime_memo_build_memory():
     ctx = base_context(10)
     for digits in (6, 7):
         table = build(10 ** digits)
-        n_primes = int(np.count_nonzero(table.prime))
+        n_primes = table.primes(0, 10 ** digits + 1).size
         tracemalloc.start()
         try:
             for N in range(1, digits + 1):
@@ -417,9 +418,9 @@ def test_block_sums_match_direct_at_powers_of_the_base(b, table_1e5):
             if max(prime_bound(ctx, cap), cap + 2) > table_1e5.limit:
                 continue
             rev = reversed_prime_values_direct(ctx, cap, table_1e5)
-            want = int(np.count_nonzero(table_1e5.prime[cap + 2 - rev]))
+            want = int(np.count_nonzero(table_1e5.is_prime(cap + 2 - rev)))
             assert representations(ctx, cap + 2, table_1e5) == want, (b, cap)
-            want = int(np.count_nonzero(table_1e5.squarefree[cap + 1 - rev]))
+            want = int(np.count_nonzero(table_1e5.kfree_at(cap + 1 - rev, 2)))
             assert estermann_count(ctx, cap + 1, table_1e5) == want, (b, cap)
             checked += 1
     assert checked >= 9

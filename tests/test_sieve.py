@@ -19,10 +19,11 @@ from revpal.sieve import CacheVersionError, build, load_cache, save_cache
 
 def test_build_small_examples():
     t = build(30)
-    assert t.squarefree[30]
-    assert np.flatnonzero(t.prime).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert not t.squarefree[12]
-    assert not t.squarefree[0] and t.squarefree[1]
+    squarefree = t.kfree_at(np.arange(31), 2)
+    assert squarefree[30]
+    assert t.primes(0, 31).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert not squarefree[12]
+    assert not squarefree[0] and squarefree[1]
 
 
 def test_build_rejects_bad_limits(monkeypatch):
@@ -54,14 +55,14 @@ def test_kfree_matches_oracle_sampled(table_1e5, n, k):
 
 
 def test_squarefree_matches_kfree_status(table_1e5):
-    flags = table_1e5.squarefree
+    flags = table_1e5.kfree_at(np.arange(10 ** 5 + 1), 2)
     assert flags.dtype == bool
     for n in range(1, 2000):
         assert flags[n] == is_k_free(n, 2, table_1e5)
 
 
 def test_squarefree_count_1e6(table_1e6):
-    count = int(np.count_nonzero(table_1e6.squarefree))
+    count = int(np.count_nonzero(table_1e6.kfree_at(np.arange(10 ** 6 + 1), 2)))
     assert count == 607926
     assert abs(count / 10 ** 6 - 6 / math.pi ** 2) / (6 / math.pi ** 2) < 0.01
 
@@ -70,8 +71,8 @@ def test_squarefree_count_1e6(table_1e6):
 @given(st.integers(2, 300), st.integers(2, 300))
 def test_squarefree_multiplicative_on_coprime_pairs(table_1e5, m, n):
     if math.gcd(m, n) == 1:
-        flags = table_1e5.squarefree
-        assert flags[m * n] == (flags[m] and flags[n])
+        flags = table_1e5.kfree_at(np.array([m * n, m, n]), 2)
+        assert flags[0] == (flags[1] and flags[2])
 
 
 def test_cache_round_trip(tmp_path):
@@ -80,31 +81,36 @@ def test_cache_round_trip(tmp_path):
     save_cache(t, path)
     t2 = load_cache(path)
     assert t2.limit == t.limit
-    assert np.array_equal(t2.squarefree, t.squarefree)
-    assert np.array_equal(t2.prime, t.prime)
+    ns = np.arange(5001)
+    assert np.array_equal(t2.kfree_at(ns, 2), t.kfree_at(ns, 2))
+    assert np.array_equal(t2.is_prime(ns), t.is_prime(ns))
 
 
 def test_cache_file_is_header_plus_little_endian_arrays(tmp_path):
     t = build(5000)
     path = tmp_path / "sieve_5000.bin"
     save_cache(t, path)
-    # version 4: the header, then the square-free and the prime flags (0 or 1),
-    # one byte per entry each
-    expected = (struct.pack("<4sIQ", b"RPFT", 4, 5000)
-                + t.squarefree.astype("u1").tobytes() + t.prime.astype("u1").tobytes())
+    # version 5: the header, then bit n of the square-free bytes for 0 <= n <= 5000
+    # and bit j of the prime bytes for 2j + 1 <= 5000, both in little bit order
+    (prime, squarefree), _ = build_divide_out(5000)
+    expected = (struct.pack("<4sIQ", b"RPFT", 5, 5000)
+                + np.packbits(squarefree, bitorder="little").tobytes()
+                + np.packbits(prime[1::2], bitorder="little").tobytes())
     assert path.read_bytes() == expected
-    assert len(expected) == 16 + 2 * 5001
+    assert len(expected) == 16 + (5000 // 8 + 1) + (5000 // 16 + 1)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_cache_rejects_older_version_file(tmp_path, version):
     # version 1 held int32 spf before mu and Omega, 6 bytes per entry; version 2
-    # held int8 mu before Omega, and version 3 the square-free flags before
-    # Omega: as long as version 4, so only the version tells them apart
-    t, omega = build_divide_out(5000)
-    mu = np.where(t.squarefree, 1 - 2 * (omega & 1), 0).astype("<i1")
+    # held int8 mu before Omega, version 3 the square-free flags before Omega,
+    # and version 4 the square-free flags before the prime flags, all 2 bytes
+    # per entry: only the version tells them apart, not the length
+    (prime, squarefree), omega = build_divide_out(5000)
+    mu = np.where(squarefree, 1 - 2 * (omega & 1), 0).astype("<i1")
     arrays = {1: bytes(6 * 5001), 2: mu.tobytes() + omega.tobytes(),
-              3: t.squarefree.tobytes() + omega.tobytes()}[version]
+              3: squarefree.tobytes() + omega.tobytes(),
+              4: squarefree.tobytes() + prime.tobytes()}[version]
     path = tmp_path / "sieve_5000.bin"
     path.write_bytes(struct.pack("<4sIQ", b"RPFT", version, 5000) + arrays)
     with pytest.raises(CacheVersionError, match=f"sieve_5000.bin has unsupported cache version {version}"):
@@ -116,7 +122,8 @@ def test_cache_rejects_truncated_file(tmp_path):
     save_cache(build(5000), path)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
     path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(ValueError, match="sieve_5000.bin"):
+    # 5000 // 8 + 1 = 626 square-free bytes and 5000 // 16 + 1 = 313 prime bytes
+    with pytest.raises(ValueError, match="sieve_5000.bin is truncated: limit 5000 needs 939 array bytes, got 938"):
         load_cache(path)
 
 
@@ -125,7 +132,7 @@ def test_cache_rejects_trailing_bytes(tmp_path):
     save_cache(build(5000), path)
     with open(path, "ab") as fh:
         fh.write(b"\0")
-    with pytest.raises(ValueError, match="sieve_5000.bin.*too long"):
+    with pytest.raises(ValueError, match="sieve_5000.bin is too long: limit 5000 needs 939 array bytes, got 940"):
         load_cache(path)
 
 
@@ -133,7 +140,7 @@ def test_loaded_table_is_read_only_and_equals_build(tmp_path):
     path = tmp_path / "sieve_5000.bin"
     save_cache(build(5000), path)
     loaded, built = load_cache(path), build(5000)
-    for name in ("squarefree", "prime"):
+    for name in ("sqf_bits", "prime_bits"):
         arr = getattr(loaded, name)
         assert not arr.flags.writeable, name
         assert arr.dtype == getattr(built, name).dtype, name
@@ -143,7 +150,7 @@ def test_loaded_table_is_read_only_and_equals_build(tmp_path):
 
 
 def test_loaded_table_kfree_at_equals_build(tmp_path):
-    # the mapped flags are a bool view of the file's 0/1 bytes
+    # the mapped bits are a uint8 view of the file's bytes
     path = tmp_path / "sieve_5000.bin"
     save_cache(build(5000), path)
     loaded, built = load_cache(path), build(5000)
@@ -158,13 +165,14 @@ def test_loaded_table_survives_a_save_over_its_file(tmp_path):
     save_cache(old, path)
     loaded = load_cache(path)
     # same limit, so the same file size; only the contents differ
-    new = sieve.FactorTable(limit=5000, squarefree=~old.squarefree, prime=~old.prime)
+    new = sieve.FactorTable(limit=5000, prime_bits=~old.prime_bits, sqf_bits=~old.sqf_bits)
     save_cache(new, path)
-    assert np.array_equal(loaded.squarefree, old.squarefree)
-    assert np.array_equal(loaded.prime, old.prime)
+    ns = np.arange(5001)
+    assert np.array_equal(loaded.kfree_at(ns, 2), old.kfree_at(ns, 2))
+    assert np.array_equal(loaded.is_prime(ns), old.is_prime(ns))
     reloaded = load_cache(path)
-    assert np.array_equal(reloaded.squarefree, new.squarefree)
-    assert np.array_equal(reloaded.prime, new.prime)
+    assert np.array_equal(reloaded.kfree_at(ns, 2), new.kfree_at(ns, 2))
+    assert np.array_equal(reloaded.is_prime(ns), new.is_prime(ns))
 
 
 def test_cache_rejects_garbage(tmp_path):
@@ -193,7 +201,8 @@ def test_build_matches_trial_division_around_prime_squares():
     expected = [_trial_row(n) for n in range(1, 301)]
     for limit in range(2, 301):
         t = build(limit)
-        rows = list(zip(t.squarefree.tolist(), t.prime.tolist()))
+        ns = np.arange(limit + 1)
+        rows = list(zip(t.kfree_at(ns, 2).tolist(), t.is_prime(ns).tolist()))
         assert rows[1:] == expected[:limit], limit
 
 
@@ -203,7 +212,7 @@ def test_prime_flags_match_eratosthenes(table_1e5):
     for p in range(2, math.isqrt(10 ** 5) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    assert np.array_equal(table_1e5.prime, flags)
+    assert np.array_equal(table_1e5.is_prime(np.arange(10 ** 5 + 1)), flags)
 
 
 def test_kfree_flags_match_oracles():
@@ -261,20 +270,27 @@ def test_huge_k_forms_no_huge_power():
 
 
 def _assert_same_table(t, ref):
-    for name in ("squarefree", "prime"):
-        got, want = getattr(t, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t.limit, name)
+    # is_prime and kfree_at(., 2) against the oracle's flags, byte for byte, so
+    # each gathered flag is 0 or 1; primes against the oracle's prime list
+    prime, squarefree = ref
+    ns = np.arange(t.limit + 1)
+    assert t.is_prime(ns).tobytes() == prime.tobytes(), t.limit
+    assert t.kfree_at(ns[1:], 2).tobytes() == squarefree[1:].tobytes(), t.limit
+    assert np.array_equal(t.primes(0, t.limit + 1), np.flatnonzero(prime)), t.limit
 
 
 _C = sieve._CHUNK
 
 
 @pytest.mark.parametrize("limit", sorted({
-    _C - 1, _C, _C + 1, _C + 1024, _C + 1025, 2 * _C + 7, 2 * _C + 1448, 2 * _C + 1449,
-    3 * _C + 5, 2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 2 ** 19 + 7, 3 * 2 ** 18 + 5, 10 ** 6}))
+    _C - 1, _C, _C + 1, _C + 1024, _C + 1025, 2 * _C - 1, 2 * _C, 2 * _C + 1, 2 * _C + 7,
+    2 * _C + 1448, 2 * _C + 1449, 3 * _C + 5, 2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1, 2 ** 19 + 7,
+    3 * 2 ** 18 + 5, 10 ** 6}))
 def test_build_matches_divide_out_oracle(limit):
-    # limits on each side of multiples of the chunk size; the chunks start
-    # at isqrt(limit) + 1, so _C + 1024 and 2 * _C + 1448 end exactly on a chunk
+    # the square-free bits are sieved in chunks of _C integers and the prime bits
+    # in chunks of _C odd ones, so limits on each side of _C and 2 * _C end a
+    # chunk of each; from 2 * _C on, the squares of the primes above 1024 exceed
+    # _C and clear a chunk at most once each
     _assert_same_table(build(limit), build_divide_out(limit)[0])
 
 
@@ -286,8 +302,29 @@ def test_build_matches_divide_out_oracle_at_every_small_limit():
         _assert_same_table(build(limit), build_divide_out(limit)[0])
 
 
+@pytest.mark.parametrize("limit", [4998, 4999, 2 * _C + 1])
+def test_primes_and_gathers_match_divide_out_oracle_at_range_edges(limit):
+    # 4999 is prime, so the last odd bit of its table is set; 2 * _C + 1 spans
+    # four chunks of primes' unpacking, one for every 16 * _UNPACK integers
+    t = build(limit)
+    (prime, squarefree), _ = build_divide_out(limit)
+    ends = [0, 1, 2, limit]
+    assert t.is_prime(np.array(ends)).tolist() == prime[ends].tolist()
+    assert t.kfree_at(np.array(ends), 2).tolist() == squarefree[ends].tolist()
+    span = 16 * sieve._UNPACK
+    ranges = [(lo, hi) for lo in (0, 1, 2, 3) for hi in (2, 3, 4)]
+    ranges += [(10, 10), (11, 5), (8, 9), (-7, 0), (limit, limit)]  # empty
+    ranges += [(0, limit + 2), (limit - 37, limit + 2 ** 20), (limit, limit + 1)]  # hi > limit + 1
+    ranges += [(17, 4099), (1001, 1013), (4095, 4097), (span - 5, span + 45), (33, 3 * span + 99)]
+    for lo, hi in ranges:
+        want = np.flatnonzero(prime[:max(hi, 0)])
+        got = t.primes(lo, hi)
+        assert got.dtype == np.int64 and got.tolist() == want[want >= lo].tolist(), (lo, hi)
+
+
 def test_build_memory_is_under_2_2_bytes_per_entry():
-    # the table itself is 2 bytes per entry; build keeps no scratch row
+    # the table itself is limit / 16 + limit / 8 bytes; build keeps one chunk
+    # buffer of _C bools and its packed bytes beside it, and no full-length row
     limit = 10 ** 7
     tracemalloc.start()
     try:
@@ -295,7 +332,7 @@ def test_build_memory_is_under_2_2_bytes_per_entry():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * limit
+    assert peak < limit // 16 + limit // 8 + 2 + 2 * _C
 
 
 def test_squarefree_flags_match_stride_loop(table_1e5):
@@ -309,7 +346,7 @@ def test_squarefree_flags_match_stride_loop(table_1e5):
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_kfree_at_gathered_values_near_prime_powers(k, table_1e5):
     # when max(ns) is p^k itself, p must still be among the primes tried
-    ps = [p for p in range(2, 50) if table_1e5.prime[p] and p ** k <= 10 ** 5]
+    ps = [p for p in table_1e5.primes(2, 50).tolist() if p ** k <= 10 ** 5]
     for p in ps:
         for n in (p ** k - 1, p ** k, p ** k + 1, 2 * p ** k):
             if n <= 10 ** 5:
