@@ -8,9 +8,11 @@ from math import isqrt
 
 import numpy as np
 
-from . import densities, revgoldbach
-from .digits import BaseContext, reverse, reverse_array
+from . import densities
+from .digits import BaseContext, reverse_array
 from .sieve import FactorTable, check_k
+
+_SPAN = 2 ** 22  # integers per table.primes read of _reversed_primes_in_class
 
 
 @dataclass(frozen=True)
@@ -86,31 +88,32 @@ def sqrt_law_check(ctx: BaseContext, x_values: list[int], star: bool = False) ->
 # reversed primes
 # ---------------------------------------------------------------------------
 
-def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable) -> np.ndarray:
-    """rev(p) for the primes p in B_N (N base-b digits, not divisible by b)
-    whose reverse is in B*_N (also coprime to b^3 - b), in ascending order.
+def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable):
+    """Unsorted chunks of rev(p) over the primes p in B_N (N base-b digits, not divisible by b)
+    with reverse in B*_N (also coprime to b^3 - b), read one leading digit d at a time.
 
-    Reversal maps B_N onto itself, so these are block N of the table's memo
-    of reversed primes v = rev(p), less those sharing a prime with
-    (b-1)b(b+1).  v mod b is the leading digit of p, and v = p (mod b-1),
-    v = (-1)^(N-1) p (mod b+1), as b = 1 and b = -1 there.  So v is kept iff
-    gcd(v mod b, b) = 1 and p is not a prime q | b^2 - 1, all q <= b + 1.
+    v = rev(p) has v mod b = d, v = p (mod b-1) and v = (-1)^(N-1) p (mod b+1), as b = 1 and
+    b = -1 there.  So v is kept iff gcd(d, b) = 1 and p is not a prime q | b^3 - b, all q <= b + 1
+    (q = b is the one N-digit prime divisible by b).  Each d's primes are read in spans of _SPAN
+    integers, so no array grows with the block; only a span starting at or below b + 1 holds a q.
     """
-    hi = ctx.b ** N
-    if hi - 1 > table.limit:
-        raise ValueError(f"table limit {table.limit} too small for b^N = {hi}")
-    rev = revgoldbach.reversed_prime_block(ctx, N, table)
-    keep = (np.gcd(np.arange(ctx.b), ctx.b) == 1)[rev % ctx.b]
-    qs = [q for q in ctx.primes_b3mb if ctx.b % q and hi // ctx.b <= q < hi]  # in B_N
-    keep[np.searchsorted(rev, [reverse(q, ctx) for q in qs])] = False
-    return rev[keep]
+    b, top = ctx.b, ctx.b ** (N - 1)
+    if b * top - 1 > table.limit:
+        raise ValueError(f"table limit {table.limit} too small for b^N = {b * top}")
+    for d in range(1, b):
+        if math.gcd(d, b) == 1:
+            for lo in range(d * top, (d + 1) * top, _SPAN):
+                ps = table.primes(lo, min(lo + _SPAN, (d + 1) * top))
+                if lo <= b + 1:
+                    ps = ps[~np.isin(ps, ctx.primes_b3mb)]
+                yield reverse_array(ps, ctx)
 
 
 def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable) -> CountReport:
     """r_{b,k}(N): primes p in B_N with reverse in B*_N and reverse k-free."""
     main_term = densities.rev_kfree_main_term(ctx, k, N)  # checks k and N before the table
-    rev = _reversed_primes_in_class(ctx, N, table)
-    count = int(np.count_nonzero(table.kfree_at(rev, k)))
+    count = sum(int(np.count_nonzero(table.kfree_at(rev, k)))
+                for rev in _reversed_primes_in_class(ctx, N, table))
     return CountReport(
         label="rev_kfree_primes", b=ctx.b, k=k, N_or_x=N, d=None,
         empirical=count, main_term=main_term,
@@ -120,8 +123,8 @@ def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable)
 def rev_pi_star(ctx: BaseContext, N: int, d: int, table: FactorTable) -> CountReport:
     """pi*_N(0, d): primes p in B_N with reverse in B*_N and d | reverse(p)."""
     main_term = densities.rev_pi_main_term(ctx, d, N)  # checks d and N before the table
-    rev = _reversed_primes_in_class(ctx, N, table)
-    count = int(np.count_nonzero(rev % d == 0)) if d < ctx.b ** N else 0  # every rev < b^N
+    count = sum(int(np.count_nonzero(rev % d == 0)) if d < ctx.b ** N else 0  # every rev < b^N
+                for rev in _reversed_primes_in_class(ctx, N, table))
     return CountReport(
         label="rev_pi_star", b=ctx.b, k=None, N_or_x=N, d=d,
         empirical=count, main_term=main_term,

@@ -70,8 +70,8 @@ def prime_bound(ctx: BaseContext, cap: int) -> int:
 def reversed_prime_block(ctx: BaseContext, N: int, table: FactorTable) -> np.ndarray:
     """Block N of the table's reversed-prime memo in base b, read-only: the
     sorted rev(p) over the N-digit primes p <= table.limit but b, the only
-    one with a trailing zero.  table._memo maps (b, N) to this block, built
-    on its first read and kept for the table's lifetime."""
+    one with a trailing zero.  table._memo maps (b, N) to this block, built on
+    its first read by a reverse-Goldbach call and kept for the table's lifetime."""
     b = ctx.b
     vals = table._memo.get((b, N))
     if vals is None:

@@ -23,9 +23,6 @@ _CACHE_VERSION = 5
 
 _CHUNK = 2 ** 20  # entries per chunk of _packed_sieve, a multiple of 8
 _UNPACK = 2 ** 15  # bytes per chunk that primes unpacks
-# n's bit in its byte: bit n & 7 of sqf_bits[n >> 3]; bit (n >> 1) & 7 of prime_bits[n >> 4], none for even n
-_BIT = np.array([1 << r for r in range(8)], dtype=np.uint8)
-_ODD_MASK = np.array([r & 1 and 1 << (r >> 1) for r in range(16)], dtype=np.uint8)
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
@@ -43,9 +40,9 @@ def check_k(k: int | None, least: int = 2) -> None:
 class FactorTable:
     """Immutable sieve output over [0, limit], packed in bits (see the module docstring).
 
-    _memo holds arrays its owners derive from the table (see
-    revgoldbach.reversed_prime_block); it lives and dies with the table and
-    is never saved, compared or shown.
+    _memo holds the reversed-prime blocks of the reverse-Goldbach calls (see
+    revgoldbach.reversed_prime_block; the counts stream theirs); it lives and
+    dies with the table and is never saved, compared or shown.
     """
 
     limit: int
@@ -54,8 +51,10 @@ class FactorTable:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_prime(self, ns: np.ndarray) -> np.ndarray:
-        """Boolean array over the integer array ns of values in [0, limit], True at the primes."""
-        return (self.prime_bits[ns >> 4] & _ODD_MASK[ns & 15]).view(bool) | (ns == 2)  # | makes each 0 or 1
+        """Boolean array over the integer array ns of values in [0, limit], True at the primes.
+        n's low byte places its bit, so the byte index is the one temporary as wide as ns."""
+        low = ns.astype(np.uint8)  # bit 0: n is odd
+        return (self.prime_bits[ns >> 4] >> (low >> 1 & 7) & low & 1).view(bool) | (ns == 2)
 
     def primes(self, lo: int, hi: int) -> np.ndarray:
         """The primes p with lo <= p < hi and p <= limit, as an ascending int64 array.
@@ -94,7 +93,7 @@ class FactorTable:
         values are tried, against p^k for the primes p with p^k <= their max;
         there are none once 2^k > max, and p^k is never formed then."""
         check_k(k)
-        flags = (self.sqf_bits[ns >> 3] & _BIT[ns & 7]) != 0
+        flags = (self.sqf_bits[ns >> 3] >> (ns.astype(np.uint8) & 7) & 1).view(bool)  # bit n & 7 of its byte
         if k == 2:
             return flags
         at = np.flatnonzero(~flags)
@@ -110,21 +109,31 @@ class FactorTable:
         return flags
 
 
-def _packed_sieve(nbytes: int, size: int, firsts: list[int], steps: list[int]) -> np.ndarray:
+def _packed_sieve(nbytes: int, size: int, firsts: list[int], steps: list[int], pre: int) -> np.ndarray:
     """nbytes of read-only little-order bits, those 0 < i < size set but at firsts[t] + m steps[t], m >= 0.
 
     The steps ascend.  Chunks [a, a + _CHUNK) are sieved in one reused bool buffer and packed,
     so each progression passes over a chunk in cache and no full-length bool array exists.
-    The loop over the progressions is Python, so the chunk is large (at 2^18 entries
-    build(10**9) took twice as long); steps >= _CHUNK hit a chunk at most once, all in one gather.
+    Each chunk starts from one period of the first pre progressions (coprime steps) run down
+    to their least terms, which are set back; any other term below firsts[t] must be cleared
+    anyway (see build).  The loop over the rest is Python, so the chunk is large (at 2^18
+    entries build(10**9) took twice as long); steps >= _CHUNK hit a chunk at most once, in one gather.
     """
     out, buf = np.zeros(nbytes, dtype=np.uint8), np.empty(min(_CHUNK, size), dtype=bool)
+    least = [first % step for first, step in zip(firsts[:pre], steps[:pre])]
+    period = np.ones(np.prod(steps[:pre]), dtype=bool)
+    for r, step in zip(least, steps[:pre]):
+        period[r::step] = False
     few = sum(step < _CHUNK for step in steps)
     big_first, big_step = np.array(firsts[few:], dtype=np.int64), np.array(steps[few:], dtype=np.int64)
     for a in range(0, size, _CHUNK):
         seg = buf[:size - a]
-        seg[:] = True
-        for first, step in zip(firsts[:few], steps[:few]):
+        fill, whole = np.roll(period, -(a % period.size)), seg.size - seg.size % period.size
+        seg[:whole].reshape(-1, period.size)[:] = fill
+        seg[whole:] = fill[:seg.size - whole]
+        if a == 0:
+            seg[[r for r in least if r < seg.size]] = True
+        for first, step in zip(firsts[pre:few], steps[pre:few]):
             seg[max(first - a, (first - a) % step)::step] = False
         at = np.maximum(big_first - a, (big_first - a) % big_step)
         seg[at[at < seg.size]] = False
@@ -139,7 +148,10 @@ def build(limit: int) -> FactorTable:
 
     A sieve of Eratosthenes on [0, isqrt(limit)] gives the small primes p.  The odd ones clear
     the odd entries j with 2j + 1 = p^2 + 2mp, and every p^2 clears its multiples from the
-    square-free bits; no larger p^2 fits.  DEFAULT_LIMIT_BUDGET caps limit.
+    square-free bits; no larger p^2 fits.  The densest strides, 3 to 13 (period 15015 odd
+    entries) and 4 to 49 (period 44100), are pre-sieved at every limit.  Below p^2 that adds 0
+    for the squares, and for odd p the odd m p < p^2: p, set back, and those with 3 <= m < p,
+    which their least prime factor r clears anyway, as r^2 <= m p.  DEFAULT_LIMIT_BUDGET caps limit.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -150,10 +162,10 @@ def build(limit: int) -> FactorTable:
     flags = np.ones(root + 1, dtype=bool)
     for d in range(2, isqrt(root) + 1):
         flags[d * d::d] = False
-    small = (np.flatnonzero(flags[2:]) + 2).tolist()
-    squares = [p * p for p in small]
-    prime_bits = _packed_sieve(limit // 16 + 1, (limit + 1) // 2, [q // 2 for q in squares[1:]], small[1:])
-    sqf_bits = _packed_sieve(limit // 8 + 1, limit + 1, squares, squares)
+    small = [p for p in (np.flatnonzero(flags[2:]) + 2).tolist() if p > 13]
+    odd, squares = [3, 5, 7, 11, 13, *small], [p * p for p in (2, 3, 5, 7, 11, 13, *small)]
+    prime_bits = _packed_sieve(limit // 16 + 1, (limit + 1) // 2, [q // 2 for q in squares[1:]], odd, 5)
+    sqf_bits = _packed_sieve(limit // 8 + 1, limit + 1, squares, squares, 4)
     return FactorTable(limit=limit, prime_bits=prime_bits, sqf_bits=sqf_bits)
 
 

@@ -151,7 +151,7 @@ def count_rev_kfree_primes_via_kfree(ctx: BaseContext, k: int, N: int, table: Fa
 def reversed_prime_values(ctx: BaseContext, cap: int, table: FactorTable) -> np.ndarray:
     """The memo blocks that revgoldbach reads for cap, joined into one new
     array: sorted rev(p) <= cap over primes p <= prime_bound(ctx, cap) with b
-    not dividing p.  It builds the blocks it reads, as the counts do."""
+    not dividing p.  It builds the blocks it reads, as the reverse-Goldbach calls do."""
     return np.concatenate([np.empty(0, dtype=np.int64),
                            *revgoldbach._reversed_blocks(ctx, 0, cap, table)])
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -13,7 +14,7 @@ from oracles import (
     reversed_primes_in_class_direct,
     spf_trial,
 )
-from revpal import experiments, revgoldbach
+from revpal import experiments
 from revpal.cli import render
 from revpal.digits import base_context, reverse_array
 from revpal.experiments import (
@@ -211,28 +212,30 @@ def test_count_rev_kfree_primes_same_on_small_and_large_tables(table_1e6):
 
 def test_counting_reverses_each_tables_primes_once(monkeypatch):
     table = build(10 ** 6)
-    calls = []
+    inputs = []
 
-    def counting_reverse_array(ns, c):
-        calls.append((c.b, ns.size))
+    def recording_reverse_array(ns, c):
+        inputs.append(ns)
         return reverse_array(ns, c)
 
-    monkeypatch.setattr(revgoldbach, "reverse_array", counting_reverse_array)
+    monkeypatch.setattr(experiments, "reverse_array", recording_reverse_array)
     for b, n_max in ((10, 6), (7, 7)):
         ctx = base_context(b)
         for N in range(1, n_max + 1):
             direct = reversed_primes_in_class_direct(ctx, N, table)
+            # the in-class N-digit primes: reversal is an involution on B_N
+            in_class = np.sort(reverse_array(np.sort(direct), ctx)).tolist()
             for k in (2, 3):
+                inputs.clear()
                 got = count_rev_kfree_primes(ctx, k, N, table).empirical
                 assert got == int(np.count_nonzero(table.kfree_at(direct, k))), (b, N, k)
+                assert np.sort(np.concatenate(inputs)).tolist() == in_class, (b, N, k)
             for d in (1, 13, 97):
+                inputs.clear()
                 got = rev_pi_star(ctx, N, d, table).empirical
                 assert got == int(np.count_nonzero(direct % d == 0)), (b, N, d)
-    # block N, the N-digit primes less b itself, reversed once at its first count
-    ps = table.primes(0, table.limit + 1)
-    assert calls == [(b, int(np.count_nonzero((ps % b != 0) & (b ** (N - 1) <= ps) & (ps < b ** N))))
-                     for b, n_max in ((10, 6), (7, 7)) for N in range(1, n_max + 1)]
-    assert sum(size for b, size in calls if b == 7) == np.count_nonzero(ps < 7 ** 7) - 1
+                assert np.sort(np.concatenate(inputs)).tolist() == in_class, (b, N, d)
+    assert table._memo == {}
 
 
 def test_first_count_at_N_reverses_only_the_N_digit_primes(monkeypatch):
@@ -243,13 +246,14 @@ def test_first_count_at_N_reverses_only_the_N_digit_primes(monkeypatch):
         reversed_inputs.append(ns.tolist())
         return reverse_array(ns, c)
 
-    monkeypatch.setattr(revgoldbach, "reverse_array", recording_reverse_array)
+    monkeypatch.setattr(experiments, "reverse_array", recording_reverse_array)
     ctx = base_context(10)
     direct = reversed_primes_in_class_direct(ctx, 3, table)
     got = count_rev_kfree_primes(ctx, 2, 3, table).empirical
     assert got == int(np.count_nonzero(table.kfree_at(direct, 2)))
-    assert reversed_inputs == [table.primes(100, 1000).tolist()]
-    assert sorted(table._memo) == [(10, 3)]
+    ps = table.primes(100, 1000).tolist()
+    assert reversed_inputs == [[p for p in ps if p // 100 == d] for d in (1, 3, 7, 9)]
+    assert table._memo == {}
 
 
 def test_reversed_primes_in_class_match_direct_in_every_base(table_1e5):
@@ -259,13 +263,46 @@ def test_reversed_primes_in_class_match_direct_in_every_base(table_1e5):
         ctx = base_context(b)
         N = 1
         while b ** N - 1 <= 10 ** 5:
-            got = experiments._reversed_primes_in_class(ctx, N, table_1e5)
+            got = np.sort(np.concatenate(list(experiments._reversed_primes_in_class(ctx, N, table_1e5))))
             direct = reversed_primes_in_class_direct(ctx, N, table_1e5)
             assert got.tolist() == np.sort(direct).tolist(), (b, N)
             vals = reversed_prime_values(ctx, b ** N - 1, table_1e5)
             vals = vals[np.searchsorted(vals, b ** (N - 1)):]
             assert np.array_equal(got, vals[np.gcd(vals, ctx.b3mb) == 1]), (b, N)
             N += 1
+
+
+@pytest.mark.parametrize("b", [*range(2, 17), 100, 210, 1000])
+def test_counts_match_oracles_across_span_edges(b, table_1e5, monkeypatch):
+    # 64-integer spans split each leading digit's range once b^(N-1) > 64; at
+    # b = 100 and 210 the span starting at b holds the prime q = b + 1 | b^3 - b
+    monkeypatch.setattr(experiments, "_SPAN", 64)
+    ctx = base_context(b)
+    N = 1
+    while b ** N - 1 <= table_1e5.limit:
+        direct = reversed_primes_in_class_direct(ctx, N, table_1e5)
+        for k in (2, 3):
+            got = count_rev_kfree_primes(ctx, k, N, table_1e5).empirical
+            assert got == int(np.count_nonzero(table_1e5.kfree_at(direct, k))), (b, N, k)
+            assert got == count_rev_kfree_primes_via_kfree(ctx, k, N, table_1e5), (b, N, k)
+        for d in (1, 13, 97):
+            if math.gcd(d, ctx.b3mb) == 1:
+                got = rev_pi_star(ctx, N, d, table_1e5).empirical
+                assert got == int(np.count_nonzero(direct % d == 0)), (b, N, d)
+        N += 1
+
+
+@pytest.mark.parametrize("N", [7, 8])
+def test_count_rev_kfree_primes_memory_does_not_grow_with_the_block(N):
+    # the N = 8 block holds 5,096,876 primes, 40 MB as int64
+    table = build(10 ** N)
+    tracemalloc.start()
+    try:
+        count_rev_kfree_primes(base_context(10), 2, N, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_counting_on_a_too_small_table_raises_before_reversing():
