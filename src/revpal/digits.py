@@ -33,7 +33,6 @@ class BaseContext:
     """
 
     b: int
-    b2m1: int = field(init=False)
     b3mb: int = field(init=False)
     primes_b3mb: tuple[int, ...] = field(init=False)
     phi_b: int = field(init=False)
@@ -42,7 +41,6 @@ class BaseContext:
         if self.b < 2:
             raise ValueError(f"base must be >= 2, got {self.b}")
         b = self.b
-        object.__setattr__(self, "b2m1", b * b - 1)
         object.__setattr__(self, "b3mb", b ** 3 - b)
         ps = sorted(set().union(*map(_trial_factor, (b - 1, b, b + 1))))  # _trial_factor(1) == []
         object.__setattr__(self, "primes_b3mb", tuple(ps))

@@ -96,17 +96,21 @@ def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable):
     b = -1 there.  So v is kept iff gcd(d, b) = 1 and p is not a prime q | b^3 - b, all q <= b + 1
     (q = b is the one N-digit prime divisible by b).  Each d's primes are read in spans of _SPAN
     integers, so no array grows with the block; only a span starting at or below b + 1 holds a q.
+    The table limit is checked on the call, before any chunk is read.
     """
     b, top = ctx.b, ctx.b ** (N - 1)
     if b * top - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {b * top}")
-    for d in range(1, b):
-        if math.gcd(d, b) == 1:
-            for lo in range(d * top, (d + 1) * top, _SPAN):
-                ps = table.primes(lo, min(lo + _SPAN, (d + 1) * top))
-                if lo <= b + 1:
-                    ps = ps[~np.isin(ps, ctx.primes_b3mb)]
-                yield reverse_array(ps, ctx)
+
+    def chunks():
+        for d in range(1, b):
+            if math.gcd(d, b) == 1:
+                for lo in range(d * top, (d + 1) * top, _SPAN):
+                    ps = table.primes(lo, min(lo + _SPAN, (d + 1) * top))
+                    if lo <= b + 1:
+                        ps = ps[~np.isin(ps, ctx.primes_b3mb)]
+                    yield reverse_array(ps, ctx)
+    return chunks()
 
 
 def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable) -> CountReport:
@@ -123,8 +127,8 @@ def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable)
 def rev_pi_star(ctx: BaseContext, N: int, d: int, table: FactorTable) -> CountReport:
     """pi*_N(0, d): primes p in B_N with reverse in B*_N and d | reverse(p)."""
     main_term = densities.rev_pi_main_term(ctx, d, N)  # checks d and N before the table
-    count = sum(int(np.count_nonzero(rev % d == 0)) if d < ctx.b ** N else 0  # every rev < b^N
-                for rev in _reversed_primes_in_class(ctx, N, table))
+    revs = _reversed_primes_in_class(ctx, N, table)  # checks the table; every rev < b^N
+    count = sum(int(np.count_nonzero(rev % d == 0)) for rev in revs) if d < ctx.b ** N else 0
     return CountReport(
         label="rev_pi_star", b=ctx.b, k=None, N_or_x=N, d=d,
         empirical=count, main_term=main_term,

@@ -115,35 +115,18 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
                for vals in _reversed_blocks(ctx, M, M - 2, table))
 
 
-def _last_nonzero(a: np.ndarray, top: int) -> int:
-    """Largest i <= top with a[:, i] not all zero, or -1, in about the time to skip i + 1..top."""
-    while top >= 0:
-        lo = max(top - 1023, 0)
-        nz = np.flatnonzero(a[:, lo:top + 1].any(axis=0))
-        if nz.size:
-            return lo + int(nz[-1])
-        top = lo - 1
-    return -1
-
-
-def _sparse_tail(live: np.ndarray, top: int, rs, table: FactorTable) -> np.ndarray:
-    """The sorted targets 2i + h of the bits i of live[h, :top + 1], unpacked from nonzero bytes,
-    less each t with t - r prime for the further values r of rs, read until r > max pending - 2;
-    each r tests the entries >= r + 2 and compacts them in place, in buffers allocated once."""
-    h, q = np.divmod(np.flatnonzero(live[:, :top + 1] != 0), top + 1)  # 2-D nonzero is slower
+def _sparse_tail(live: np.ndarray, rs, table: FactorTable) -> np.ndarray:
+    """The sorted targets 2i + h of the bits i of live[h], less each t >= r + 2 with t - r
+    prime for the further values r of rs, read until r > max pending - 2."""
+    h, q = np.divmod(np.flatnonzero(live), live.shape[1])  # 2-D nonzero is slower
     bits = np.flatnonzero(np.unpackbits(live[h, q], bitorder="little"))
     pending = np.sort(16 * q[bits >> 3] + 2 * (bits & 7) + h[bits >> 3])
-    size = pending.size
-    diff, kept = np.empty_like(pending), np.empty(size, bool)
     for r in rs:
-        if size == 0 or r > pending[size - 1] - 2:
+        if pending.size == 0 or r > pending[-1] - 2:
             break
-        lo = int(np.searchsorted(pending[:size], r + 2))
-        k = size - lo
-        np.logical_not(table.is_prime(np.subtract(pending[lo:size], r, out=diff[:k])), out=kept[:k])
-        size = lo + np.count_nonzero(kept[:k])
-        pending[lo:size] = np.compress(kept[:k], pending[lo:lo + k], out=diff[:size - lo])
-    return pending[:size]
+        lo = int(np.searchsorted(pending, r + 2))
+        pending = np.concatenate((pending[:lo], pending[lo:][~table.is_prime(pending[lo:] - r)]))
+    return pending
 
 
 def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanResult:
@@ -159,9 +142,12 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
     padding, or a larger table's primes) are read only for targets t > limit, whose live
     bits are 0: a pending t <= limit reads the bit of t - r <= t.
 
-    Stop rules: the ANDs end at `top`, the last byte nonzero in either half, and stop once
-    r > 16 * top + 14, when they would start past it.  Every 8 ANDs, once at most n /
-    _SPARSE_RATIO bytes are nonzero (n = limit + 1), _sparse_tail stops once r > max pending - 2.
+    Stop rule: every 8 values, once at most n / _SPARSE_RATIO bytes of live are nonzero
+    (n = limit + 1), _sparse_tail takes over, and it stops once r > max pending - 2; without
+    the switch every value r <= limit - 2 is read.  Each AND runs to the end of its half:
+    ending it at the last nonzero byte would save work only while more than n / _SPARSE_RATIO
+    bytes stay nonzero and every one of them sits low; then n < _SPARSE_RATIO * (nonzero
+    bytes), so an AND, at most n / 16 + 1 bytes, is short.
     """
     parity = parity_class(ctx)
     rev_vals = map(int, chain.from_iterable(_reversed_blocks(ctx, limit, limit - 2, table)))
@@ -179,18 +165,15 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
         shifted[s, 1:] |= shifted[0, :-1] >> (8 - s)
         shifted[s, :1] |= (1 << s) - 1
 
-    top, tail = _last_nonzero(live, m - 1), ()
+    tail = ()
     for k, r in enumerate(rev_vals):
-        if r > 16 * top + 14:
-            break
         q, s = divmod((r + 1) // 2, 8)
-        live[1 - r % 2, q:top + 1] &= shifted[s, :top + 1 - q]
+        live[1 - r % 2, q:] &= shifted[s, :m - q]
         live[r % 2, (r + 2) >> 4] &= 0xFF ^ 1 << ((r + 2) >> 1 & 7)
-        top = _last_nonzero(live, top)
-        if k % 8 == 7 and np.count_nonzero(live[:, :top + 1]) * _SPARSE_RATIO <= n:
+        if k % 8 == 7 and np.count_nonzero(live) * _SPARSE_RATIO <= n:
             tail = rev_vals
             break
-    exceptions = _sparse_tail(live, top, tail, table).tolist()
+    exceptions = _sparse_tail(live, tail, table).tolist()
     return ScanResult(base=ctx.b, limit=limit, scanned_from=4, parity_class=parity,
                       exceptions=tuple(exceptions))
 

@@ -114,7 +114,8 @@ def test_criterion_6_congruence_property():
             n = n * b + int(rng.integers(0, b))
         if N > 1:
             n = n * b + last
-        if reverse(n, ctx) % ctx.b2m1 != (pow(b, N - 1, ctx.b2m1) * n) % ctx.b2m1:
+        b2m1 = b * b - 1
+        if reverse(n, ctx) % b2m1 != (pow(b, N - 1, b2m1) * n) % b2m1:
             violations += 1
     report(6, "reverse(n) = b^(N-1) n mod b^2-1 on 1e4 random inputs",
            violations == 0, f"{violations} violations")

@@ -234,7 +234,9 @@ def test_counting_reverses_each_tables_primes_once(monkeypatch):
                 inputs.clear()
                 got = rev_pi_star(ctx, N, d, table).empirical
                 assert got == int(np.count_nonzero(direct % d == 0)), (b, N, d)
-                assert np.sort(np.concatenate(inputs)).tolist() == in_class, (b, N, d)
+                # no reverse below b^N has a divisor d >= b^N, so none is read
+                read = np.sort(np.concatenate([np.empty(0, np.int64), *inputs])).tolist()
+                assert read == (in_class if d < b ** N else []), (b, N, d)
     assert table._memo == {}
 
 
@@ -313,6 +315,17 @@ def test_counting_on_a_too_small_table_raises_before_reversing():
         with pytest.raises(ValueError, match=r"^table limit 10000 too small for b\^N = 100000$"):
             count()
     assert table._memo == {}
+
+
+def test_rev_pi_star_with_d_past_b_to_the_N_checks_the_table_and_reverses_nothing(monkeypatch):
+    def no_reverse_array(ns, c):
+        raise AssertionError("reverse_array called")
+
+    monkeypatch.setattr(experiments, "reverse_array", no_reverse_array)
+    ctx = base_context(10)
+    assert rev_pi_star(ctx, 7, 10 ** 20 + 1, build(10 ** 7)).empirical == 0
+    with pytest.raises(ValueError, match=r"^table limit 10000 too small for b\^N = 10000000$"):
+        rev_pi_star(ctx, 7, 10 ** 20 + 1, build(10 ** 4))
 
 
 @pytest.mark.parametrize("N", [0, -1, -3])

@@ -151,7 +151,7 @@ def test_scan_matches_mask_oracle_every_base(b, table_1e6, monkeypatch):
                 _scan_outcome(scan_exceptions_mask, *args), (ratio, limit)
 
 
-@pytest.mark.parametrize("b", [3, 10])
+@pytest.mark.parametrize("b", [2, 3, 10, 16])
 def test_scan_switches_to_the_sparse_tail_by_itself_at_1e6(b, monkeypatch):
     ctx = base_context(b)
     limit = 10 ** 6
@@ -159,10 +159,10 @@ def test_scan_switches_to_the_sparse_tail_by_itself_at_1e6(b, monkeypatch):
     switched = []
     tail = revgoldbach._sparse_tail
 
-    def spy(live, top, rs, prime):
+    def spy(live, rs, prime):
         # rs is the scan's own iterator after a switch, () without one
         switched.append(rs != ())
-        return tail(live, top, rs, prime)
+        return tail(live, rs, prime)
 
     monkeypatch.setattr(revgoldbach, "_sparse_tail", spy)
     assert scan_exceptions(ctx, limit, table) == scan_exceptions_mask(ctx, limit, table)
@@ -183,10 +183,9 @@ class _CountingValues:
 
 @pytest.mark.parametrize("b", range(2, 37))
 def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monkeypatch):
-    # the packed phase reads reversed values up to the first r > 16 * top + 14,
-    # top the last byte of either half still holding a pending target; every
-    # 8 values it counts the nonzero bytes, and once they are at most
-    # n / _SPARSE_RATIO the sparse tail reads up to the first r > max pending - 2.
+    # every 8 values the packed phase counts the nonzero bytes, and once they are
+    # at most n / _SPARSE_RATIO the sparse tail reads up to the first
+    # r > max pending - 2; with no switch every value <= limit - 2 is read.
     # Reading on would change no result, so only the count of values read
     # shows it; each limit runs at every setting of SWITCHES
     ctx = base_context(b)
@@ -209,26 +208,15 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
             vals = seen[-1].vals.tolist()
             pending = {t for t in range(4, limit + 1) if not (even_only and t % 2)}
             expected, sparse = len(vals), False
+            assert max(vals, default=0) <= limit - 2
             for i, r in enumerate(vals):
-                if sparse and r > max(pending, default=0) - 2 or \
-                        not sparse and r > 16 * (max(pending, default=-16) // 16) + 14:
+                if sparse and r > max(pending, default=0) - 2:
                     expected = i + 1
                     break
                 pending = {t for t in pending if t < r + 2 or not is_prime[t - r]}
                 nonzero_bytes = len({(t % 2, t // 16) for t in pending})
                 sparse = sparse or i % 8 == 7 and nonzero_bytes * ratio <= limit + 1
             assert seen[-1].read == expected, (ratio, limit)
-
-
-def test_last_nonzero_searches_down_across_chunk_edges():
-    a = np.zeros((2, 5000), dtype=np.uint8)
-    for h in (0, 1):
-        for i in (0, 1, 1023, 1024, 2500, 4999):
-            a[:] = 0
-            a[h, i] = 1
-            assert [revgoldbach._last_nonzero(a, top) for top in range(i, 5000)] == \
-                [i] * (5000 - i), (h, i)
-            assert revgoldbach._last_nonzero(a, i - 1) == -1, (h, i)
 
 
 def test_scan_to_1e7_builds_no_block_past_4_digits():
@@ -252,7 +240,7 @@ def test_scan_memory_is_a_few_bytes_per_target(table_1e6):
 
 def test_scan_memory_is_under_3_bytes_per_target(table_1e6):
     # one bit per pending target and 8 shifted packed copies of the odd mask,
-    # one bit per odd number: about 0.8 bytes per target, 0.93 when the
+    # one bit per odd number: about 0.7 bytes per target, 1.0 when the
     # reversed primes are built
     limit = 10 ** 6
     tracemalloc.start()
