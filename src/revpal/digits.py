@@ -112,10 +112,11 @@ def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
     as its digit string, so 120 gives 21 in base 10.  Entries with equal digit
     counts form contiguous blocks, found with np.searchsorted.  Each block is reversed
     into its slice of the output in slices of _REVERSE_SLICE entries, through
-    two reused scratch buffers, so the temporaries stay a fixed size.  A step
-    reverses k0 digits (see _padded_reversals) by one divmod by b^k0 and one
-    gather; an n-digit reverse comes out times b^(k0 ceil(n / k0) - n), which
-    the last division removes.
+    two reused scratch buffers, so the temporaries stay a fixed size.  A step reverses
+    k0 digits (see _padded_reversals) by one gather, each but the last after two
+    floor_divides by b^k0, a multiply and a subtract (divmod is 4x slower).  An n-digit
+    reverse comes out times b^(k0 ceil(n / k0) - n) <= b^(k0 - 1), which the last division
+    removes, so the int64 accumulator stays below b^(n - 1 + k0), 2^16 times the entry if k0 > 1.
     """
     b = ctx.b
     k0, table = _padded_reversals(b)
@@ -131,14 +132,18 @@ def reverse_array(ns: np.ndarray, ctx: BaseContext) -> np.ndarray:
         steps = -(-n_digits // k0)
         for s in range(lo, hi, _REVERSE_SLICE):
             e = min(s + _REVERSE_SLICE, hi)
-            q, r = m[: e - s], d[: e - s]
+            q, r, acc = m[: e - s], d[: e - s], out[s:e]
             q[:] = ns[s:e]
-            acc = out[s:e]
-            for _ in range(steps):
+            for k in range(steps):
                 acc *= step
-                np.divmod(q, step, out=(q, r))
-                if table is not None:  # r < b^k0: "clip" is exact; "raise" would copy r
-                    np.take(table, r, out=r, mode="clip")
-                acc += r
+                if k < steps - 1:  # q mod step stays in q, q // step goes to r
+                    np.floor_divide(q, step, out=r)
+                    r *= step
+                    q -= r
+                    r //= step  # exact
+                if table is not None:  # q < b^k0: "clip" is exact; "raise" would copy q
+                    np.take(table, q, out=q, mode="clip")
+                acc += q
+                q, r = r, q
             acc //= b ** (k0 * steps - n_digits)
     return out

@@ -12,7 +12,7 @@ from . import densities
 from .digits import BaseContext, reverse_array
 from .sieve import FactorTable, check_k
 
-_SPAN = 2 ** 22  # integers per table.primes read of _reversed_primes_in_class
+_SPAN = 2 ** 19  # integers per table.primes read of reversed_prime_spans, one _UNPACK chunk's worth
 
 
 @dataclass(frozen=True)
@@ -88,29 +88,27 @@ def sqrt_law_check(ctx: BaseContext, x_values: list[int], star: bool = False) ->
 # reversed primes
 # ---------------------------------------------------------------------------
 
+def reversed_prime_spans(ctx: BaseContext, lo: int, hi: int, table: FactorTable, drop: tuple[int, ...]):
+    """rev(p) per _SPAN integers of the primes lo <= p < hi, but those in drop (all <= b + 1)."""
+    for s in range(lo, min(hi, table.limit + 1), _SPAN):
+        ps = table.primes(s, min(s + _SPAN, hi))
+        yield reverse_array(ps[~np.isin(ps, drop)] if s <= ctx.b + 1 else ps, ctx)
+
+
 def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable):
     """Unsorted chunks of rev(p) over the primes p in B_N (N base-b digits, not divisible by b)
     with reverse in B*_N (also coprime to b^3 - b), read one leading digit d at a time.
 
     v = rev(p) has v mod b = d, v = p (mod b-1) and v = (-1)^(N-1) p (mod b+1), as b = 1 and
     b = -1 there.  So v is kept iff gcd(d, b) = 1 and p is not a prime q | b^3 - b, all q <= b + 1
-    (q = b is the one N-digit prime divisible by b).  Each d's primes are read in spans of _SPAN
-    integers, so no array grows with the block; only a span starting at or below b + 1 holds a q.
-    The table limit is checked on the call, before any chunk is read.
+    (q = b is the one N-digit prime divisible by b).  Each d's primes are read by
+    reversed_prime_spans.  The table limit is checked on the call, before any chunk is read.
     """
     b, top = ctx.b, ctx.b ** (N - 1)
     if b * top - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {b * top}")
-
-    def chunks():
-        for d in range(1, b):
-            if math.gcd(d, b) == 1:
-                for lo in range(d * top, (d + 1) * top, _SPAN):
-                    ps = table.primes(lo, min(lo + _SPAN, (d + 1) * top))
-                    if lo <= b + 1:
-                        ps = ps[~np.isin(ps, ctx.primes_b3mb)]
-                    yield reverse_array(ps, ctx)
-    return chunks()
+    return (rev for d in range(1, b) if math.gcd(d, b) == 1
+            for rev in reversed_prime_spans(ctx, d * top, (d + 1) * top, table, ctx.primes_b3mb))
 
 
 def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable) -> CountReport:

@@ -8,10 +8,12 @@ from itertools import chain
 
 import numpy as np
 
-from .digits import BaseContext, reverse_array, to_digits
+from .digits import BaseContext, to_digits
+from .experiments import reversed_prime_spans
 from .sieve import FactorTable
 
 _SPARSE_RATIO = 1024  # scan_exceptions's packed phase ends at <= n / _SPARSE_RATIO nonzero bytes
+_GATHER = 2 ** 15  # reversed primes per slice that _reversed_blocks yields
 
 
 class TargetClass(Enum):
@@ -71,12 +73,19 @@ def reversed_prime_block(ctx: BaseContext, N: int, table: FactorTable) -> np.nda
     """Block N of the table's reversed-prime memo in base b, read-only: the
     sorted rev(p) over the N-digit primes p <= table.limit but b, the only
     one with a trailing zero.  table._memo maps (b, N) to this block, built on
-    its first read by a reverse-Goldbach call and kept for the table's lifetime."""
+    its first read by a reverse-Goldbach call and kept for the table's lifetime.  It is uint32
+    when max(table.limit + 1, b^N) < 2^32 (values are below b^N, cuts at most table.limit + 1),
+    else int64, filled from reversed_prime_spans: its build holds the block and one span."""
     b = ctx.b
     vals = table._memo.get((b, N))
     if vals is None:
-        ps = table.primes(b ** (N - 1), b ** N)
-        vals = reverse_array(ps[1:] if ps[:1].tolist() == [b] else ps, ctx)
+        lo, hi = b ** (N - 1), b ** N
+        dtype = np.uint32 if max(table.limit + 1, hi) < 2 ** 32 else np.int64
+        vals, k = np.empty(table.count_primes(lo, hi), dtype), 0
+        for rev in reversed_prime_spans(ctx, lo, hi, table, (b,)):
+            vals[k:k + rev.size] = rev
+            k += rev.size
+        vals = vals[:k]  # less b, where b is prime
         vals.sort()  # in place: a sorted copy would add the block to the peak
         vals.setflags(write=False)
         table._memo[b, N] = vals
@@ -90,11 +99,11 @@ def table_limit(ctx: BaseContext, target: int, cap: int) -> int:
 
 
 def _reversed_blocks(ctx: BaseContext, target: int, cap: int, table: FactorTable):
-    """Blocks 1 to d of the memo, d the digit count of cap, the last cut at
-    cap, as a lazy iterator: together the sorted rev(p) <= cap over primes
-    p <= prime_bound(ctx, cap) with b not dividing p.  The table must reach
-    table_limit(ctx, target, cap), checked before any block is built, so the
-    cut is exact and every M - rev(p) of a target M is in the table."""
+    """Blocks 1 to d of the memo, d the digit count of cap, the last cut at cap, as lazy
+    slices of at most _GATHER values, so no caller's temporary grows with a block: together
+    the sorted rev(p) <= cap over primes p <= prime_bound(ctx, cap) with b not dividing p.
+    The table must reach table_limit(ctx, target, cap), checked before any block is built,
+    so the cut is exact and every M - rev(p) of a target M is in the table."""
     need = table_limit(ctx, target, cap)
     if need > table.limit:
         raise ValueError(
@@ -103,7 +112,9 @@ def _reversed_blocks(ctx: BaseContext, target: int, cap: int, table: FactorTable
         )
     d = len(to_digits(cap, ctx.b)) if cap >= 1 else 0
     blocks = (reversed_prime_block(ctx, N, table) for N in range(1, d + 1))
-    return (vals[: np.searchsorted(vals, cap, "right")] for vals in blocks)
+    # a key of the block's own type: a Python int would cast a uint32 block to int64 whole
+    cut = (vals[: np.searchsorted(vals, vals.dtype.type(cap), "right")] for vals in blocks)
+    return (vals[i:i + _GATHER] for vals in cut for i in range(0, vals.size, _GATHER))
 
 
 def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
@@ -111,7 +122,7 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
     M = rev(p1) + p2."""
     if M < 2:
         raise ValueError(f"target must be >= 2, got {M}")
-    return sum(int(np.count_nonzero(table.is_prime(M - vals)))
+    return sum(int(np.count_nonzero(table.is_prime(np.subtract(M, vals, dtype=np.int64))))
                for vals in _reversed_blocks(ctx, M, M - 2, table))
 
 
@@ -183,5 +194,5 @@ def estermann_count(ctx: BaseContext, M: int, table: FactorTable) -> int:
     M - rev(p) square-free."""
     if M < 1:
         raise ValueError(f"target must be >= 1, got {M}")
-    return sum(int(np.count_nonzero(table.kfree_at(M - vals, 2)))
+    return sum(int(np.count_nonzero(table.kfree_at(np.subtract(M, vals, dtype=np.int64), 2)))
                for vals in _reversed_blocks(ctx, M, M - 1, table))

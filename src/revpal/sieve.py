@@ -23,7 +23,6 @@ _CACHE_VERSION = 5
 
 _CHUNK = 2 ** 20  # entries per chunk of _packed_sieve, a multiple of 8
 _UNPACK = 2 ** 15  # bytes per chunk that primes unpacks
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 class CacheVersionError(ValueError):
@@ -40,9 +39,9 @@ def check_k(k: int | None, least: int = 2) -> None:
 class FactorTable:
     """Immutable sieve output over [0, limit], packed in bits (see the module docstring).
 
-    _memo holds the reversed-prime blocks of the reverse-Goldbach calls (see
-    revgoldbach.reversed_prime_block; the counts stream theirs); it lives and
-    dies with the table and is never saved, compared or shown.
+    _memo holds the sorted reversed-prime blocks of the reverse-Goldbach calls, 4 bytes a value
+    below 2^32 (see revgoldbach.reversed_prime_block; the counts stream theirs); it lives
+    and dies with the table and is never saved, compared or shown.
     """
 
     limit: int
@@ -56,33 +55,29 @@ class FactorTable:
         low = ns.astype(np.uint8)  # bit 0: n is odd
         return (self.prime_bits[ns >> 4] >> (low >> 1 & 7) & low & 1).view(bool) | (ns == 2)
 
-    def primes(self, lo: int, hi: int) -> np.ndarray:
-        """The primes p with lo <= p < hi and p <= limit, as an ascending int64 array.
-
-        The odd ones are p = 2j + 1 for the set bits j0 <= j < j1 of prime_bits.  They are
-        counted first, through _POPCOUNT over their bytes less the bits of the end bytes
-        outside [j0, j1), so the array is allocated once at its size; it is filled from
-        chunks of _UNPACK bytes unpacked one at a time, so the peak is the output plus one
-        chunk's bits and indices.
-        """
-        bits, hi = self.prime_bits, min(hi, self.limit + 1)
+    def _odd_prime_flags(self, lo: int, hi: int):
+        """(j, flags) per _UNPACK bytes of prime_bits: flags[i] says 2(j + i) + 1 in [lo, hi) is prime."""
         j0 = max(lo, 0) // 2
-        j1 = max(hi // 2, j0)
-        starts = range(j0 >> 3, -(-j1 // 8), _UNPACK)
-        count = 0
-        if j0 < j1:
-            count = sum(int(_POPCOUNT[bits[a:min(a + _UNPACK, -(-j1 // 8))]].sum()) for a in starts)
-            first, last = int(bits[j0 >> 3]), int(bits[(j1 - 1) >> 3])  # less their bits outside [j0, j1)
-            count -= int(_POPCOUNT[first & (1 << j0 % 8) - 1]) + int(_POPCOUNT[last >> (j1 - 1) % 8 + 1])
+        j1 = max(min(hi, self.limit + 1) // 2, j0)
+        end = -(-j1 // 8)
+        for a in range(j0 >> 3, end, _UNPACK):
+            bits = np.unpackbits(self.prime_bits[a:min(a + _UNPACK, end)], bitorder="little")
+            yield max(8 * a, j0), bits.view(bool)[max(j0 - 8 * a, 0):j1 - 8 * a]  # bool: 4x faster
+
+    def count_primes(self, lo: int, hi: int) -> int:
+        """The number of primes p with lo <= p < hi and p <= limit."""
+        return int(lo <= 2 < hi) + sum(int(np.count_nonzero(f)) for _, f in self._odd_prime_flags(lo, hi))
+
+    def primes(self, lo: int, hi: int) -> np.ndarray:
+        """The primes p with lo <= p < hi and p <= limit, as an ascending int64 array, allocated
+        at count_primes and filled a chunk at a time: the peak is the output and one chunk."""
         k = int(lo <= 2 < hi)
-        out = np.empty(k + count, dtype=np.int64)
+        out = np.empty(self.count_primes(lo, hi), dtype=np.int64)
         out[:k] = 2
-        for a in starts:
-            at = max(j0 - 8 * a, 0)
-            flags = np.unpackbits(bits[a:a + _UNPACK], bitorder="little").view(bool)  # bool: 4x faster
-            js = np.flatnonzero(flags[at:j1 - 8 * a])
+        for j, flags in self._odd_prime_flags(lo, hi):
+            js = np.flatnonzero(flags)
             np.multiply(js, 2, out=out[k:k + js.size])
-            out[k:k + js.size] += 2 * (8 * a + at) + 1
+            out[k:k + js.size] += 2 * j + 1
             k += js.size
         return out
 

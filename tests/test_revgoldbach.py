@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import reversed_prime_values, reversed_prime_values_direct, scan_exceptions_mask
-from revpal import revgoldbach
+from revpal import experiments, revgoldbach
 from revpal.digits import base_context, reverse, reverse_array, to_digits
 from revpal.revgoldbach import (
     TargetClass,
@@ -350,7 +350,8 @@ def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
         calls.append((c.b, ns.size))
         return reverse_array(ns, c)
 
-    monkeypatch.setattr(revgoldbach, "reverse_array", counting_reverse_array)
+    # the memo's spans are reversed through experiments.reverse_array
+    monkeypatch.setattr(experiments, "reverse_array", counting_reverse_array)
     targets = [5000, 120, 900000, 3000, 900001, 40000]
     for table in tables:
         for b in (10, 31):
@@ -364,11 +365,14 @@ def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
                 assert r == int(np.count_nonzero(table.is_prime(M - rev_r))), (b, M)
                 assert h == int(np.count_nonzero(table.kfree_at(M - rev_h, 2))), (b, M)
     # blocks in the order first read: digit counts 1 to that of 900001,
-    # 6 in base 10 and 4 in base 31, each reversed once per table and base
+    # 6 in base 10 and 4 in base 31, each reversed once per table and base,
+    # one call per span of _SPAN integers
     ps = tables[0].primes(0, 10 ** 6 + 1)
-    sizes = {b: [int(np.count_nonzero((ps % b != 0) & (b ** (N - 1) <= ps) & (ps < b ** N)))
-                 for N in range(1, len(to_digits(900001, b)) + 1)]
+    sizes = {b: [int(np.count_nonzero((ps % b != 0) & (s <= ps) & (ps < min(s + experiments._SPAN, b ** N))))
+                 for N in range(1, len(to_digits(900001, b)) + 1)
+                 for s in range(b ** (N - 1), min(b ** N, 10 ** 6 + 1), experiments._SPAN)]
              for b in (10, 31)}
+    assert len(sizes[10]) == 7 and len(sizes[31]) == 5  # blocks 6 and 4 take two spans
     assert sum(sizes[10]) == ps.size and sum(sizes[31]) == np.count_nonzero(ps < 31 ** 4) - 1
     assert calls == [(b, size) for b in (10, 31) for size in sizes[b]] * 2
 
@@ -393,6 +397,75 @@ def test_reversed_prime_memo_build_memory():
         largest = max(v.size for v in table._memo.values())
         assert sum(v.size for v in table._memo.values()) == n_primes  # no prime is divisible by 10
         assert peak <= memo + 8 * largest + 2 ** 20, digits
+
+
+def test_nine_digit_block_is_exact_in_four_bytes():
+    # the reversal kernel's padded accumulator reaches 10^12 on 9-digit values,
+    # so it must stay int64 even though the block it fills is uint32
+    ctx = base_context(10)
+    table = build(10 ** 8 + 10 ** 4)
+    vals = revgoldbach.reversed_prime_block(ctx, 9, table)
+    assert vals.dtype == np.uint32
+    want = sorted(reverse(p, ctx) for p in table.primes(10 ** 8, 10 ** 9).tolist())
+    assert len(want) > 500 and vals.tolist() == want
+    assert vals[:2].tolist() == [100500001, 101700001]
+
+
+def test_block_past_two_to_the_32_is_int64_and_exact():
+    # b = 70001 is prime: block 2 holds rev(p) = (p mod b) b + p // b for the
+    # primes b < p <= 3 10^6, up to about 4.9e9
+    ctx, table = base_context(70001), build(3 * 10 ** 6)
+    assert revgoldbach.reversed_prime_block(ctx, 1, table).dtype == np.uint32
+    vals = revgoldbach.reversed_prime_block(ctx, 2, table)
+    want = sorted((p % 70001) * 70001 + p // 70001 for p in table.primes(70002, table.limit + 1).tolist())
+    assert vals.dtype == np.int64 and vals.tolist() == want
+    assert int(vals[-1]) > 2 ** 32
+    # the table covers the targets below b, and b + t for t <= 44, which cut
+    # block 2 at rev(p) = b + a <= b + t - 2, that is p = a b + 1 (prime at
+    # a = 18, 30 and 42)
+    rng = np.random.default_rng(70001)
+    checked = 0
+    for M in [*rng.integers(2, 70001, size=8).tolist(), *range(70001, 70050)]:
+        if max(prime_bound(ctx, M - 1), M) > table.limit:
+            continue
+        rev = reversed_prime_values_direct(ctx, M - 2, table)
+        assert representations(ctx, M, table) == int(np.count_nonzero(table.is_prime(M - rev))), M
+        rev = reversed_prime_values_direct(ctx, M - 1, table)
+        assert estermann_count(ctx, M, table) == int(np.count_nonzero(table.kfree_at(M - rev, 2))), M
+        checked += 1
+    assert checked >= 50 and rev[-3:].tolist() == [70019, 70031, 70043]
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 16, 31, 100, 210])
+def test_memo_blocks_match_direct_across_span_edges(b, monkeypatch):
+    # 64-integer spans split every block from b^(N-1) > 64 on; block 2 starts
+    # at b, the prime the block drops in bases 2, 3 and 31 and a composite in
+    # bases 10, 16, 100 and 210
+    monkeypatch.setattr(experiments, "_SPAN", 64)
+    ctx, table = base_context(b), build(20000)
+    expected = _blocks_direct(b, table)
+    for N in range(1, len(to_digits(table.limit, b)) + 1):
+        vals = revgoldbach.reversed_prime_block(ctx, N, table)
+        assert vals.tolist() == expected.get((b, N), []), (b, N)
+
+
+def test_representations_temporaries_do_not_grow_with_the_block():
+    # after the blocks are built, each call gathers fixed slices of _GATHER
+    # values; a whole-block difference and prime index would be 9.5 MB at 10^7,
+    # and a Python-int searchsorted key would copy block 7 to int64 (4.7 MB)
+    ctx = base_context(10)
+    table = build(10 ** 7)
+    M = 9999998
+    counts = representations(ctx, M, table), estermann_count(ctx, M, table)
+    for call, want in zip((representations, estermann_count), counts):
+        tracemalloc.start()
+        try:
+            got = call(ctx, M, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and peak < 2 ** 20, call.__name__
+    assert revgoldbach.reversed_prime_block(ctx, 7, table).dtype == np.uint32
 
 
 @pytest.mark.parametrize("b", range(2, 37))

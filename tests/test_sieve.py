@@ -322,6 +322,32 @@ def test_primes_and_gathers_match_divide_out_oracle_at_range_edges(limit):
         assert got.dtype == np.int64 and got.tolist() == want[want >= lo].tolist(), (lo, hi)
 
 
+def test_primes_and_count_primes_match_a_flatnonzero_oracle_on_random_ranges():
+    # about 3000 ranges of a 10^7 table: random ends and widths, ends on each
+    # side of the 16 * _UNPACK-integer chunk edges, lo < 0, hi past the limit
+    # and hi <= lo (empty)
+    limit = 10 ** 7
+    t = build(limit)
+    odd = np.flatnonzero(np.unpackbits(t.prime_bits, bitorder="little")[:(limit + 1) // 2])
+    ps = np.concatenate(([2], 2 * odd + 1))
+    rng = np.random.default_rng(25)
+    span = 16 * sieve._UNPACK
+    edges = [k * span + e for k in range(limit // span + 2) for e in (-3, -1, 0, 1, 2)]
+    los = [*rng.integers(-100, limit + 100, size=1500).tolist(), *rng.choice(edges, size=1000).tolist(),
+           -5, -1, 0, 1, 2, 3, limit - 1, limit, limit + 1]
+    widths = np.rint(np.expm1(rng.uniform(0, np.log(3 * span), size=len(los)))).astype(int)
+    ranges = [(lo, lo + w) for lo, w in zip(los, widths.tolist())]
+    ranges += [(lo, lo - w) for lo, w in zip(los[:300], widths[:300].tolist())]  # hi <= lo
+    ranges += [(e, e2) for e, e2 in zip(rng.choice(edges, 200).tolist(), rng.choice(edges, 200).tolist())]
+    ranges += [(-7, limit + 5), (0, limit + 1), (limit - 40, 2 * limit), (3, 3), (2, 3)]
+    assert len(ranges) >= 3000
+    for lo, hi in ranges:
+        want = ps[np.searchsorted(ps, lo):max(np.searchsorted(ps, hi), np.searchsorted(ps, lo))]
+        got = t.primes(lo, hi)
+        assert got.dtype == np.int64 and np.array_equal(got, want), (lo, hi)
+        assert t.count_primes(lo, hi) == want.size, (lo, hi)
+
+
 def test_build_memory_is_under_2_2_bytes_per_entry():
     # the table itself is limit / 16 + limit / 8 bytes; build keeps one chunk
     # buffer of _C bools and its packed bytes beside it, and no full-length row
