@@ -9,7 +9,7 @@ from math import isqrt
 import numpy as np
 
 from . import densities
-from .digits import BaseContext, reverse_array
+from .digits import BaseContext, reverse_array, to_digits
 from .sieve import FactorTable, check_k
 
 _SPAN = 2 ** 19  # integers per table.primes read of reversed_prime_spans, one _UNPACK chunk's worth
@@ -73,15 +73,29 @@ def count_palindromes_div_by(ctx: BaseContext, x: int, d: int, star: bool = Fals
     return int(np.count_nonzero(enumerate_palindromes(ctx, x, star) % d == 0))
 
 
+def _palindrome_count(b: int, x: int) -> int:
+    """|P_b(x)| from the D base-b digits m of x, most significant first; 0 for x < 1.
+    With t = floor(D/2), h = D - t: the n-digit palindromes, fixed by their (b-1) b^(ceil(n/2)-1)
+    leading halves, number b^j - b^(j-1) at n = 2j - 1 and at 2j, so b^t + b^(h-1) - 2 have under
+    D digits.  A D-digit one led by u is <= x iff u < v = x // b^t (v - b^(h-1) such u), or u = v
+    and its tail, m[:t] reversed, is <= x's, m[h:] (equal-length tuples order as numbers)."""
+    if x < 1:
+        return 0
+    m = to_digits(x, b)[::-1]
+    t = len(m) // 2
+    return b ** t + x // b ** t - 2 + (m[len(m) - t:] >= m[:t][::-1])
+
+
 def sqrt_law_check(ctx: BaseContext, x_values: list[int], star: bool = False) -> list[tuple[int, int, float]]:
-    """For each x, the palindrome count and its ratio to sqrt(x)."""
+    """For each x, |P_b(x)| from the digits of x, or |P*_b(x)| cut by a binary search from one
+    enumeration at the largest x, and its ratio to sqrt(x), 0.0 for x < 1."""
     if any(b > a for a, b in zip(x_values[1:], x_values)):
         raise ValueError("x_values must be ascending")
-    out = []
-    for x in x_values:
-        c = len(enumerate_palindromes(ctx, x, star))
-        out.append((x, c, c / math.sqrt(x) if x >= 1 else 0.0))
-    return out
+    if x_values and x_values[-1] >= 2 ** 1024 - 2 ** 970:  # the least int float() rounds past the top
+        raise ValueError(f"x of {x_values[-1].bit_length()} bits overflows a float")
+    pal = enumerate_palindromes(ctx, max(x_values, default=0), star=True) if star else None
+    counts = (int(np.searchsorted(pal, x, "right")) if star else _palindrome_count(ctx.b, x) for x in x_values)
+    return [(x, c, c / math.sqrt(x) if x >= 1 else 0.0) for x, c in zip(x_values, counts)]
 
 
 # ---------------------------------------------------------------------------

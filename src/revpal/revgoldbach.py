@@ -129,7 +129,7 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
 def _sparse_tail(live: np.ndarray, rs, table: FactorTable) -> np.ndarray:
     """The sorted targets 2i + h of the bits i of live[h], less each t >= r + 2 with t - r
     prime for the further values r of rs, read until r > max pending - 2."""
-    h, q = np.divmod(np.flatnonzero(live), live.shape[1])  # 2-D nonzero is slower
+    h, q = np.divmod(np.flatnonzero(live != 0), live.shape[1])  # 2-D or uint8 nonzero is slower
     bits = np.flatnonzero(np.unpackbits(live[h, q], bitorder="little"))
     pending = np.sort(16 * q[bits >> 3] + 2 * (bits & 7) + h[bits >> 3])
     for r in rs:
@@ -184,6 +184,7 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
         if k % 8 == 7 and np.count_nonzero(live) * _SPARSE_RATIO <= n:
             tail = rev_vals
             break
+    del shifted  # the tail's bool copy of live reuses these pages
     exceptions = _sparse_tail(live, tail, table).tolist()
     return ScanResult(base=ctx.b, limit=limit, scanned_from=4, parity_class=parity,
                       exceptions=tuple(exceptions))

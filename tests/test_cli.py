@@ -363,6 +363,12 @@ CLI_BYTES = [
      '{"x": 10000, "count": 198, "normalized": 1.98}]\n', ""),
     ("sqrt-law --x 100 10000 --format csv", 0,
      "x,count,count_over_sqrt_x\n100,18,1.8\n10000,198,1.98\n", ""),
+    # P_b(x) is counted from the digits of x, past what any enumeration reaches,
+    # up to the x whose float overflows
+    (f"sqrt-law --x {10 ** 30} {10 ** 40}", 0,
+     f'[{{"x": {10 ** 30}, "count": 1999999999999998, "normalized": 1.999999999999998}}, '
+     f'{{"x": {10 ** 40}, "count": 199999999999999999998, "normalized": 2.0}}]\n', ""),
+    (f"sqrt-law --x {10 ** 400}", 2, "", "error: x of 1329 bits overflows a float\n"),
     ("certify --b 31698 --K 8", 0,
      '{"b": 31698, "K": 8, "max_bound": 248678.8870482031, "threshold": 251905.83843712244, '
      '"slack": 1e-09, "passed": true, "cb_estimate": 7.845254812549785, '

@@ -204,6 +204,58 @@ def test_sqrt_law_check():
         assert n1 <= n2
 
 
+@pytest.mark.parametrize("b", range(2, 37))
+def test_palindrome_count_matches_enumeration_and_brute_force(b):
+    top = 3 * 10 ** 6
+    ctx = base_context(b)
+    pal = enumerate_palindromes(ctx, top)
+    powers = [b ** k + e for k in range(1, top.bit_length()) for e in (-1, 0, 1) if b ** k + e <= top]
+    sample = np.random.default_rng(b).integers(0, top + 1, 300).tolist()
+    for x in [-1, 0, 1, b - 1, b, b + 1, top, *powers, *sample]:
+        assert experiments._palindrome_count(b, x) == np.searchsorted(pal, x, "right"), x
+    brute = brute_force_palindromes(ctx, 1000)
+    for x in range(-1, 1001):
+        assert experiments._palindrome_count(b, x) == np.searchsorted(brute, x, "right"), x
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 16])
+@pytest.mark.parametrize("star", [False, True])
+def test_sqrt_law_check_equals_its_per_x_enumeration(b, star):
+    ctx = base_context(b)
+    members = enumerate_palindromes(ctx, 10 ** 6, star=True)[::37].tolist()  # x in P*: cut after it
+    xs = sorted({10 ** j for j in range(2, 7)} | set(members))
+    want = []
+    for x in xs:
+        c = len(enumerate_palindromes(ctx, x, star))
+        want.append((x, c, c / math.sqrt(x)))
+    assert sqrt_law_check(ctx, xs, star) == want
+
+
+def test_sqrt_law_check_counts_without_an_array(monkeypatch):
+    ctx = base_context(10)
+    monkeypatch.setattr(experiments, "enumerate_palindromes", None)  # any call fails
+    sqrt_law_check(ctx, [10])
+    tracemalloc.start()
+    rows = sqrt_law_check(ctx, [10 ** j for j in (2, 4, 6, 8, 10, 30, 40)])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert [c for _, c, _ in rows] == [
+        18, 198, 1998, 19998, 199998, 1999999999999998, 199999999999999999998]
+    assert peak < 16 * 1024  # an enumeration to 10^10 alone holds 1.6 MB
+
+
+def test_sqrt_law_check_refuses_an_x_past_a_float():
+    ctx = base_context(10)
+    top = 2 ** 1024 - 2 ** 970  # the least int that float() rounds past the largest double
+    with pytest.raises(OverflowError):
+        math.sqrt(top)
+    [(_, c, ratio)] = sqrt_law_check(ctx, [top - 1])
+    assert ratio == c / math.sqrt(top - 1)
+    for x in (top, 10 ** 400):
+        with pytest.raises(ValueError, match="overflows a float"):
+            sqrt_law_check(ctx, [1, x])
+
+
 def test_count_rev_kfree_primes_same_on_small_and_large_tables(table_1e6):
     ctx = base_context(10)
     small = count_rev_kfree_primes(ctx, 2, 3, build(10 ** 4))
