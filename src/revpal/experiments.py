@@ -12,7 +12,7 @@ from . import densities
 from .digits import BaseContext, reverse_array, to_digits
 from .sieve import FactorTable, check_k
 
-_SPAN = 2 ** 19  # integers per table.primes read of reversed_prime_spans, one _UNPACK chunk's worth
+_SPAN = 2 ** 18  # integers per table.primes read of reversed_prime_spans, half of one _UNPACK chunk
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ from .digits import BaseContext, to_digits
 from .experiments import reversed_prime_spans
 from .sieve import FactorTable
 
-_SPARSE_RATIO = 1024  # scan_exceptions's packed phase ends at <= n / _SPARSE_RATIO nonzero bytes
+_SPARSE_RATIO = 1024  # a scan window's packed phase ends at <= its targets / _SPARSE_RATIO nonzero bytes
 _GATHER = 2 ** 15  # reversed primes per slice that _reversed_blocks yields
+_WINDOW = 2 ** 16  # bytes of each parity half in one scan window: 2^20 targets
+_LEAD = 2 ** 12  # bytes below a window that its mask copies hold: values r <= 16 _LEAD + 14 read them
 
 
 class TargetClass(Enum):
@@ -126,12 +128,17 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
                for vals in _reversed_blocks(ctx, M, M - 2, table))
 
 
-def _sparse_tail(live: np.ndarray, rs, table: FactorTable) -> np.ndarray:
-    """The sorted targets 2i + h of the bits i of live[h], less each t >= r + 2 with t - r
-    prime for the further values r of rs, read until r > max pending - 2."""
-    h, q = np.divmod(np.flatnonzero(live != 0), live.shape[1])  # 2-D or uint8 nonzero is slower
-    bits = np.flatnonzero(np.unpackbits(live[h, q], bitorder="little"))
-    pending = np.sort(16 * q[bits >> 3] + 2 * (bits & 7) + h[bits >> 3])
+def _odd_mask(prime_bits: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """out = bytes lo..hi-1 of the odd mask ~prime_bits, those below byte 0 read as 0xFF."""
+    pad = min(max(-lo, 0), hi - lo)
+    out[:pad] = 0xFF
+    np.invert(prime_bits[lo + pad:hi], out=out[pad:])
+    return out
+
+
+def _sparse_tail(pending: np.ndarray, rs, table: FactorTable) -> np.ndarray:
+    """The sorted targets pending, less each t >= r + 2 with t - r prime for the values r of rs,
+    read until r > max pending - 2."""
     for r in rs:
         if pending.size == 0 or r > pending[-1] - 2:
             break
@@ -144,48 +151,69 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
     """All in-class targets in [4, limit] with no representation; 4 = rev(2) + 2 is the least sum.
 
     Parity rule: t - r is an odd prime only if t and r differ in parity, so r clears
-    odd primes in the half h = 1 - r % 2 alone.  Bit i of live[h] is target t = 2i + h;
+    odd primes in the half h = 1 - r % 2 alone.  Bit i of half h is target t = 2i + h;
     the odd mask is the complement of the table's prime bits, so its bit j says 2j + 1
     is not prime (bit 0 is set), and copy s of it is moved up s bits with ones shifted
-    in.  As t - r = 2(i - c) + 1 for c = (r + 1) // 2 = 8q + s, one AND of live[h, q:]
-    with copy s clears those t (t <= r meets the shifted-in ones, t = r + 1 reads 1);
-    p = 2 clears the one bit t = r + 2 <= limit.  The mask's bits past limit (inverted
-    padding, or a larger table's primes) are read only for targets t > limit, whose live
-    bits are 0: a pending t <= limit reads the bit of t - r <= t.
+    in.  As t - r = 2(i - c) + 1 for c = (r + 1) // 2 = 8q + s, one AND of the half's
+    bytes g >= q with bytes g - q of copy s clears those t (t <= r meets the shifted-in
+    ones, t = r + 1 reads 1); p = 2 clears the one bit t = r + 2 <= limit.  The mask's bits
+    past limit (inverted padding, or a larger table's primes) are read only for targets
+    t > limit, whose live bits are 0: a pending t <= limit reads the bit of t - r <= t.
 
-    Stop rule: every 8 values, once at most n / _SPARSE_RATIO bytes of live are nonzero
-    (n = limit + 1), _sparse_tail takes over, and it stops once r > max pending - 2; without
-    the switch every value r <= limit - 2 is read.  Each AND runs to the end of its half:
-    ending it at the last nonzero byte would save work only while more than n / _SPARSE_RATIO
-    bytes stay nonzero and every one of them sits low; then n < _SPARSE_RATIO * (nonzero
-    bytes), so an AND, at most n / 16 + 1 bytes, is short.
+    Windows: bytes [c0, c1) of both halves are live at a time, c1 - c0 <= _WINDOW, with bytes
+    c0 - _LEAD .. c1 - 1 of each copy; an r with q > _LEAD reads lower bytes, shifted on the
+    spot.  A window applies the values from the first until r >= 16 c1 (r + 2 is past its
+    targets), the values run out, or, every 8 values, at most (its targets) / _SPARSE_RATIO
+    of its bytes are nonzero: it switches after a values.  Its pending targets have then met
+    every value that reaches them, or the first a.  _sparse_tail reads on from the least a
+    of any window over all windows' pending targets until r > max pending - 2 (no value
+    without a switch); a value a window applied clears nothing more there, so exactly the
+    targets that no value clears are left.  Each AND runs to the end of its window: ending
+    it at the last nonzero byte saves work only while many bytes stay nonzero, all low.
     """
     parity = parity_class(ctx)
-    rev_vals = map(int, chain.from_iterable(_reversed_blocks(ctx, limit, limit - 2, table)))
+    blocks = _reversed_blocks(ctx, limit, limit - 2, table)  # checks the table first
+    rs = []  # the values read so far, which each window reads again from the first
+    more = (rs.append(r) or r for r in map(int, chain.from_iterable(blocks)))
     n = max(limit + 1, 0)
     m = -(-n // 16)  # bytes per half
-    live = np.zeros((2, m), dtype=np.uint8)
-    for h, bits in enumerate(((n + 1) // 2, n // 2 if parity is TargetClass.ALL_TARGETS else 0)):
-        live[h, :bits // 8] = 0xFF  # bits of targets 2i + h <= limit
-        live[h, bits // 8:bits // 8 + 1] = (1 << bits % 8) - 1
-    live[:, :1] &= 0xFC  # targets 0..3
-    shifted = np.empty((8, m), dtype=np.uint8)
-    np.invert(table.prime_bits[:m], out=shifted[0])
-    for s in range(1, 8):
-        np.left_shift(shifted[0], s, out=shifted[s])
-        shifted[s, 1:] |= shifted[0, :-1] >> (8 - s)
-        shifted[s, :1] |= (1 << s) - 1
-
-    tail = ()
-    for k, r in enumerate(rev_vals):
-        q, s = divmod((r + 1) // 2, 8)
-        live[1 - r % 2, q:] &= shifted[s, :m - q]
-        live[r % 2, (r + 2) >> 4] &= 0xFF ^ 1 << ((r + 2) >> 1 & 7)
-        if k % 8 == 7 and np.count_nonzero(live) * _SPARSE_RATIO <= n:
-            tail = rev_vals
-            break
-    del shifted  # the tail's bool copy of live reuses these pages
-    exceptions = _sparse_tail(live, tail, table).tolist()
+    live = np.empty((2, min(_WINDOW, m)), dtype=np.uint8)
+    shifted = np.empty((8, live.shape[1] + _LEAD + 1), dtype=np.uint8)
+    pending, starts = [np.empty(0, np.int64)], []
+    for c0 in range(0, m, _WINDOW):
+        c1, w = min(c0 + _WINDOW, m), min(_WINDOW, m - c0)
+        for h, bits in enumerate(((n + 1) // 2, n // 2 if parity is TargetClass.ALL_TARGETS else 0)):
+            full = bits // 8 - c0  # bytes before the one of bit `bits`, the first target past limit
+            live[h, :w] = 0
+            live[h, :min(max(full, 0), w)] = 0xFF
+            if 0 <= full < w:
+                live[h, full] = (1 << bits % 8) - 1
+        live[:, :int(c0 == 0)] &= 0xFC  # targets 0..3
+        base = _odd_mask(table.prime_bits, c0 - _LEAD - 1, c1, shifted[0, :w + _LEAD + 1])
+        for s in range(1, 8):  # column j: byte c0 - _LEAD - 1 + j; x << s as x * 2^s, 7x faster in numpy
+            np.multiply(base[1:], np.uint8(1 << s), out=shifted[s, 1:w + _LEAD + 1])
+            shifted[s, 1:w + _LEAD + 1] |= base[:-1] >> (8 - s)
+        halves, off = (live[0, :w], live[1, :w]), _LEAD + 1 - c0  # byte k of a copy: column k + off
+        for k, r in enumerate(chain(rs, more)):
+            if r >= 16 * c1:
+                break
+            q, s = divmod((r + 1) >> 1, 8)
+            g = max(q, c0)
+            if q <= _LEAD:
+                halves[1 - (r & 1)][g - c0:] &= shifted[s, g - q + off:c1 - q + off]
+            else:
+                odd = _odd_mask(table.prime_bits, g - q - 1, c1 - q, np.empty(c1 - g + 1, np.uint8))
+                halves[1 - (r & 1)][g - c0:] &= odd[1:] << s | (odd[:-1] >> (8 - s) if s else 0)
+            if c0 <= (r + 2) >> 4 < c1:
+                halves[r & 1][((r + 2) >> 4) - c0] &= 0xFF ^ 1 << ((r + 2) >> 1 & 7)
+            if k & 7 == 7 and np.count_nonzero(live[:, :w]) * _SPARSE_RATIO <= min(n, 16 * c1) - 16 * c0:
+                starts.append(k + 1)
+                break
+        h, i = np.divmod(np.flatnonzero(live[:, :w] != 0), w)  # 2-D or uint8 nonzero is slower
+        bits = np.flatnonzero(np.unpackbits(live[h, i], bitorder="little"))
+        pending.append(np.sort(16 * (c0 + i[bits >> 3]) + 2 * (bits & 7) + h[bits >> 3]))
+    tail = chain(rs[min(starts):], more) if starts else ()
+    exceptions = _sparse_tail(np.concatenate(pending), tail, table).tolist()
     return ScanResult(base=ctx.b, limit=limit, scanned_from=4, parity_class=parity,
                       exceptions=tuple(exceptions))
 

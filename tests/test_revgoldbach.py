@@ -135,38 +135,91 @@ def _scan_outcome(scan, ctx, limit, table):
 SWITCHES = (revgoldbach._SPARSE_RATIO, 0, 2 ** 40)
 
 
-@pytest.mark.parametrize("b", range(2, 37))
-def test_scan_matches_mask_oracle_every_base(b, table_1e6, monkeypatch):
+# window sizes in bytes per half: 1 to 16 bytes put 16 to 256 targets in a
+# window, so the limits around 64 and 1000 cross up to 63 window edges; 2^10
+# bytes hold 16384 targets, so the limits around 2 * 10^4 cross one.  Those
+# limits run only there: they take about 10 s a base in 1-byte windows
+WINDOWS = (1, 2, 16, 2 ** 10)
+
+
+def _oracle_limits(window=2 ** 10):
     # limits at every residue mod 16 around 64, 1000 and 2 * 10^4, so the last
     # packed byte of each half holds 1 to 8 targets, and limits -3 to 3, below
     # or at the first targets
+    centres = (64, 1000, 2 * 10 ** 4) if window >= 2 ** 10 else (64, 1000)
+    return [c + d for c in centres for d in range(-8, 8)] + [-3, 0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("b", range(2, 37))
+def test_scan_matches_mask_oracle_every_base(b, table_1e6, monkeypatch):
     ctx = base_context(b)
-    limits = [c + d for c in (64, 1000, 2 * 10 ** 4) for d in range(-8, 8)]
-    limits += [-3, 0, 1, 2, 3]
     for ratio in SWITCHES:
         monkeypatch.setattr(revgoldbach, "_SPARSE_RATIO", ratio)
-        for limit in limits:
+        for limit in _oracle_limits():
             args = (ctx, limit, table_1e6)
             assert _scan_outcome(scan_exceptions, *args) == \
                 _scan_outcome(scan_exceptions_mask, *args), (ratio, limit)
 
 
+@pytest.mark.parametrize("b", range(2, 37))
+def test_scan_matches_mask_oracle_in_small_windows(b, table_1e6, monkeypatch):
+    # a 1-byte lead sends every value r >= 31 through the slice shifted on the
+    # spot, and small windows put window edges all through the limits
+    ctx = base_context(b)
+    want = {limit: _scan_outcome(scan_exceptions_mask, ctx, limit, table_1e6)
+            for limit in _oracle_limits()}
+    monkeypatch.setattr(revgoldbach, "_LEAD", 1)
+    for window in WINDOWS:
+        monkeypatch.setattr(revgoldbach, "_WINDOW", window)
+        for ratio in SWITCHES:
+            monkeypatch.setattr(revgoldbach, "_SPARSE_RATIO", ratio)
+            for limit in _oracle_limits(window):
+                assert _scan_outcome(scan_exceptions, ctx, limit, table_1e6) == want[limit], \
+                    (window, ratio, limit)
+
+
 @pytest.mark.parametrize("b", [2, 3, 10, 16])
 def test_scan_switches_to_the_sparse_tail_by_itself_at_1e6(b, monkeypatch):
+    # with the scan's own window, 2^20 targets, and with 2^12 bytes, 16 windows
+    # at 10^6: some window switches by itself, and the one sparse tail reads on
     ctx = base_context(b)
     limit = 10 ** 6
     table = build(revgoldbach.table_limit(ctx, limit, limit - 2))
+    want = scan_exceptions_mask(ctx, limit, table)
     switched = []
     tail = revgoldbach._sparse_tail
 
-    def spy(live, rs, prime):
-        # rs is the scan's own iterator after a switch, () without one
+    def spy(pending, rs, prime):
+        # rs reads on from the least switch of any window, () without one
         switched.append(rs != ())
-        return tail(live, rs, prime)
+        return tail(pending, rs, prime)
 
     monkeypatch.setattr(revgoldbach, "_sparse_tail", spy)
-    assert scan_exceptions(ctx, limit, table) == scan_exceptions_mask(ctx, limit, table)
-    assert switched == [True]
+    for window in (revgoldbach._WINDOW, 2 ** 12):
+        monkeypatch.setattr(revgoldbach, "_WINDOW", window)
+        switched.clear()
+        assert scan_exceptions(ctx, limit, table) == want
+        assert switched == [True], window
+
+
+def test_scan_runs_the_sparse_tail_at_most_once_per_call(table_1e6, monkeypatch):
+    calls = []
+    tail = revgoldbach._sparse_tail
+
+    def counting(pending, rs, prime):
+        calls.append(pending.size)
+        return tail(pending, rs, prime)
+
+    monkeypatch.setattr(revgoldbach, "_sparse_tail", counting)
+    for window in (1, 16, revgoldbach._WINDOW):
+        monkeypatch.setattr(revgoldbach, "_WINDOW", window)
+        for ratio in SWITCHES:
+            monkeypatch.setattr(revgoldbach, "_SPARSE_RATIO", ratio)
+            for b in (2, 3, 10, 36):
+                for limit in (-3, 3, 4, 100, 1000, 5000):
+                    calls.clear()
+                    scan_exceptions(base_context(b), limit, table_1e6)
+                    assert len(calls) <= 1, (window, ratio, b, limit)
 
 
 class _CountingValues:
@@ -181,13 +234,42 @@ class _CountingValues:
             yield r
 
 
+def _reads_expected(vals, pending, n, ratio, window, is_prime):
+    """How many values the scan reads: window by window from the first value, up to the
+    first r >= 16 c1 or a switch (every 8 values, once at most the window's targets /
+    ratio of its bytes are nonzero), then the one tail from the least switch, up to the
+    first r > max pending - 2 over all windows."""
+    reads, starts, left = 0, [], set()
+    for c0 in range(0, -(-n // 16), window):
+        c1 = min(c0 + window, -(-n // 16))
+        here = {t for t in pending if 16 * c0 <= t < 16 * c1}
+        for i, r in enumerate(vals):
+            reads = max(reads, i + 1)
+            if r >= 16 * c1:
+                break
+            here = {t for t in here if t < r + 2 or not is_prime[t - r]}
+            if i % 8 == 7 and len({(t % 2, t // 16) for t in here}) * ratio <= min(n, 16 * c1) - 16 * c0:
+                starts.append(i + 1)
+                break
+        left |= here
+    for i in range(min(starts, default=len(vals)), len(vals)):
+        reads = max(reads, i + 1)
+        if vals[i] > max(left, default=0) - 2:
+            break
+        left = {t for t in left if t < vals[i] + 2 or not is_prime[t - vals[i]]}
+    return reads
+
+
 @pytest.mark.parametrize("b", range(2, 37))
 def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monkeypatch):
-    # every 8 values the packed phase counts the nonzero bytes, and once they are
-    # at most n / _SPARSE_RATIO the sparse tail reads up to the first
-    # r > max pending - 2; with no switch every value <= limit - 2 is read.
-    # Reading on would change no result, so only the count of values read
-    # shows it; each limit runs at every setting of SWITCHES
+    # each window reads the values again from the first, and every 8 of them
+    # counts its own nonzero bytes; once they are at most its targets /
+    # _SPARSE_RATIO it switches, and the one sparse tail reads on from the least
+    # switch up to the first r > max pending - 2.  A window with no switch stops
+    # at its first r >= 16 c1, or when the values run out.  Reading on would
+    # change no result, so only the count of values read shows it; each limit
+    # runs at every setting of SWITCHES, in windows of 1 and 16 bytes and the
+    # scan's own, which holds every limit here
     ctx = base_context(b)
     is_prime = table_1e5.is_prime(np.arange(10 ** 5 + 1))
     even_only = parity_class(ctx) is TargetClass.EVEN_TARGETS_ONLY
@@ -201,28 +283,43 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
         return [seen[-1]]
 
     monkeypatch.setattr(revgoldbach, "_reversed_blocks", counting)
-    for ratio in SWITCHES:
-        monkeypatch.setattr(revgoldbach, "_SPARSE_RATIO", ratio)
-        for limit in [*range(5, 41), 64, 67, 200, 1000, 1003]:
-            scan_exceptions(ctx, limit, table_1e5)
-            vals = seen[-1].vals.tolist()
-            pending = {t for t in range(4, limit + 1) if not (even_only and t % 2)}
-            expected, sparse = len(vals), False
-            assert max(vals, default=0) <= limit - 2
-            for i, r in enumerate(vals):
-                if sparse and r > max(pending, default=0) - 2:
-                    expected = i + 1
-                    break
-                pending = {t for t in pending if t < r + 2 or not is_prime[t - r]}
-                nonzero_bytes = len({(t % 2, t // 16) for t in pending})
-                sparse = sparse or i % 8 == 7 and nonzero_bytes * ratio <= limit + 1
-            assert seen[-1].read == expected, (ratio, limit)
+    for window in (1, 16, revgoldbach._WINDOW):
+        monkeypatch.setattr(revgoldbach, "_WINDOW", window)
+        for ratio in SWITCHES:
+            monkeypatch.setattr(revgoldbach, "_SPARSE_RATIO", ratio)
+            for limit in [*range(5, 41), 64, 67, 200, 1000, 1003]:
+                scan_exceptions(ctx, limit, table_1e5)
+                vals = seen[-1].vals.tolist()
+                pending = {t for t in range(4, limit + 1) if not (even_only and t % 2)}
+                assert max(vals, default=0) <= limit - 2
+                assert seen[-1].read == _reads_expected(vals, pending, limit + 1, ratio, window,
+                                                        is_prime), (window, ratio, limit)
 
 
 def test_scan_to_1e7_builds_no_block_past_4_digits():
     table = build(10 ** 7)
     assert scan_exceptions(base_context(10), 10 ** 7, table).exceptions == (11,)
     assert sorted(table._memo) == [(10, N) for N in range(1, 5)]
+
+
+def test_scan_to_1e8_on_a_fresh_table_finds_only_11():
+    ctx = base_context(10)
+    table = build(revgoldbach.table_limit(ctx, 10 ** 8, 10 ** 8 - 2))
+    assert scan_exceptions(ctx, 10 ** 8, table).exceptions == (11,)
+
+
+def test_scan_memory_does_not_grow_with_the_limit():
+    # the buffers of one window, about 0.7 MB at 2^16 bytes per half, at any
+    # limit; masks of the whole range would take n/8 + n/2 bytes, 6.9 MB here
+    table = build(10 ** 7)
+    tracemalloc.start()
+    try:
+        res = scan_exceptions(base_context(10), 10 ** 7, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exceptions == (11,)
+    assert peak < 2 * 10 ** 6
 
 
 def test_scan_memory_is_a_few_bytes_per_target(table_1e6):
@@ -372,7 +469,7 @@ def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
                  for N in range(1, len(to_digits(900001, b)) + 1)
                  for s in range(b ** (N - 1), min(b ** N, 10 ** 6 + 1), experiments._SPAN)]
              for b in (10, 31)}
-    assert len(sizes[10]) == 7 and len(sizes[31]) == 5  # blocks 6 and 4 take two spans
+    assert len(sizes[10]) == 9 and len(sizes[31]) == 7  # blocks 6 and 4 take four spans
     assert sum(sizes[10]) == ps.size and sum(sizes[31]) == np.count_nonzero(ps < 31 ** 4) - 1
     assert calls == [(b, size) for b in (10, 31) for size in sizes[b]] * 2
 
