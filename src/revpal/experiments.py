@@ -12,8 +12,6 @@ from . import densities
 from .digits import BaseContext, reverse_array, to_digits
 from .sieve import FactorTable, check_k
 
-_SPAN = 2 ** 18  # integers per table.primes read of reversed_prime_spans, half of one _UNPACK chunk
-
 
 @dataclass(frozen=True)
 class CountReport:
@@ -103,10 +101,9 @@ def sqrt_law_check(ctx: BaseContext, x_values: list[int], star: bool = False) ->
 # ---------------------------------------------------------------------------
 
 def reversed_prime_spans(ctx: BaseContext, lo: int, hi: int, table: FactorTable, drop: tuple[int, ...]):
-    """rev(p) per _SPAN integers of the primes lo <= p < hi, but those in drop (all <= b + 1)."""
-    for s in range(lo, min(hi, table.limit + 1), _SPAN):
-        ps = table.primes(s, min(s + _SPAN, hi))
-        yield reverse_array(ps[~np.isin(ps, drop)] if s <= ctx.b + 1 else ps, ctx)
+    """rev(p) per table.prime_chunks array of the primes lo <= p < hi, but those in drop (all <= b + 1)."""
+    for ps in table.prime_chunks(lo, hi):
+        yield reverse_array(ps[~np.isin(ps, drop)] if ps.size and ps[0] <= ctx.b + 1 else ps, ctx)
 
 
 def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable):

@@ -15,7 +15,8 @@ from .sieve import FactorTable
 _SPARSE_RATIO = 1024  # a scan window's packed phase ends at <= its targets / _SPARSE_RATIO nonzero bytes
 _GATHER = 2 ** 15  # reversed primes per slice that _reversed_blocks yields
 _WINDOW = 2 ** 16  # bytes of each parity half in one scan window: 2^20 targets
-_LEAD = 2 ** 12  # bytes below a window that its mask copies hold: values r <= 16 _LEAD + 14 read them
+_LEAD = 2 ** 8  # bytes below a window that its mask copies hold: values r <= 16 _LEAD + 14 = 4110 read them;
+# a window reads q = (r + 1) >> 4 <= 63 in base 10 to 10^9 and bases 2-36 at 10^6, a 4x margin
 
 
 class TargetClass(Enum):
@@ -128,14 +129,6 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
                for vals in _reversed_blocks(ctx, M, M - 2, table))
 
 
-def _odd_mask(prime_bits: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-    """out = bytes lo..hi-1 of the odd mask ~prime_bits, those below byte 0 read as 0xFF."""
-    pad = min(max(-lo, 0), hi - lo)
-    out[:pad] = 0xFF
-    np.invert(prime_bits[lo + pad:hi], out=out[pad:])
-    return out
-
-
 def _sparse_tail(pending: np.ndarray, rs, table: FactorTable) -> np.ndarray:
     """The sorted targets pending, less each t >= r + 2 with t - r prime for the values r of rs,
     read until r > max pending - 2."""
@@ -161,11 +154,11 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
     t > limit, whose live bits are 0: a pending t <= limit reads the bit of t - r <= t.
 
     Windows: bytes [c0, c1) of both halves are live at a time, c1 - c0 <= _WINDOW, with bytes
-    c0 - _LEAD .. c1 - 1 of each copy; an r with q > _LEAD reads lower bytes, shifted on the
-    spot.  A window applies the values from the first until r >= 16 c1 (r + 2 is past its
-    targets), the values run out, or, every 8 values, at most (its targets) / _SPARSE_RATIO
-    of its bytes are nonzero: it switches after a values.  Its pending targets have then met
-    every value that reaches them, or the first a.  _sparse_tail reads on from the least a
+    c0 - _LEAD .. c1 - 1 of each copy.  A window applies the values from the first until
+    r >= 16 c1 (r + 2 is past its targets) or the values run out, or it switches after a
+    values: the next has q > _LEAD (it would read below the copies), or, every 8 values, at
+    most (its targets) / _SPARSE_RATIO of its bytes are nonzero.  Its pending targets have
+    then met every value that reaches them, or the first a.  _sparse_tail reads on from the least a
     of any window over all windows' pending targets until r > max pending - 2 (no value
     without a switch); a value a window applied clears nothing more there, so exactly the
     targets that no value clears are left.  Each AND runs to the end of its window: ending
@@ -189,7 +182,9 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
             if 0 <= full < w:
                 live[h, full] = (1 << bits % 8) - 1
         live[:, :int(c0 == 0)] &= 0xFC  # targets 0..3
-        base = _odd_mask(table.prime_bits, c0 - _LEAD - 1, c1, shifted[0, :w + _LEAD + 1])
+        base, pad = shifted[0, :w + _LEAD + 1], max(_LEAD + 1 - c0, 0)  # ~prime_bits[c0 - _LEAD - 1:c1]
+        base[:pad] = 0xFF  # the bytes below byte 0
+        np.invert(table.prime_bits[max(c0 - _LEAD - 1, 0):c1], out=base[pad:])
         for s in range(1, 8):  # column j: byte c0 - _LEAD - 1 + j; x << s as x * 2^s, 7x faster in numpy
             np.multiply(base[1:], np.uint8(1 << s), out=shifted[s, 1:w + _LEAD + 1])
             shifted[s, 1:w + _LEAD + 1] |= base[:-1] >> (8 - s)
@@ -198,12 +193,11 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
             if r >= 16 * c1:
                 break
             q, s = divmod((r + 1) >> 1, 8)
+            if q > _LEAD:  # r would read below the copies: the sparse tail applies it
+                starts.append(k)
+                break
             g = max(q, c0)
-            if q <= _LEAD:
-                halves[1 - (r & 1)][g - c0:] &= shifted[s, g - q + off:c1 - q + off]
-            else:
-                odd = _odd_mask(table.prime_bits, g - q - 1, c1 - q, np.empty(c1 - g + 1, np.uint8))
-                halves[1 - (r & 1)][g - c0:] &= odd[1:] << s | (odd[:-1] >> (8 - s) if s else 0)
+            halves[1 - (r & 1)][g - c0:] &= shifted[s, g - q + off:c1 - q + off]
             if c0 <= (r + 2) >> 4 < c1:
                 halves[r & 1][((r + 2) >> 4) - c0] &= 0xFF ^ 1 << ((r + 2) >> 1 & 7)
             if k & 7 == 7 and np.count_nonzero(live[:, :w]) * _SPARSE_RATIO <= min(n, 16 * c1) - 16 * c0:

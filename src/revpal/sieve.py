@@ -22,7 +22,7 @@ _CACHE_MAGIC = b"RPFT"
 _CACHE_VERSION = 5
 
 _CHUNK = 2 ** 20  # entries per chunk of _packed_sieve, a multiple of 8
-_UNPACK = 2 ** 15  # bytes per chunk that primes unpacks
+_UNPACK = 2 ** 14  # bytes per chunk that prime_chunks unpacks: 2^18 integers
 
 
 class CacheVersionError(ValueError):
@@ -60,26 +60,27 @@ class FactorTable:
         j0 = max(lo, 0) // 2
         j1 = max(min(hi, self.limit + 1) // 2, j0)
         end = -(-j1 // 8)
-        for a in range(j0 >> 3, end, _UNPACK):
-            bits = np.unpackbits(self.prime_bits[a:min(a + _UNPACK, end)], bitorder="little")
-            yield max(8 * a, j0), bits.view(bool)[max(j0 - 8 * a, 0):j1 - 8 * a]  # bool: 4x faster
+        for a in range(j0 >> 3, end, _UNPACK):  # bool: 4x faster; no local holds a chunk at the yield
+            yield max(8 * a, j0), np.unpackbits(self.prime_bits[a:min(a + _UNPACK, end)],
+                                                bitorder="little").view(bool)[max(j0 - 8 * a, 0):j1 - 8 * a]
 
     def count_primes(self, lo: int, hi: int) -> int:
         """The number of primes p with lo <= p < hi and p <= limit."""
         return int(lo <= 2 < hi) + sum(int(np.count_nonzero(f)) for _, f in self._odd_prime_flags(lo, hi))
 
-    def primes(self, lo: int, hi: int) -> np.ndarray:
-        """The primes p with lo <= p < hi and p <= limit, as an ascending int64 array, allocated
-        at count_primes and filled a chunk at a time: the peak is the output and one chunk."""
-        k = int(lo <= 2 < hi)
-        out = np.empty(self.count_primes(lo, hi), dtype=np.int64)
-        out[:k] = 2
+    def prime_chunks(self, lo: int, hi: int):
+        """The primes p with lo <= p < hi and p <= limit, as ascending int64 arrays, one per chunk of
+        _odd_prime_flags (the first starts at byte lo // 16), each unpacked once; 2 leads the first."""
+        two = lo <= 2 < hi
         for j, flags in self._odd_prime_flags(lo, hi):
-            js = np.flatnonzero(flags)
-            np.multiply(js, 2, out=out[k:k + js.size])
-            out[k:k + js.size] += 2 * j + 1
-            k += js.size
-        return out
+            ps = 2 * np.flatnonzero(flags) + (2 * j + 1)
+            del flags  # free the unpacked chunk before the yield
+            yield np.concatenate(([2], ps)) if two else ps
+            two = False
+
+    def primes(self, lo: int, hi: int) -> np.ndarray:
+        """The primes p with lo <= p < hi and p <= limit, as one ascending int64 array."""
+        return np.concatenate([np.empty(0, np.int64), *self.prime_chunks(lo, hi)])
 
     def kfree_at(self, ns: np.ndarray, k: int) -> np.ndarray:
         """Boolean array over the int64 array ns of values in [0, limit], True

@@ -14,7 +14,7 @@ from oracles import (
     reversed_primes_in_class_direct,
     spf_trial,
 )
-from revpal import experiments
+from revpal import experiments, sieve
 from revpal.cli import render
 from revpal.digits import base_context, reverse_array
 from revpal.experiments import (
@@ -328,9 +328,10 @@ def test_reversed_primes_in_class_match_direct_in_every_base(table_1e5):
 
 @pytest.mark.parametrize("b", [*range(2, 17), 100, 210, 1000])
 def test_counts_match_oracles_across_span_edges(b, table_1e5, monkeypatch):
-    # 64-integer spans split each leading digit's range once b^(N-1) > 64; at
-    # b = 100 and 210 the span starting at b holds the prime q = b + 1 | b^3 - b
-    monkeypatch.setattr(experiments, "_SPAN", 64)
+    # 4-byte chunks (64 integers, from byte lo // 16) split each leading digit's
+    # range once b^(N-1) > 64; at b = 100 and 210 the chunk holding b holds the
+    # prime q = b + 1 | b^3 - b
+    monkeypatch.setattr(sieve, "_UNPACK", 4)
     ctx = base_context(b)
     N = 1
     while b ** N - 1 <= table_1e5.limit:

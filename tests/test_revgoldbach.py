@@ -1,10 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import reversed_prime_values, reversed_prime_values_direct, scan_exceptions_mask
-from revpal import experiments, revgoldbach
+from revpal import experiments, revgoldbach, sieve
 from revpal.digits import base_context, reverse, reverse_array, to_digits
 from revpal.revgoldbach import (
     TargetClass,
@@ -163,8 +164,8 @@ def test_scan_matches_mask_oracle_every_base(b, table_1e6, monkeypatch):
 
 @pytest.mark.parametrize("b", range(2, 37))
 def test_scan_matches_mask_oracle_in_small_windows(b, table_1e6, monkeypatch):
-    # a 1-byte lead sends every value r >= 31 through the slice shifted on the
-    # spot, and small windows put window edges all through the limits
+    # a 1-byte lead hands every window off to the sparse tail at its first value
+    # r >= 31, and small windows put window edges all through the limits
     ctx = base_context(b)
     want = {limit: _scan_outcome(scan_exceptions_mask, ctx, limit, table_1e6)
             for limit in _oracle_limits()}
@@ -234,11 +235,12 @@ class _CountingValues:
             yield r
 
 
-def _reads_expected(vals, pending, n, ratio, window, is_prime):
+def _reads_expected(vals, pending, n, ratio, window, lead, is_prime):
     """How many values the scan reads: window by window from the first value, up to the
-    first r >= 16 c1 or a switch (every 8 values, once at most the window's targets /
-    ratio of its bytes are nonzero), then the one tail from the least switch, up to the
-    first r > max pending - 2 over all windows."""
+    first r >= 16 c1 or a switch (at the first r with (r + 1) >> 4 > lead, which the window
+    reads but does not apply, or every 8 values, once at most the window's targets / ratio
+    of its bytes are nonzero), then the one tail from the least switch, up to the first
+    r > max pending - 2 over all windows."""
     reads, starts, left = 0, [], set()
     for c0 in range(0, -(-n // 16), window):
         c1 = min(c0 + window, -(-n // 16))
@@ -246,6 +248,9 @@ def _reads_expected(vals, pending, n, ratio, window, is_prime):
         for i, r in enumerate(vals):
             reads = max(reads, i + 1)
             if r >= 16 * c1:
+                break
+            if (r + 1) >> 4 > lead:
+                starts.append(i)
                 break
             here = {t for t in here if t < r + 2 or not is_prime[t - r]}
             if i % 8 == 7 and len({(t % 2, t // 16) for t in here}) * ratio <= min(n, 16 * c1) - 16 * c0:
@@ -267,9 +272,11 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
     # _SPARSE_RATIO it switches, and the one sparse tail reads on from the least
     # switch up to the first r > max pending - 2.  A window with no switch stops
     # at its first r >= 16 c1, or when the values run out.  Reading on would
-    # change no result, so only the count of values read shows it; each limit
-    # runs at every setting of SWITCHES, in windows of 1 and 16 bytes and the
-    # scan's own, which holds every limit here
+    # change no result, so only the count of values read shows it.  A window
+    # also switches at its first r past its lead bytes, unapplied: with a
+    # 1-byte lead at r >= 31, with the scan's own at none here.  Each limit runs
+    # at every setting of SWITCHES, in windows of 1 and 16 bytes and the scan's
+    # own, which holds every limit here
     ctx = base_context(b)
     is_prime = table_1e5.is_prime(np.arange(10 ** 5 + 1))
     even_only = parity_class(ctx) is TargetClass.EVEN_TARGETS_ONLY
@@ -283,7 +290,8 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
         return [seen[-1]]
 
     monkeypatch.setattr(revgoldbach, "_reversed_blocks", counting)
-    for window in (1, 16, revgoldbach._WINDOW):
+    for lead, window in itertools.product((revgoldbach._LEAD, 1), (1, 16, revgoldbach._WINDOW)):
+        monkeypatch.setattr(revgoldbach, "_LEAD", lead)
         monkeypatch.setattr(revgoldbach, "_WINDOW", window)
         for ratio in SWITCHES:
             monkeypatch.setattr(revgoldbach, "_SPARSE_RATIO", ratio)
@@ -292,8 +300,8 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
                 vals = seen[-1].vals.tolist()
                 pending = {t for t in range(4, limit + 1) if not (even_only and t % 2)}
                 assert max(vals, default=0) <= limit - 2
-                assert seen[-1].read == _reads_expected(vals, pending, limit + 1, ratio, window,
-                                                        is_prime), (window, ratio, limit)
+                assert seen[-1].read == _reads_expected(vals, pending, limit + 1, ratio, window, lead,
+                                                        is_prime), (lead, window, ratio, limit)
 
 
 def test_scan_to_1e7_builds_no_block_past_4_digits():
@@ -463,11 +471,13 @@ def test_reverse_array_runs_once_per_table_base_and_block(monkeypatch):
                 assert h == int(np.count_nonzero(table.kfree_at(M - rev_h, 2))), (b, M)
     # blocks in the order first read: digit counts 1 to that of 900001,
     # 6 in base 10 and 4 in base 31, each reversed once per table and base,
-    # one call per span of _SPAN integers
+    # one call per chunk of 16 * _UNPACK integers, the first from byte lo // 16
     ps = tables[0].primes(0, 10 ** 6 + 1)
-    sizes = {b: [int(np.count_nonzero((ps % b != 0) & (s <= ps) & (ps < min(s + experiments._SPAN, b ** N))))
+    span = 16 * sieve._UNPACK
+    sizes = {b: [int(np.count_nonzero((ps % b != 0) & (max(s, lo) <= ps) & (ps < min(s + span, b ** N))))
                  for N in range(1, len(to_digits(900001, b)) + 1)
-                 for s in range(b ** (N - 1), min(b ** N, 10 ** 6 + 1), experiments._SPAN)]
+                 for lo in [b ** (N - 1)]
+                 for s in range(16 * (lo // 16), min(b ** N, 10 ** 6 + 1), span)]
              for b in (10, 31)}
     assert len(sizes[10]) == 9 and len(sizes[31]) == 7  # blocks 6 and 4 take four spans
     assert sum(sizes[10]) == ps.size and sum(sizes[31]) == np.count_nonzero(ps < 31 ** 4) - 1
@@ -535,10 +545,10 @@ def test_block_past_two_to_the_32_is_int64_and_exact():
 
 @pytest.mark.parametrize("b", [2, 3, 10, 16, 31, 100, 210])
 def test_memo_blocks_match_direct_across_span_edges(b, monkeypatch):
-    # 64-integer spans split every block from b^(N-1) > 64 on; block 2 starts
-    # at b, the prime the block drops in bases 2, 3 and 31 and a composite in
-    # bases 10, 16, 100 and 210
-    monkeypatch.setattr(experiments, "_SPAN", 64)
+    # 4-byte chunks (64 integers, from byte lo // 16) split every block from
+    # b^(N-1) > 64 on; block 2 starts at b, the prime the block drops in bases
+    # 2, 3 and 31 and a composite in bases 10, 16, 100 and 210
+    monkeypatch.setattr(sieve, "_UNPACK", 4)
     ctx, table = base_context(b), build(20000)
     expected = _blocks_direct(b, table)
     for N in range(1, len(to_digits(table.limit, b)) + 1):

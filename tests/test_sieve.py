@@ -325,7 +325,8 @@ def test_primes_and_gathers_match_divide_out_oracle_at_range_edges(limit):
 def test_primes_and_count_primes_match_a_flatnonzero_oracle_on_random_ranges():
     # about 3000 ranges of a 10^7 table: random ends and widths, ends on each
     # side of the 16 * _UNPACK-integer chunk edges, lo < 0, hi past the limit
-    # and hi <= lo (empty)
+    # and hi <= lo (empty); prime_chunks yields chunk i of _UNPACK bytes from
+    # byte lo // 16, each array ascending int64 and inside its chunk
     limit = 10 ** 7
     t = build(limit)
     odd = np.flatnonzero(np.unpackbits(t.prime_bits, bitorder="little")[:(limit + 1) // 2])
@@ -346,6 +347,11 @@ def test_primes_and_count_primes_match_a_flatnonzero_oracle_on_random_ranges():
         got = t.primes(lo, hi)
         assert got.dtype == np.int64 and np.array_equal(got, want), (lo, hi)
         assert t.count_primes(lo, hi) == want.size, (lo, hi)
+        chunks = list(t.prime_chunks(lo, hi))
+        for i, c in enumerate(chunks):
+            assert c.dtype == np.int64 and np.all(np.diff(c) > 0), (lo, hi, i)
+            assert np.all(((c >> 4) - max(lo, 0) // 16) // sieve._UNPACK == i), (lo, hi, i)
+        assert np.array_equal(np.concatenate([np.empty(0, np.int64), *chunks]), want), (lo, hi)
 
 
 def test_build_memory_is_under_2_2_bytes_per_entry():
