@@ -18,6 +18,7 @@ from .experiments import CountReport
 from .verifier import Certificate
 
 CACHE_ENV = "REVPAL_SIEVE_CACHE"
+_cached = []  # (path, table, memo blocks) per cached table of the running dispatch, which empties it
 
 
 def _fmt(x: float) -> str:
@@ -34,15 +35,13 @@ def _get_table(limit: int, *_checked) -> sieve.FactorTable:
     path = Path(cache_dir) / f"sieve_{limit}.bin"
     try:
         table = sieve.load_cache(path)
-    except (FileNotFoundError, sieve.CacheVersionError):
-        pass  # no file yet, or one of another format version: build and replace it
-    else:
-        if table.limit != limit:
-            raise ValueError(f"{path} holds a table to {table.limit}, not {limit}")
-        return table
-    table = sieve.build(limit)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    sieve.save_cache(table, path)
+    except (FileNotFoundError, sieve.CacheVersionError):  # no file yet, or a stale one: replace it
+        table = sieve.build(limit)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        sieve.save_cache(table, path)
+    if table.limit != limit:
+        raise ValueError(f"{path} holds a table to {table.limit}, not {limit}")
+    _cached.append((path, table, len(table._memo)))
     return table
 
 
@@ -214,16 +213,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(args: argparse.Namespace) -> int:
     """Run the subcommand in args and return its exit code.  Its text goes to
-    the file --output names, if any, else to sys.stdout as it is at call time."""
+    the file --output names, if any, else to sys.stdout as it is at call time.
+    Then each cached table to which the command added memo blocks is saved again."""
     # the base is --base, or --b where a command works on one base only
     b = getattr(args, "base", getattr(args, "b", None))
-    result = COMMANDS[args.cmd][2](args, base_context(b) if b is not None else None)
-    text, code = result if isinstance(result, tuple) else (result, 0)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    try:
+        result = COMMANDS[args.cmd][2](args, base_context(b) if b is not None else None)
+        text, code = result if isinstance(result, tuple) else (result, 0)
+        if getattr(args, "output", None):
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        for path, table, blocks in _cached:
+            if len(table._memo) > blocks:
+                sieve.save_cache(table, path)
+        return code
+    finally:
+        _cached.clear()
 
 
 def main(argv=None) -> int:

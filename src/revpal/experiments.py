@@ -4,6 +4,7 @@ its derived counts, each paired with a theoretical main term where one exists.
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -118,15 +119,15 @@ def _reversed_primes_in_class(ctx: BaseContext, N: int, table: FactorTable):
     b, top = ctx.b, ctx.b ** (N - 1)
     if b * top - 1 > table.limit:
         raise ValueError(f"table limit {table.limit} too small for b^N = {b * top}")
-    return (rev for d in range(1, b) if math.gcd(d, b) == 1
-            for rev in reversed_prime_spans(ctx, d * top, (d + 1) * top, table, ctx.primes_b3mb))
+    return chain.from_iterable(reversed_prime_spans(ctx, d * top, (d + 1) * top, table, ctx.primes_b3mb)
+                               for d in range(1, b) if math.gcd(d, b) == 1)
 
 
 def count_rev_kfree_primes(ctx: BaseContext, k: int, N: int, table: FactorTable) -> CountReport:
     """r_{b,k}(N): primes p in B_N with reverse in B*_N and reverse k-free."""
     main_term = densities.rev_kfree_main_term(ctx, k, N)  # checks k and N before the table
-    count = sum(int(np.count_nonzero(table.kfree_at(rev, k)))
-                for rev in _reversed_primes_in_class(ctx, N, table))
+    revs = _reversed_primes_in_class(ctx, N, table)  # map: a generator expression's frame holds a span
+    count = sum(map(lambda rev: int(np.count_nonzero(table.kfree_at(rev, k))), revs))
     return CountReport(
         label="rev_kfree_primes", b=ctx.b, k=k, N_or_x=N, d=None,
         empirical=count, main_term=main_term,
@@ -137,7 +138,7 @@ def rev_pi_star(ctx: BaseContext, N: int, d: int, table: FactorTable) -> CountRe
     """pi*_N(0, d): primes p in B_N with reverse in B*_N and d | reverse(p)."""
     main_term = densities.rev_pi_main_term(ctx, d, N)  # checks d and N before the table
     revs = _reversed_primes_in_class(ctx, N, table)  # checks the table; every rev < b^N
-    count = sum(int(np.count_nonzero(rev % d == 0)) for rev in revs) if d < ctx.b ** N else 0
+    count = sum(map(lambda rev: int(np.count_nonzero(rev % d == 0)), revs)) if d < ctx.b ** N else 0
     return CountReport(
         label="rev_pi_star", b=ctx.b, k=None, N_or_x=N, d=d,
         empirical=count, main_term=main_term,

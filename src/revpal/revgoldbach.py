@@ -73,12 +73,12 @@ def prime_bound(ctx: BaseContext, cap: int) -> int:
 
 
 def reversed_prime_block(ctx: BaseContext, N: int, table: FactorTable) -> np.ndarray:
-    """Block N of the table's reversed-prime memo in base b, read-only: the
-    sorted rev(p) over the N-digit primes p <= table.limit but b, the only
-    one with a trailing zero.  table._memo maps (b, N) to this block, built on
-    its first read by a reverse-Goldbach call and kept for the table's lifetime.  It is uint32
-    when max(table.limit + 1, b^N) < 2^32 (values are below b^N, cuts at most table.limit + 1),
-    else int64, filled from reversed_prime_spans: its build holds the block and one span."""
+    """Block N of the table's reversed-prime memo in base b, read-only: the sorted rev(p) over the
+    N-digit primes p <= table.limit but b, the only one with a trailing zero.  table._memo maps
+    (b, N) to it, built on its first read by a reverse-Goldbach call; sieve.save_cache writes it
+    into the cache file and sieve.load_cache maps it back, a map that outlives a rename over the
+    file.  It is uint32 when max(table.limit + 1, b^N) < 2^32 (values are below b^N, cuts at most
+    table.limit + 1), else int64, filled from reversed_prime_spans: its build holds the block and one span."""
     b = ctx.b
     vals = table._memo.get((b, N))
     if vals is None:

@@ -4,13 +4,14 @@ Memory layout: read-only uint8 arrays in little bit order.  Bit j of prime_bits 
 is prime (limit // 16 + 1 bytes, so n >> 1 is in range for every n <= limit; the readers
 add 2); bit n of sqf_bits says n >= 1 is square-free (limit // 8 + 1 bytes).  That is about
 0.19 bytes per entry, and DEFAULT_LIMIT_BUDGET guards memory alone.  A table from load_cache
-is a read-only map of its file: only the pages a call reads become resident.
+is a read-only map of its file, memo included: only the pages a call reads become resident.
 """
 
 import mmap
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import isqrt
 from pathlib import Path
 
@@ -19,7 +20,8 @@ import numpy as np
 DEFAULT_LIMIT_BUDGET = 2 ** 31
 
 _CACHE_MAGIC = b"RPFT"
-_CACHE_VERSION = 5
+_CACHE_VERSION = 6
+_MEMO_DTYPES = {4: np.dtype("<u4"), 8: np.dtype("<i8")}  # a memo block's type by its itemsize
 
 _CHUNK = 2 ** 20  # entries per chunk of _packed_sieve, a multiple of 8
 _UNPACK = 2 ** 14  # bytes per chunk that prime_chunks unpacks: 2^18 integers
@@ -39,9 +41,9 @@ def check_k(k: int | None, least: int = 2) -> None:
 class FactorTable:
     """Immutable sieve output over [0, limit], packed in bits (see the module docstring).
 
-    _memo holds the sorted reversed-prime blocks of the reverse-Goldbach calls, 4 bytes a value
-    below 2^32 (see revgoldbach.reversed_prime_block; the counts stream theirs); it lives
-    and dies with the table and is never saved, compared or shown.
+    _memo maps (b, N) to a sorted reversed-prime block of the reverse-Goldbach calls, 4 bytes a value
+    below 2^32 (see revgoldbach.reversed_prime_block; the counts stream theirs); save_cache writes
+    it, load_cache maps it back read-only, and it is never compared or shown.
     """
 
     limit: int
@@ -166,28 +168,36 @@ def build(limit: int) -> FactorTable:
 
 
 def save_cache(table: FactorTable, path: str | Path):
-    """Binary cache: magic + version + limit header, then the square-free and prime
-    bits; written to a temporary file beside path, renamed over it atomically."""
+    """Binary cache, version 6, little-endian: magic + version + limit header, the square-free and
+    prime bits, then from the next multiple of 8 bytes the memo's block count, an int64 row (b, N,
+    itemsize, size) per block and the blocks, each padded to 8 bytes.  Written beside path and
+    renamed over it, so a table mapped from path may be saved back to it, read from the old file."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    blocks = list(table._memo.items())
     try:
         with open(tmp, "wb") as fh:
             fh.write(struct.pack("<4sIQ", _CACHE_MAGIC, _CACHE_VERSION, table.limit))
             fh.write(memoryview(table.sqf_bits))
             fh.write(memoryview(table.prime_bits))
+            index = [len(blocks), *(x for (b, N), v in blocks for x in (b, N, v.itemsize, v.size))]
+            fh.write(bytes(-fh.tell() % 8) + np.array(index, "<i8").tobytes())
+            for _, vals in blocks:
+                fh.write(memoryview(vals.astype(_MEMO_DTYPES[vals.itemsize], copy=False)))
+                fh.write(bytes(-fh.tell() % 8))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def load_cache(path: str | Path) -> FactorTable:
-    """Table of a save_cache file, its arrays read-only views of a map of it.
+    """Table of a save_cache file, its arrays and memo blocks read-only views of a map of it.
 
-    The file must be version 5 (another version raises CacheVersionError),
-    exactly the header plus limit // 8 + 1 square-free bytes, then limit // 16 + 1
-    prime bytes.  The map outlives the file's name: save_cache replaces a file by
-    renaming a new one over it, so a loaded table keeps reading the old
-    contents.  A cache file must therefore never be rewritten in place.
+    The file must be version 6 (another version raises CacheVersionError), with limit // 8 + 1
+    square-free bytes, limit // 16 + 1 prime bytes, a memo index whose rows have b >= 2, N >= 1,
+    distinct (b, N), itemsize 4 or 8 and size >= 0, and exactly their blocks' bytes.  The map
+    outlives the file's name: save_cache replaces a file by renaming a new one over it, so a
+    loaded table, memo too, keeps reading the old contents.  Never rewrite a cache file in place.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -199,11 +209,22 @@ def load_cache(path: str | Path) -> FactorTable:
             raise ValueError(f"{path} is not a sieve cache file")
         if version != _CACHE_VERSION:
             raise CacheVersionError(f"{path} has unsupported cache version {version}")
-        n_sqf, n_prime = limit // 8 + 1, limit // 16 + 1
-        need, got = n_sqf + n_prime, os.fstat(fh.fileno()).st_size - 16
-        if got != need:
-            problem = "truncated" if got < need else "too long"
-            raise ValueError(f"{path} is {problem}: limit {limit} needs {need} array bytes, got {got}")
+        n_sqf, n_prime, got = limit // 8 + 1, limit // 16 + 1, os.fstat(fh.fileno()).st_size
+        at = fh.seek(-(-(16 + n_sqf + n_prime) // 8) * 8)  # the memo's block count, then its index
+        count = int.from_bytes(fh.read(8), "little")  # read short only if the file ends first
+        at += 8 + 32 * count  # the first block; past the end, the file is truncated (found below)
+        index = np.frombuffer(fh.read(32 * count) if at <= got else b"", "<i8").reshape(-1, 4).tolist()
+        valid = {(b, N) for b, N, item, n in index if b > 1 and N > 0 and n >= 0 and item in _MEMO_DTYPES}
+        if len(valid) < len(index):  # a bad row, or a (b, N) twice
+            raise ValueError(f"{path} has a corrupt memo index")
+        starts = list(accumulate((-(-item * n // 8) * 8 for *_, item, n in index), initial=at))
+        if got != starts[-1]:
+            problem = "truncated" if got < starts[-1] else "too long"
+            raise ValueError(f"{path} is {problem}: limit {limit} and {count} memo blocks need "
+                             f"{starts[-1]} bytes, got {got}")
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    sqf_bits, prime_bits = np.split(np.frombuffer(data, dtype=np.uint8, offset=16), [n_sqf])
-    return FactorTable(limit=int(limit), prime_bits=prime_bits, sqf_bits=sqf_bits)
+    sqf_bits, prime_bits = np.split(np.frombuffer(data, np.uint8, n_sqf + n_prime, 16), [n_sqf])
+    table = FactorTable(limit=int(limit), prime_bits=prime_bits, sqf_bits=sqf_bits)
+    table._memo.update(((b, N), np.frombuffer(data, _MEMO_DTYPES[item], n, start))
+                       for (b, N, item, n), start in zip(index, starts))
+    return table

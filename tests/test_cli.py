@@ -197,10 +197,11 @@ def test_cache_with_wrong_limit_is_rejected(tmp_path, monkeypatch, capsys):
 def test_cache_of_wrong_size_is_rejected(tmp_path, monkeypatch, capsys, edit):
     path = tmp_path / "sieve_1000.bin"
     sieve.save_cache(sieve.build(1000), path)
-    path.write_bytes(edit(path.read_bytes()))
+    path.write_bytes(data := edit(path.read_bytes()))
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
     assert "sieve_1000.bin" in capsys.readouterr().err
+    assert path.read_bytes() == data  # left as it is
 
 
 def test_foreign_cache_file_is_rejected_and_kept(tmp_path, monkeypatch, capsys):
@@ -218,7 +219,7 @@ def test_version_1_cache_is_rebuilt_and_replaced(tmp_path, monkeypatch, capsys):
     # files of the right length for their limit, in older formats: version 1
     # held int32 spf, mu and Omega; version 2 held mu and Omega, version 3 the
     # square-free flags and Omega, version 4 the square-free and prime flags,
-    # each 2 bytes per entry
+    # each 2 bytes per entry, and version 5 today's bits and no memo
     limit = max(2, 1000, revgoldbach.prime_bound(base_context(10), 999))
     path = tmp_path / f"sieve_{limit}.bin"
     monkeypatch.delenv(CACHE_ENV, raising=False)
@@ -226,15 +227,76 @@ def test_version_1_cache_is_rebuilt_and_replaced(tmp_path, monkeypatch, capsys):
     fresh = capsys.readouterr()
     built = sieve.build(limit)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    for version, size in ((1, 6), (2, 2), (3, 2), (4, 2)):
-        path.write_bytes(struct.pack("<4sIQ", b"RPFT", version, limit) + bytes(size * (limit + 1)))
+    v5 = limit // 8 + 1 + limit // 16 + 1
+    for version, size in ((1, 6 * (limit + 1)), (2, 2 * (limit + 1)), (3, 2 * (limit + 1)),
+                          (4, 2 * (limit + 1)), (5, v5)):
+        path.write_bytes(struct.pack("<4sIQ", b"RPFT", version, limit) + bytes(size))
         assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
         assert capsys.readouterr() == fresh, version
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"RPFT", 5, limit)
+        assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"RPFT", sieve._CACHE_VERSION, limit)
         loaded = sieve.load_cache(path)
         assert loaded.sqf_bits.tobytes() == built.sqf_bits.tobytes(), version
         assert loaded.prime_bits.tobytes() == built.prime_bits.tobytes(), version
+
+
+def _stamp(path):
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns, path.read_bytes()
+
+
+def test_cached_memo_is_saved_once_and_then_only_read(tmp_path, monkeypatch, capsys):
+    # estermann --M 1000 reads blocks 1-3 of a table to 1000; hcabdlog to 1000
+    # reads the same table and blocks
+    path = tmp_path / "sieve_1000.bin"
+    argv = ["estermann", "--base", "10", "--M", "1000"]
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert main(argv) == 0 and capsys.readouterr() == expected
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert sorted(sieve.load_cache(path)._memo) == [(10, 1), (10, 2), (10, 3)]
+    first = _stamp(path)
+    monkeypatch.setattr(revgoldbach, "reversed_prime_spans", lambda *a: pytest.fail("a block was rebuilt"))
+    assert main(argv) == 0 and capsys.readouterr() == expected
+    assert _stamp(path) == first
+    assert main(["hcabdlog", "--base", "10", "--limit", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["exceptions"] == [11]
+    assert _stamp(path) == first and [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_a_command_that_fails_saves_no_memo(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "sieve_1000.bin"
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
+    capsys.readouterr()
+    first = _stamp(path)
+
+    def failing(ctx, M, table):
+        revgoldbach.reversed_prime_block(base_context(7), 2, table)  # a block the file lacks
+        raise ValueError("refused")
+
+    monkeypatch.setattr(revgoldbach, "estermann_count", failing)
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
+    assert capsys.readouterr() == ("", "error: refused\n")
+    assert _stamp(path) == first
+    monkeypatch.undo()
+    assert sorted(sieve.load_cache(path)._memo) == [(10, 1), (10, 2), (10, 3)]
+
+
+def test_corrupt_memo_index_exits_2_and_is_kept(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "sieve_1000.bin"
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
+    capsys.readouterr()
+    data = bytearray(path.read_bytes())
+    index = -(-(16 + 1000 // 8 + 1 + 1000 // 16 + 1) // 8) * 8 + 8
+    data[index + 16:index + 24] = struct.pack("<q", 3)  # the first block's itemsize
+    path.write_bytes(bytes(data))
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path} has a corrupt memo index\n")
+    assert path.read_bytes() == data
 
 
 def test_almost_prime_with_a_huge_rough_exponent_counts_only_one(capsys):

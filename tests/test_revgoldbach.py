@@ -610,16 +610,65 @@ def test_loaded_table_agrees_with_built(tmp_path):
             assert estermann_count(ctx, M, loaded) == estermann_count(ctx, M, built), (b, M)
 
 
-def test_memo_is_not_saved_or_shown(tmp_path):
+def test_memo_is_saved_but_not_shown_or_compared(tmp_path):
     fresh, used = build(10 ** 5), build(10 ** 5)
     ctx = base_context(10)
     scan_exceptions(ctx, 10 ** 4, used)
     estermann_count(ctx, 10 ** 5, used)
-    assert used._memo and not fresh._memo
+    assert sorted(used._memo) == [(10, N) for N in range(1, 6)] and not fresh._memo
     save_cache(fresh, tmp_path / "fresh.bin")
     save_cache(used, tmp_path / "used.bin")
-    assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "used.bin").read_bytes()
-    assert "_memo" not in repr(used) and repr(used) == repr(fresh)
+    loaded = load_cache(tmp_path / "used.bin")
+    assert not load_cache(tmp_path / "fresh.bin")._memo
+    assert loaded._memo.keys() == used._memo.keys()
+    for key, vals in used._memo.items():
+        assert loaded._memo[key].dtype == vals.dtype and np.array_equal(loaded._memo[key], vals), key
+    assert "_memo" not in repr(used) and repr(used) == repr(fresh) == repr(loaded)
+    twin = sieve.FactorTable(limit=used.limit, prime_bits=used.prime_bits, sqf_bits=used.sqf_bits)
+    assert twin == used and not twin._memo  # the same arrays, another memo
+
+
+def _all_blocks(ctx, table):
+    """Every block of the memo that has primes in the table: N with b^(N-1) <= limit."""
+    return [revgoldbach.reversed_prime_block(ctx, N, table)
+            for N in range(1, len(to_digits(table.limit, ctx.b)) + 1)]
+
+
+def test_memo_round_trips_through_the_cache_for_every_base(tmp_path, monkeypatch):
+    built = build(10 ** 5)
+    calls = {}
+    for b in range(2, 37):
+        ctx = base_context(b)
+        target = b ** (len(to_digits(10 ** 5, b)) - 1)  # the table covers every reverse below it
+        calls[b] = [(fn, target) for fn in (scan_exceptions, representations, estermann_count)]
+        _all_blocks(ctx, built)
+    expected = {b: [fn(base_context(b), M, built) for fn, M in calls[b]] for b in calls}
+    save_cache(built, tmp_path / "sieve.bin")
+    loaded = load_cache(tmp_path / "sieve.bin")
+    assert loaded._memo.keys() == built._memo.keys()
+    for key, vals in built._memo.items():
+        got = loaded._memo[key]
+        assert (got.dtype, got.flags.writeable) == (vals.dtype, vals.flags.writeable) == (vals.dtype, False), key
+        assert np.array_equal(got, vals), key
+    monkeypatch.setattr(revgoldbach, "reversed_prime_spans",
+                        lambda *args: pytest.fail("a memo block was rebuilt"))
+    assert {b: [fn(base_context(b), M, loaded) for fn, M in calls[b]] for b in calls} == expected
+
+
+def test_int64_memo_block_round_trips(tmp_path):
+    # b^2 = 4.9e9 is past 2^32, so block (70000, 2) is int64; block 1 stays uint32
+    ctx, built = base_context(70000), build(10 ** 5)
+    blocks = _all_blocks(ctx, built)
+    assert [v.dtype for v in blocks] == [np.uint32, np.int64]
+    assert blocks[1].size == built.count_primes(70000, 10 ** 5 + 1) > 0
+    save_cache(built, tmp_path / "sieve.bin")
+    loaded = load_cache(tmp_path / "sieve.bin")
+    for N, vals in enumerate(blocks, 1):
+        got = loaded._memo[70000, N]
+        assert got.dtype == vals.dtype and not got.flags.writeable and np.array_equal(got, vals), N
+    # reverses <= 70001 come from primes <= 70001 and read block 2 up to 70001 = rev(70001)
+    for fn, M in ((representations, 70003), (estermann_count, 70002)):
+        assert fn(ctx, M, loaded) == fn(ctx, M, build(10 ** 5)) > 0, fn
 
 
 def test_table_too_small_errors(table_1e5):

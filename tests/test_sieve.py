@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import resource
 import struct
 import subprocess
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import build_divide_out, is_k_free, mobius_sum_oracle, mu_trial, spf_trial
-from revpal import sieve
+from revpal import revgoldbach, sieve
+from revpal.digits import base_context
 from revpal.sieve import CacheVersionError, build, load_cache, save_cache
 
 
@@ -90,27 +92,98 @@ def test_cache_file_is_header_plus_little_endian_arrays(tmp_path):
     t = build(5000)
     path = tmp_path / "sieve_5000.bin"
     save_cache(t, path)
-    # version 5: the header, then bit n of the square-free bytes for 0 <= n <= 5000
-    # and bit j of the prime bytes for 2j + 1 <= 5000, both in little bit order
+    # version 6: the header, then bit n of the square-free bytes for 0 <= n <= 5000
+    # and bit j of the prime bytes for 2j + 1 <= 5000, both in little bit order,
+    # then, from the next multiple of 8 bytes, the memo's block count: 0
     (prime, squarefree), _ = build_divide_out(5000)
-    expected = (struct.pack("<4sIQ", b"RPFT", 5, 5000)
+    expected = (struct.pack("<4sIQ", b"RPFT", 6, 5000)
                 + np.packbits(squarefree, bitorder="little").tobytes()
                 + np.packbits(prime[1::2], bitorder="little").tobytes())
+    expected += bytes(-len(expected) % 8) + struct.pack("<Q", 0)
     assert path.read_bytes() == expected
-    assert len(expected) == 16 + (5000 // 8 + 1) + (5000 // 16 + 1)
+    assert len(expected) == 16 + (5000 // 8 + 1) + (5000 // 16 + 1) + 5 + 8
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def _memo_file(tmp_path):
+    """A 10^5 table's file with blocks (10, 1), uint32, and (70000, 2), int64, in that order;
+    the offset of its block count; and the table."""
+    t = build(10 ** 5)
+    revgoldbach.reversed_prime_block(base_context(10), 1, t)
+    revgoldbach.reversed_prime_block(base_context(70000), 2, t)
+    path = tmp_path / "sieve_100000.bin"
+    save_cache(t, path)
+    return path, -(-(16 + t.sqf_bits.size + t.prime_bits.size) // 8) * 8, t
+
+
+def test_cache_file_holds_the_memo_after_the_bits(tmp_path):
+    # where an empty memo's file has its zero block count: the count, the index
+    # rows (b, N, itemsize, size), then each block in that order, padded to 8
+    # bytes: the 4 uint32 values of block (10, 1), and the int64 block (70000, 2)
+    # of the primes in [70000, 10^5]
+    path, start, t = _memo_file(tmp_path)
+    ones, big = t._memo[10, 1], t._memo[70000, 2]
+    primes = t.primes(70000, 10 ** 5 + 1).tolist()
+    assert ones.dtype == np.uint32 and ones.tolist() == [2, 3, 5, 7]
+    assert big.dtype == np.int64 and big.tolist() == sorted(p % 70000 * 70000 + p // 70000 for p in primes)
+    save_cache(build(10 ** 5), tmp_path / "empty.bin")
+    empty, data = (tmp_path / "empty.bin").read_bytes(), path.read_bytes()
+    assert len(empty) == start + 8 and data[:start] == empty[:start] and empty[start:] == bytes(8)
+    index = struct.pack("<Q8q", 2, 10, 1, 4, 4, 70000, 2, 8, big.size)
+    blocks = ones.astype("<u4").tobytes() + big.astype("<i8").tobytes()
+    assert data[start:] == index + blocks
+
+
+@pytest.mark.parametrize("row, field, value", [
+    (0, 2, 3),  # itemsize 3
+    (1, 2, 2),  # itemsize 2
+    (0, 0, 1),  # b = 1
+    (1, 1, 0),  # N = 0
+    (0, 3, -1),  # size -1
+    (1, 0, 10),  # (10, 2) ...
+])
+def test_cache_rejects_a_corrupt_memo_index(tmp_path, row, field, value):
+    path, start, _ = _memo_file(tmp_path)
+    data = bytearray(path.read_bytes())
+    at = start + 8 + 32 * row + 8 * field
+    data[at:at + 8] = struct.pack("<q", value)
+    if (row, field, value) == (1, 0, 10):  # ... and (10, 1) twice
+        data[at + 8:at + 16] = struct.pack("<q", 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="sieve_100000.bin has a corrupt memo index$"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda data, start: data[:-1], "is truncated"),
+    (lambda data, start: data + b"\0", "is too long"),
+    (lambda data, start: data[:start + 8 + 32] + bytes(8), "is truncated"),  # the index cut short
+    (lambda data, start: data[:start] + struct.pack("<Q", 2 ** 64 - 1) + data[start + 8:], "is truncated"),
+    (lambda data, start: data[:start] + struct.pack("<Q", 1) + data[start + 8:], "is too long"),
+    (lambda data, start: data[:start + 24] + struct.pack("<q", 8) + data[start + 32:], "is truncated"),
+    # a third row, read from the blocks' bytes: b = 3 << 32 | 2, itemsize 70001 (rev(70001))
+    (lambda data, start: data[:start] + struct.pack("<Q", 3) + data[start + 8:], "has a corrupt memo index"),
+])
+def test_cache_rejects_a_memo_of_the_wrong_length(tmp_path, edit, problem):
+    path, start, _ = _memo_file(tmp_path)
+    path.write_bytes(edit(path.read_bytes(), start))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} {problem}"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_cache_rejects_older_version_file(tmp_path, version):
     # version 1 held int32 spf before mu and Omega, 6 bytes per entry; version 2
     # held int8 mu before Omega, version 3 the square-free flags before Omega,
     # and version 4 the square-free flags before the prime flags, all 2 bytes
-    # per entry: only the version tells them apart, not the length
+    # per entry: only the version tells them apart, not the length; version 5
+    # held today's bits and no memo
     (prime, squarefree), omega = build_divide_out(5000)
     mu = np.where(squarefree, 1 - 2 * (omega & 1), 0).astype("<i1")
     arrays = {1: bytes(6 * 5001), 2: mu.tobytes() + omega.tobytes(),
               3: squarefree.tobytes() + omega.tobytes(),
-              4: squarefree.tobytes() + prime.tobytes()}[version]
+              4: squarefree.tobytes() + prime.tobytes(),
+              5: np.packbits(squarefree, bitorder="little").tobytes()
+              + np.packbits(prime[1::2], bitorder="little").tobytes()}[version]
     path = tmp_path / "sieve_5000.bin"
     path.write_bytes(struct.pack("<4sIQ", b"RPFT", version, 5000) + arrays)
     with pytest.raises(CacheVersionError, match=f"sieve_5000.bin has unsupported cache version {version}"):
@@ -122,8 +195,9 @@ def test_cache_rejects_truncated_file(tmp_path):
     save_cache(build(5000), path)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
     path.write_bytes(path.read_bytes()[:-1])
-    # 5000 // 8 + 1 = 626 square-free bytes and 5000 // 16 + 1 = 313 prime bytes
-    with pytest.raises(ValueError, match="sieve_5000.bin is truncated: limit 5000 needs 939 array bytes, got 938"):
+    # 16 header bytes, 5000 // 8 + 1 = 626 square-free bytes and 5000 // 16 + 1 = 313
+    # prime bytes, padded to 960, and the 8 bytes of the memo's block count
+    with pytest.raises(ValueError, match="sieve_5000.bin is truncated: limit 5000 and 0 memo blocks need 968 bytes, got 967"):
         load_cache(path)
 
 
@@ -132,7 +206,7 @@ def test_cache_rejects_trailing_bytes(tmp_path):
     save_cache(build(5000), path)
     with open(path, "ab") as fh:
         fh.write(b"\0")
-    with pytest.raises(ValueError, match="sieve_5000.bin is too long: limit 5000 needs 939 array bytes, got 940"):
+    with pytest.raises(ValueError, match="sieve_5000.bin is too long: limit 5000 and 0 memo blocks need 968 bytes, got 969"):
         load_cache(path)
 
 
