@@ -18,7 +18,7 @@ from .experiments import CountReport
 from .verifier import Certificate
 
 CACHE_ENV = "REVPAL_SIEVE_CACHE"
-_cached = []  # (path, table, memo blocks) per cached table of the running dispatch, which empties it
+_cached = []  # (path, table, memo blocks in its file, -1 if built) per cached table of the running dispatch
 
 
 def _fmt(x: float) -> str:
@@ -26,8 +26,8 @@ def _fmt(x: float) -> str:
 
 
 def _get_table(limit: int, *_checked) -> sieve.FactorTable:
-    # _checked: the values of the library's argument checks for the call the
-    # table feeds, passed so that they run, and raise, before it is built
+    """The table to max(2, limit), loaded from the cache or built, not saved: dispatch saves what
+    _cached records.  _checked: the library's argument checks for the call it feeds, run first."""
     limit = max(2, limit)  # the least limit build accepts
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
@@ -35,13 +35,12 @@ def _get_table(limit: int, *_checked) -> sieve.FactorTable:
     path = Path(cache_dir) / f"sieve_{limit}.bin"
     try:
         table = sieve.load_cache(path)
+        blocks = len(table._memo)
     except (FileNotFoundError, sieve.CacheVersionError):  # no file yet, or a stale one: replace it
-        table = sieve.build(limit)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        sieve.save_cache(table, path)
+        table, blocks = sieve.build(limit), -1
     if table.limit != limit:
         raise ValueError(f"{path} holds a table to {table.limit}, not {limit}")
-    _cached.append((path, table, len(table._memo)))
+    _cached.append((path, table, blocks))
     return table
 
 
@@ -191,7 +190,7 @@ COMMANDS = {
     "estermann": (
         "prime + squarefree representation count", [BASE, OUTPUT, _num("--M")],
         lambda a, ctx: str(revgoldbach.estermann_count(ctx, a.M, _get_table(
-            revgoldbach.table_limit(ctx, a.M, a.M - 1)))) + "\n"),
+            revgoldbach.table_limit(ctx, a.M, a.M - 1), revgoldbach._check_target(a.M, 1)))) + "\n"),
     "main-term": (
         "theoretical main terms",
         [BASE, ("--which", {"choices": ["rev-kfree", "rev-pi", "kfree-density", "zeta"],
@@ -212,35 +211,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args: argparse.Namespace) -> int:
-    """Run the subcommand in args and return its exit code.  Its text goes to
-    the file --output names, if any, else to sys.stdout as it is at call time.
-    Then each cached table to which the command added memo blocks is saved again."""
+    """Run the subcommand in args and return its exit code.  Once the handler returns, each cached
+    table it built or added memo blocks to is saved once, the one write of a cache file; then the
+    text goes to the file --output names, if any, else to sys.stdout as it is at call time."""
     # the base is --base, or --b where a command works on one base only
     b = getattr(args, "base", getattr(args, "b", None))
     try:
         result = COMMANDS[args.cmd][2](args, base_context(b) if b is not None else None)
         text, code = result if isinstance(result, tuple) else (result, 0)
+        for path, table, blocks in _cached:
+            if len(table._memo) > blocks:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                sieve.save_cache(table, path)
         if getattr(args, "output", None):
             Path(args.output).write_text(text)
         else:
             sys.stdout.write(text)
-        for path, table, blocks in _cached:
-            if len(table._memo) > blocks:
-                sieve.save_cache(table, path)
         return code
     finally:
         _cached.clear()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
+        return dispatch(build_parser().parse_args(argv))
+    except SystemExit as e:  # from argparse: --help, or a usage error
         return 2 if e.code not in (0, None) else 0
-    try:
-        return dispatch(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # a bad argument or cache file, or a path it cannot read or write
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -96,8 +96,7 @@ def reversed_prime_block(ctx: BaseContext, N: int, table: FactorTable) -> np.nda
 
 
 def table_limit(ctx: BaseContext, target: int, cap: int) -> int:
-    """The least table limit that covers target and every prime whose
-    reverse is at most cap."""
+    """The least table limit that covers target and every prime whose reverse is at most cap."""
     return max(target, prime_bound(ctx, cap))
 
 
@@ -120,11 +119,16 @@ def _reversed_blocks(ctx: BaseContext, target: int, cap: int, table: FactorTable
     return (vals[i:i + _GATHER] for vals in cut for i in range(0, vals.size, _GATHER))
 
 
+def _check_target(M: int, least: int) -> None:
+    """The one check of a representation count's target M: M >= least (2, or 1 for estermann_count)."""
+    if M < least:
+        raise ValueError(f"target must be >= {least}, got {M}")
+
+
 def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
     """Number of ordered pairs (p1, p2) of primes with b not dividing p1 and
     M = rev(p1) + p2."""
-    if M < 2:
-        raise ValueError(f"target must be >= 2, got {M}")
+    _check_target(M, 2)
     return sum(int(np.count_nonzero(table.is_prime(np.subtract(M, vals, dtype=np.int64))))
                for vals in _reversed_blocks(ctx, M, M - 2, table))
 
@@ -215,7 +219,6 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
 def estermann_count(ctx: BaseContext, M: int, table: FactorTable) -> int:
     """h_b(M): primes p with b not dividing p, rev(p) <= M - 1, and
     M - rev(p) square-free."""
-    if M < 1:
-        raise ValueError(f"target must be >= 1, got {M}")
+    _check_target(M, 1)
     return sum(int(np.count_nonzero(table.kfree_at(np.subtract(M, vals, dtype=np.int64), 2)))
                for vals in _reversed_blocks(ctx, M, M - 1, table))

@@ -245,6 +245,14 @@ def _stamp(path):
     return st.st_ino, st.st_mtime_ns, path.read_bytes()
 
 
+@pytest.fixture
+def saves(monkeypatch):
+    """The paths sieve.save_cache is called with, in order; the saves still run."""
+    paths, save = [], sieve.save_cache
+    monkeypatch.setattr(sieve, "save_cache", lambda table, path: paths.append(path) or save(table, path))
+    return paths
+
+
 def test_cached_memo_is_saved_once_and_then_only_read(tmp_path, monkeypatch, capsys):
     # estermann --M 1000 reads blocks 1-3 of a table to 1000; hcabdlog to 1000
     # reads the same table and blocks
@@ -266,21 +274,27 @@ def test_cached_memo_is_saved_once_and_then_only_read(tmp_path, monkeypatch, cap
     assert _stamp(path) == first and [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def test_a_command_that_fails_saves_no_memo(tmp_path, monkeypatch, capsys):
+def test_a_command_that_fails_saves_no_memo(tmp_path, monkeypatch, capsys, saves):
+    # on a table it built, then on one it loaded: nothing is written either time
     path = tmp_path / "sieve_1000.bin"
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
-    capsys.readouterr()
-    first = _stamp(path)
 
     def failing(ctx, M, table):
         revgoldbach.reversed_prime_block(base_context(7), 2, table)  # a block the file lacks
         raise ValueError("refused")
 
+    with monkeypatch.context() as m:
+        m.setattr(revgoldbach, "estermann_count", failing)
+        assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
+        assert capsys.readouterr() == ("", "error: refused\n")
+        assert saves == [] and list(tmp_path.iterdir()) == []
+    assert main(["estermann", "--base", "10", "--M", "1000"]) == 0
+    capsys.readouterr()
+    first = _stamp(path)
     monkeypatch.setattr(revgoldbach, "estermann_count", failing)
     assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
     assert capsys.readouterr() == ("", "error: refused\n")
-    assert _stamp(path) == first
+    assert _stamp(path) == first and saves == [path]
     monkeypatch.undo()
     assert sorted(sieve.load_cache(path)._memo) == [(10, 1), (10, 2), (10, 3)]
 
@@ -297,6 +311,46 @@ def test_corrupt_memo_index_exits_2_and_is_kept(tmp_path, monkeypatch, capsys):
     assert main(["estermann", "--base", "10", "--M", "1000"]) == 2
     assert capsys.readouterr() == ("", f"error: {path} has a corrupt memo index\n")
     assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("line", [
+    "count-rev-kfree --N 3", "rev-pi-star --N 3 --d 7", "count-palin-kfree --x 1000",
+    "almost-prime --x 1000 --omega-max 6", "hcabdlog --limit 1000", "estermann --M 1000",
+])
+def test_a_cache_file_is_written_once_and_not_on_a_warm_repeat(line, tmp_path, monkeypatch, capsys, saves):
+    # the cache directory does not exist yet: the one write makes it
+    cache = tmp_path / "nested" / "cache"
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(line.split()) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setenv(CACHE_ENV, str(cache))
+    assert main(line.split()) == 0 and capsys.readouterr() == expected
+    (path,) = cache.iterdir()
+    assert saves == [path]
+    first = _stamp(path)
+    assert main(line.split()) == 0 and capsys.readouterr() == expected
+    assert saves == [path] and _stamp(path) == first
+
+
+def _no_space(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail, extra", [
+    (lambda m: m.setenv(CACHE_ENV, "file/cache"), []),  # a cache path under a regular file
+    (lambda m: m.setattr(sieve, "save_cache", _no_space), []),
+    (lambda m: m.setattr(sieve.os, "replace", _no_space), []),  # once save_cache wrote its temp file
+    (lambda m: None, ["--output", "missing/out.json"]),
+], ids=["cache-under-a-file", "save-raises", "rename-raises", "output-in-a-missing-directory"])
+def test_an_os_error_exits_2_with_one_error_line(fail, extra, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv(CACHE_ENV, "cache")
+    fail(monkeypatch)
+    assert main(["estermann", "--M", "1000", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_almost_prime_with_a_huge_rough_exponent_counts_only_one(capsys):
@@ -330,8 +384,9 @@ def test_almost_prime_rejects_a_non_finite_rough_exponent(e, capsys):
     ("almost-prime --x 100000000 --omega-max 6 --rough-exponent nan",
      "rough_exponent must be finite, got nan"),
     ("almost-prime --x 100000000 --omega-max 6 --kfree-k 1", "k must be >= 2, got 1"),
+    ("estermann --M 0", "target must be >= 1, got 0"),
 ])
-def test_argument_errors_come_before_any_table(line, err, tmp_path, monkeypatch, capsys):
+def test_argument_errors_come_before_any_table(line, err, tmp_path, monkeypatch, capsys, saves):
     # the library's own checks run first: no table is built, and none is cached
     with monkeypatch.context() as m:
         m.setattr(cli, "_get_table", lambda *args: pytest.fail("a table was requested"))
@@ -341,7 +396,7 @@ def test_argument_errors_come_before_any_table(line, err, tmp_path, monkeypatch,
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     assert main(line.split()) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
-    assert list(tmp_path.iterdir()) == []
+    assert saves == [] and list(tmp_path.iterdir()) == []
 
 
 def test_readme_examples_match_goldens(tmp_path, monkeypatch, capsys):
