@@ -20,13 +20,34 @@ past alpha by about 1e-12 / (pi b cos pi alpha), or 1e-12 K / (pi cos pi alpha)
 lies in segment i_a or i_a + 1, and the peaks on either side of it lie in
 i_a - 2..i_a + 2; candidate_bounds refuses a larger K.
 
+Cap lemma: at a candidate column only rows h = 0 and h = b - 1 can reach the
+cap.  A column theta = j/(Kb) has j <= ceil(K/2), so 0 <= theta <= 2/(3b), and
+for 1 <= h <= b - 2 (so b >= 3) the argument pi(h/b + theta) lies in
+[pi/b, pi - 4pi/(3b)], where sin is at least sin(pi/b), as pi/b <= 4pi/(3b)
+<= pi/2.  By Jordan's inequality, sin x >= 2x/pi on [0, pi/2], so
+sin(pi/b) >= 2/b, about twice _CAP_GUARD/b and far past the float error below; so
+candidate_bounds takes a plain reciprocal on those rows and the guarded cap on
+rows 0 and b - 1 alone.  Every computed sine is >= 0 (row 0 is exactly s_j),
+and both 1/x in floats and the capped map are nonincreasing in x, so a
+segment's max(g_h(theta_i), g_h(theta_{i+1})) is g_h at the smaller of the two
+sines, bit for bit, at one reciprocal per column pair.
+
 Float error, per grid point: sin pi x is formed by angle addition as
 S_h c_j + C_h s_j, with m = min(h, b-h), S_h = sin(pi m/b), C_h = cos(pi m/b)
-negated for h > m, c_j = cos(pi j/(Kb)) and s_j = sin(pi j/(Kb)).  Every
-argument is reduced to [0, pi/2], so each factor is good to a few ulp.
-For h > b/2 the two products cancel by at most a factor of 5 (K = 3), about
-3 for large K, as j <= ceil(K/2).  A value within _CAP_GUARD of the cap takes
-the cap, which bounds the true term from above.  Summation: a block holds
+negated for h > m, c_j = cos(pi j/(Kb)) and s_j = sin(pi j/(Kb)).  S_h and C_h
+come by angle addition too: with n = b//2 + 1 angles, L = ceil(sqrt(n)) and
+m = qL + r, 0 <= r < L, they combine the library sin and cos of pi qL/b and
+pi r/b, about 4L calls for the b + 2 of a direct evaluation.  For q = 0 they
+are those library values, so rows 0, 1 and b - 1 are unchanged.  Every
+argument lies in [0, pi/2], so each library factor is good to a few ulp and
+is nonnegative: S_h, a sum of two nonnegative products, is good to a few ulp
+relative, and C_h, a difference, to a few 2^-53 absolute.  The latter is
+harmless, as C_h multiplies s_j <= sin(2pi/(3b)) < 2.1/b: its error moves a
+sine by a few 2^-53 * 2.1/b, a few ulp of the sines of at least 2/b on rows
+1..b-2 (the cap lemma); rows 0 and b - 1 have C_h from the library.  For h > b/2 the two products cancel by
+at most a factor of 5 (K = 3), about 3 for large K, as j <= ceil(K/2).  On
+rows 0 and b - 1 a value within _CAP_GUARD of the cap takes the cap, which
+bounds the true term from above.  Summation: a block holds
 the rows h0 <= h < h0 + step, step = _BLOCK_POINTS // (columns, at most 8);
 within it each segment's terms are summed pairwise along h (numpy's
 reduction over a contiguous axis), and the ceil(b / step) block sums (at
@@ -36,7 +57,6 @@ most 8 for b <= 31698) are added one after another.
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
@@ -52,8 +72,9 @@ _CAP_GUARD = 1.0 + 1e-12
 _K_MAX = 10 ** 12
 
 # grid points per block of candidate_bounds; its two 256 kB buffers serve every
-# block and are its only block-sized float arrays (_cap_reciprocal compares with
-# a scalar): a fresh block-sized array per block is a fresh mmap and page faults
+# block and are its only block-sized arrays (_cap_reciprocal runs on the two
+# edge rows alone): a fresh block-sized array per block is a fresh mmap and
+# page faults
 _BLOCK_POINTS = 1 << 15
 
 
@@ -109,10 +130,18 @@ class Certificate:
 
 @lru_cache(maxsize=1)
 def _row_factors(b: int) -> tuple[np.ndarray, np.ndarray]:
-    """S_h and the signed C_h of the module docstring for 0 <= h < b; they do
-    not depend on K, so find_min_K computes them once per base."""
-    m = np.pi * np.arange(b // 2 + 1) / b
-    s, c, tail = np.sin(m), np.cos(m), slice(b - b // 2 - 1, 0, -1)
+    """S_h and the signed C_h of the module docstring for 0 <= h < b, by two-level
+    angle addition; they do not depend on K, so find_min_K computes them once
+    per base."""
+    n = b // 2 + 1  # angles pi m/b, 0 <= m <= b/2, with m = qL + r and 0 <= r < L
+    L = math.isqrt(n - 1) + 1
+    fine, coarse = np.pi * np.arange(L) / b, np.pi * np.arange(0, n, L) / b
+    sf, cf, sc, cc = np.sin(fine), np.cos(fine), np.sin(coarse), np.cos(coarse)
+    s, c = np.multiply.outer(sc, cf), np.multiply.outer(cc, cf)
+    s += np.multiply.outer(cc, sf)
+    c -= np.multiply.outer(sc, sf)
+    s, c = s.ravel()[:n], c.ravel()[:n]
+    tail = slice(b - n, 0, -1)
     return np.concatenate((s, s[tail])), np.concatenate((c, -c[tail]))
 
 
@@ -141,20 +170,30 @@ def candidate_bounds(ctx: BaseContext, K: int) -> tuple[list[int], np.ndarray]:
         # contiguous axis, so the sum over it is pairwise
         np.multiply.outer(cos_i, sin_h[h0:h0 + w], out=xs)
         xs += np.multiply.outer(sin_i, cos_h[h0:h0 + w], out=ys)
-        g = _cap_reciprocal(xs, b)
-        sums += np.maximum(g[:-1], g[1:], out=ys[:-1]).sum(axis=1)
+        # max(g(x), g(y)) = g(min(x, y)): one reciprocal per column pair; only
+        # rows 0 and b - 1 can reach the cap, every other row is a plain 1/x
+        g = np.minimum(xs[:-1], xs[1:], out=ys[:-1])
+        lo, hi = int(h0 == 0), w - (h0 + w == b)
+        np.reciprocal(g[:, lo:hi], out=g[:, lo:hi])
+        if lo:
+            _cap_reciprocal(g[:, 0], b)
+        if hi < w:
+            _cap_reciprocal(g[:, w - 1], b)
+        sums += g.sum(axis=1)
     pairs = [k for k in range(len(cols) - 1) if cols[k + 1] == cols[k] + 1]
     return [cols[k] for k in pairs], sums[pairs]
 
 
 def certify_base(ctx: BaseContext, K: int) -> Certificate:
     """One base: pass iff max_bound * (1 + SLACK) < b^(6/5), decided exactly
-    as (max_bound * (1 + SLACK))^5 < b^6 over the rationals."""
+    as (max_bound * (1 + SLACK))^5 < b^6 in integers: with max_bound = p/q
+    and SLACK = s/t, as (p (t + s))^5 < b^6 (q t)^5."""
     segments, bounds = candidate_bounds(ctx, K)
     k = int(np.argmax(bounds))
     max_bound = float(bounds[k])
+    (p, q), (s, t) = max_bound.as_integer_ratio(), SLACK.as_integer_ratio()
     return Certificate(b=ctx.b, K=K, max_bound=max_bound, slack=SLACK, worst_segment=segments[k],
-                       passed=(Fraction(max_bound) * (1 + Fraction(SLACK))) ** 5 < ctx.b ** 6)
+                       passed=(p * (t + s)) ** 5 < ctx.b ** 6 * (q * t) ** 5)
 
 
 def segment_bounds_naive(ctx: BaseContext, K: int) -> np.ndarray:

@@ -189,6 +189,72 @@ def test_candidate_segments_hold_the_max_at_the_largest_K(b):
     assert window.max() <= bounds.max() * (1 + 1e-15)
 
 
+def _candidate_columns(b, K):
+    """The candidate segments of candidate_bounds, its columns, and the sines
+    it computes there: row k of the grid is column cols[k]."""
+    segments, _ = verifier.candidate_bounds(base_context(b), K)
+    cols = sorted({*segments, *(i + 1 for i in segments)})
+    sin_h, cos_h = verifier._row_factors(b)
+    t = np.pi * np.array(cols) / (K * b)
+    return segments, cols, np.multiply.outer(np.cos(t), sin_h) + np.multiply.outer(np.sin(t), cos_h)
+
+
+def _assert_middle_rows_clear_the_cap(b, K):
+    _, _, sines = _candidate_columns(b, K)
+    assert np.all(sines[:, 1:b - 1] > verifier._CAP_GUARD / b), (b, K)
+
+
+@pytest.mark.parametrize("b, K", [
+    (28500, 8), (31698, 8), (26500, 34), (28499, 34),
+    (26100, 122), (26499, 122), (26000, 367), (26099, 367),
+    *((b, K) for b in (2, 3, 4, 7) for K in (2, 3, 4, 5, 10 ** 12)),
+])
+def test_only_the_edge_rows_can_reach_the_cap(b, K):
+    _assert_middle_rows_clear_the_cap(b, K)
+
+
+def test_only_the_edge_rows_can_reach_the_cap_on_random_bases():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        _assert_middle_rows_clear_the_cap(int(rng.integers(2, 3001)), int(rng.integers(2, 401)))
+
+
+@pytest.mark.parametrize("b", [2, 3])
+@pytest.mark.parametrize("K", [2, 3, 8])
+def test_candidate_bounds_equal_capping_every_row_at_small_bases(b, K):
+    # at b <= 3 every row is an edge row or next to one, and row b - 1 does
+    # reach the cap: uncapped, b = 2, K = 3 gives 3.9999999999999996, not 4
+    segments, cols, sines = _candidate_columns(b, K)
+    g = verifier._cap_reciprocal(sines, b)
+    want = [np.maximum(g[cols.index(i)], g[cols.index(i + 1)]).sum() for i in segments]
+    got = verifier.candidate_bounds(base_context(b), K)
+    assert got[0] == segments and got[1].tolist() == want
+    if (b, K) == (2, 3):
+        assert certify_base(base_context(2), 3).max_bound == 4.0
+
+
+def _assert_row_factors_match_the_library(b):
+    h = np.arange(b)
+    m = np.minimum(h, b - h)
+    ref_s = np.sin(np.pi * m / b)
+    ref_c = np.where(h > m, -1.0, 1.0) * np.cos(np.pi * m / b)
+    sin_h, cos_h = verifier._row_factors(b)
+    eps = np.finfo(np.float64).eps  # 2^-52: one ulp at 1
+    assert np.all(np.abs(sin_h - ref_s) <= 4 * eps * ref_s), b
+    assert np.all(np.abs(cos_h - ref_c) <= 4 * eps), b
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 5, 26000, 26001, 31698])
+def test_row_factors_match_the_library(b):
+    _assert_row_factors_match_the_library(b)
+
+
+def test_row_factors_match_the_library_on_random_bases():
+    rng = np.random.default_rng(17)
+    for b in rng.integers(2, 10 ** 5 + 1, 20):
+        _assert_row_factors_match_the_library(int(b))
+
+
 def test_candidate_bounds_refuse_K_past_the_guard_bound():
     with pytest.raises(ValueError, match=r"^K must be <= 1000000000000, got 1000000000001$"):
         verifier.candidate_bounds(base_context(26000), 10 ** 12 + 1)
