@@ -4,7 +4,7 @@ scanning for unrepresentable targets, and the prime-plus-squarefree variant.
 
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice, takewhile
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from .sieve import FactorTable
 
 _SPARSE_RATIO = 1024  # a scan window's packed phase ends at <= its targets / _SPARSE_RATIO nonzero bytes
 _GATHER = 2 ** 15  # reversed primes per slice that _reversed_blocks yields
+_TAIL = 16  # values per is_prime gather of a window's sparse tail
 _WINDOW = 2 ** 16  # bytes of each parity half in one scan window: 2^20 targets
 _LEAD = 2 ** 8  # bytes below a window that its mask copies hold: values r <= 16 _LEAD + 14 = 4110 read them;
 # a window reads q = (r + 1) >> 4 <= 63 in base 10 to 10^9 and bases 2-36 at 10^6, a 4x margin
@@ -134,13 +135,11 @@ def representations(ctx: BaseContext, M: int, table: FactorTable) -> int:
 
 
 def _sparse_tail(pending: np.ndarray, rs, table: FactorTable) -> np.ndarray:
-    """The sorted targets pending, less each t >= r + 2 with t - r prime for the values r of rs,
-    read until r > max pending - 2."""
-    for r in rs:
-        if pending.size == 0 or r > pending[-1] - 2:
-            break
-        lo = int(np.searchsorted(pending, r + 2))
-        pending = np.concatenate((pending[:lo], pending[lo:][~table.is_prime(pending[lo:] - r)]))
+    """The sorted targets pending, less each t >= r + 2 with t - r prime for the values r of rs.
+    It reads rs while r <= max pending - 2, _TAIL values to one 2-D is_prime gather."""
+    rs = takewhile(lambda r: r <= pending[-1] - 2, rs)
+    while pending.size and (vals := np.fromiter(islice(rs, _TAIL), np.int64)).size:
+        pending = pending[~table.is_prime(np.maximum(pending[:, None] - vals, 0)).any(axis=1)]
     return pending
 
 
@@ -162,11 +161,12 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
     r >= 16 c1 (r + 2 is past its targets) or the values run out, or it switches after a
     values: the next has q > _LEAD (it would read below the copies), or, every 8 values, at
     most (its targets) / _SPARSE_RATIO of its bytes are nonzero.  Its pending targets have
-    then met every value that reaches them, or the first a.  _sparse_tail reads on from the least a
-    of any window over all windows' pending targets until r > max pending - 2 (no value
-    without a switch); a value a window applied clears nothing more there, so exactly the
-    targets that no value clears are left.  Each AND runs to the end of its window: ending
-    it at the last nonzero byte saves work only while many bytes stay nonzero, all low.
+    then met the first a values it applied, and _sparse_tail reads on from value a + 1 over
+    them alone, _TAIL values to a batch, until the first r > max pending - 2.  A batch value
+    r > max pending - 2, with max pending as its earlier values leave it, clears no target,
+    as t - r < 2; the values ascend, so none past the stop clears one either, and the window
+    keeps exactly its targets that no value clears.  Each AND runs to the end of its window:
+    ending it at the last nonzero byte saves work only while many bytes stay nonzero, all low.
     """
     parity = parity_class(ctx)
     blocks = _reversed_blocks(ctx, limit, limit - 2, table)  # checks the table first
@@ -176,7 +176,7 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
     m = -(-n // 16)  # bytes per half
     live = np.empty((2, min(_WINDOW, m)), dtype=np.uint8)
     shifted = np.empty((8, live.shape[1] + _LEAD + 1), dtype=np.uint8)
-    pending, starts = [np.empty(0, np.int64)], []
+    exceptions = []
     for c0 in range(0, m, _WINDOW):
         c1, w = min(c0 + _WINDOW, m), min(_WINDOW, m - c0)
         for h, bits in enumerate(((n + 1) // 2, n // 2 if parity is TargetClass.ALL_TARGETS else 0)):
@@ -193,25 +193,22 @@ def scan_exceptions(ctx: BaseContext, limit: int, table: FactorTable) -> ScanRes
             np.multiply(base[1:], np.uint8(1 << s), out=shifted[s, 1:w + _LEAD + 1])
             shifted[s, 1:w + _LEAD + 1] |= base[:-1] >> (8 - s)
         halves, off = (live[0, :w], live[1, :w]), _LEAD + 1 - c0  # byte k of a copy: column k + off
-        for k, r in enumerate(chain(rs, more)):
-            if r >= 16 * c1:
-                break
+        done = 0  # the values applied: the window's sparse tail reads on from rs[done]
+        for r in chain(rs, more):
             q, s = divmod((r + 1) >> 1, 8)
-            if q > _LEAD:  # r would read below the copies: the sparse tail applies it
-                starts.append(k)
+            if r >= 16 * c1 or q > _LEAD:  # r + 2 is past the targets, or r would read below the copies
                 break
             g = max(q, c0)
             halves[1 - (r & 1)][g - c0:] &= shifted[s, g - q + off:c1 - q + off]
             if c0 <= (r + 2) >> 4 < c1:
                 halves[r & 1][((r + 2) >> 4) - c0] &= 0xFF ^ 1 << ((r + 2) >> 1 & 7)
-            if k & 7 == 7 and np.count_nonzero(live[:, :w]) * _SPARSE_RATIO <= min(n, 16 * c1) - 16 * c0:
-                starts.append(k + 1)
+            done += 1
+            if done & 7 == 0 and np.count_nonzero(live[:, :w]) * _SPARSE_RATIO <= min(n, 16 * c1) - 16 * c0:
                 break
         h, i = np.divmod(np.flatnonzero(live[:, :w] != 0), w)  # 2-D or uint8 nonzero is slower
         bits = np.flatnonzero(np.unpackbits(live[h, i], bitorder="little"))
-        pending.append(np.sort(16 * (c0 + i[bits >> 3]) + 2 * (bits & 7) + h[bits >> 3]))
-    tail = chain(rs[min(starts):], more) if starts else ()
-    exceptions = _sparse_tail(np.concatenate(pending), tail, table).tolist()
+        pending = np.sort(16 * (c0 + i[bits >> 3]) + 2 * (bits & 7) + h[bits >> 3])
+        exceptions += _sparse_tail(pending, chain(rs[done:], more), table).tolist()
     return ScanResult(base=ctx.b, limit=limit, scanned_from=4, parity_class=parity,
                       exceptions=tuple(exceptions))
 

@@ -153,13 +153,16 @@ def _oracle_limits(window=2 ** 10):
 
 @pytest.mark.parametrize("b", range(2, 37))
 def test_scan_matches_mask_oracle_every_base(b, table_1e6, monkeypatch):
+    # the sparse tail's own batch size, and batches of one value
     ctx = base_context(b)
-    for ratio in SWITCHES:
+    want = {limit: _scan_outcome(scan_exceptions_mask, ctx, limit, table_1e6)
+            for limit in _oracle_limits()}
+    for ratio, tail in itertools.product(SWITCHES, (revgoldbach._TAIL, 1)):
         monkeypatch.setattr(revgoldbach, "_SPARSE_RATIO", ratio)
+        monkeypatch.setattr(revgoldbach, "_TAIL", tail)
         for limit in _oracle_limits():
-            args = (ctx, limit, table_1e6)
-            assert _scan_outcome(scan_exceptions, *args) == \
-                _scan_outcome(scan_exceptions_mask, *args), (ratio, limit)
+            assert _scan_outcome(scan_exceptions, ctx, limit, table_1e6) == want[limit], \
+                (ratio, tail, limit)
 
 
 @pytest.mark.parametrize("b", range(2, 37))
@@ -179,39 +182,41 @@ def test_scan_matches_mask_oracle_in_small_windows(b, table_1e6, monkeypatch):
                     (window, ratio, limit)
 
 
+def _spy_on_the_tail(monkeypatch):
+    """Record (pending targets, values read from rs) for each _sparse_tail call of the scan."""
+    calls = []
+    tail = revgoldbach._sparse_tail
+
+    def spy(pending, rs, table):
+        read = []
+        calls.append((pending, read))
+        return tail(pending, (read.append(r) or r for r in rs), table)
+
+    monkeypatch.setattr(revgoldbach, "_sparse_tail", spy)
+    return calls
+
+
 @pytest.mark.parametrize("b", [2, 3, 10, 16])
 def test_scan_switches_to_the_sparse_tail_by_itself_at_1e6(b, monkeypatch):
     # with the scan's own window, 2^20 targets, and with 2^12 bytes, 16 windows
-    # at 10^6: some window switches by itself, and the one sparse tail reads on
+    # at 10^6: some window switches by itself, and its own sparse tail reads on
+    # with a value r <= max pending - 2, which a window without a switch never gives it
     ctx = base_context(b)
     limit = 10 ** 6
     table = build(revgoldbach.table_limit(ctx, limit, limit - 2))
     want = scan_exceptions_mask(ctx, limit, table)
-    switched = []
-    tail = revgoldbach._sparse_tail
-
-    def spy(pending, rs, prime):
-        # rs reads on from the least switch of any window, () without one
-        switched.append(rs != ())
-        return tail(pending, rs, prime)
-
-    monkeypatch.setattr(revgoldbach, "_sparse_tail", spy)
+    calls = _spy_on_the_tail(monkeypatch)
     for window in (revgoldbach._WINDOW, 2 ** 12):
         monkeypatch.setattr(revgoldbach, "_WINDOW", window)
-        switched.clear()
+        calls.clear()
         assert scan_exceptions(ctx, limit, table) == want
-        assert switched == [True], window
+        assert any(read and read[0] <= pending[-1] - 2 for pending, read in calls), window
 
 
-def test_scan_runs_the_sparse_tail_at_most_once_per_call(table_1e6, monkeypatch):
-    calls = []
-    tail = revgoldbach._sparse_tail
-
-    def counting(pending, rs, prime):
-        calls.append(pending.size)
-        return tail(pending, rs, prime)
-
-    monkeypatch.setattr(revgoldbach, "_sparse_tail", counting)
+def test_scan_runs_the_sparse_tail_at_most_once_per_window(table_1e6, monkeypatch):
+    # each call's pending targets lie in one window, [16 c0, 16 c1), and no
+    # window's targets reach two calls
+    calls = _spy_on_the_tail(monkeypatch)
     for window in (1, 16, revgoldbach._WINDOW):
         monkeypatch.setattr(revgoldbach, "_WINDOW", window)
         for ratio in SWITCHES:
@@ -220,7 +225,12 @@ def test_scan_runs_the_sparse_tail_at_most_once_per_call(table_1e6, monkeypatch)
                 for limit in (-3, 3, 4, 100, 1000, 5000):
                     calls.clear()
                     scan_exceptions(base_context(b), limit, table_1e6)
-                    assert len(calls) <= 1, (window, ratio, b, limit)
+                    windows = -(-max(limit + 1, 0) // (16 * window))
+                    homes = [{t // (16 * window) for t in pending.tolist()} for pending, _ in calls]
+                    where = [min(home) for home in homes if home]
+                    assert len(calls) <= windows, (window, ratio, b, limit)
+                    assert all(len(home) <= 1 for home in homes), (window, ratio, b, limit)
+                    assert where == sorted(set(where)), (window, ratio, b, limit)
 
 
 class _CountingValues:
@@ -235,33 +245,37 @@ class _CountingValues:
             yield r
 
 
-def _reads_expected(vals, pending, n, ratio, window, lead, is_prime):
+def _reads_expected(vals, pending, n, ratio, window, lead, tail, is_prime):
     """How many values the scan reads: window by window from the first value, up to the
     first r >= 16 c1 or a switch (at the first r with (r + 1) >> 4 > lead, which the window
     reads but does not apply, or every 8 values, once at most the window's targets / ratio
-    of its bytes are nonzero), then the one tail from the least switch, up to the first
-    r > max pending - 2 over all windows."""
-    reads, starts, left = 0, [], set()
+    of its bytes are nonzero), then the window's own tail from the first value it did not
+    apply, while any target is pending: batches of up to `tail` values, each read up to the
+    first r > max pending - 2 as the batch found it, which ends the tail."""
+    reads = 0
     for c0 in range(0, -(-n // 16), window):
         c1 = min(c0 + window, -(-n // 16))
         here = {t for t in pending if 16 * c0 <= t < 16 * c1}
+        done = 0
         for i, r in enumerate(vals):
             reads = max(reads, i + 1)
-            if r >= 16 * c1:
-                break
-            if (r + 1) >> 4 > lead:
-                starts.append(i)
+            if r >= 16 * c1 or (r + 1) >> 4 > lead:
                 break
             here = {t for t in here if t < r + 2 or not is_prime[t - r]}
-            if i % 8 == 7 and len({(t % 2, t // 16) for t in here}) * ratio <= min(n, 16 * c1) - 16 * c0:
-                starts.append(i + 1)
+            done = i + 1
+            if done % 8 == 0 and len({(t % 2, t // 16) for t in here}) * ratio <= min(n, 16 * c1) - 16 * c0:
                 break
-        left |= here
-    for i in range(min(starts, default=len(vals)), len(vals)):
-        reads = max(reads, i + 1)
-        if vals[i] > max(left, default=0) - 2:
-            break
-        left = {t for t in left if t < vals[i] + 2 or not is_prime[t - vals[i]]}
+        while here and done < len(vals):
+            batch = []
+            while len(batch) < tail and done < len(vals):
+                r = vals[done]
+                done += 1
+                reads = max(reads, done)
+                if r > max(here) - 2:
+                    done = len(vals)  # the stop: no later batch
+                    break
+                batch.append(r)
+            here = {t for t in here if all(t < r + 2 or not is_prime[t - r] for r in batch)}
     return reads
 
 
@@ -269,14 +283,14 @@ def _reads_expected(vals, pending, n, ratio, window, lead, is_prime):
 def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monkeypatch):
     # each window reads the values again from the first, and every 8 of them
     # counts its own nonzero bytes; once they are at most its targets /
-    # _SPARSE_RATIO it switches, and the one sparse tail reads on from the least
-    # switch up to the first r > max pending - 2.  A window with no switch stops
-    # at its first r >= 16 c1, or when the values run out.  Reading on would
-    # change no result, so only the count of values read shows it.  A window
-    # also switches at its first r past its lead bytes, unapplied: with a
-    # 1-byte lead at r >= 31, with the scan's own at none here.  Each limit runs
-    # at every setting of SWITCHES, in windows of 1 and 16 bytes and the scan's
-    # own, which holds every limit here
+    # _SPARSE_RATIO it switches, and its own sparse tail reads on, _TAIL values
+    # to a batch, up to the first r > max pending - 2.  A window with no switch
+    # stops at its first r >= 16 c1, or when the values run out, and its tail
+    # reads that r again and stops.  Reading on would change no result, so only
+    # the count of values read shows it.  A window also switches at its first r
+    # past its lead bytes, unapplied: with a 1-byte lead at r >= 31, with the
+    # scan's own at none here.  Each limit runs at every setting of SWITCHES, in
+    # windows of 1 and 16 bytes and the scan's own, which holds every limit here
     ctx = base_context(b)
     is_prime = table_1e5.is_prime(np.arange(10 ** 5 + 1))
     even_only = parity_class(ctx) is TargetClass.EVEN_TARGETS_ONLY
@@ -301,7 +315,8 @@ def test_scan_stops_at_first_value_past_the_last_pending_byte(b, table_1e5, monk
                 pending = {t for t in range(4, limit + 1) if not (even_only and t % 2)}
                 assert max(vals, default=0) <= limit - 2
                 assert seen[-1].read == _reads_expected(vals, pending, limit + 1, ratio, window, lead,
-                                                        is_prime), (lead, window, ratio, limit)
+                                                        revgoldbach._TAIL, is_prime), \
+                    (lead, window, ratio, limit)
 
 
 def test_scan_to_1e7_builds_no_block_past_4_digits():
@@ -311,9 +326,18 @@ def test_scan_to_1e7_builds_no_block_past_4_digits():
 
 
 def test_scan_to_1e8_on_a_fresh_table_finds_only_11():
+    # each window finishes its own tail, so no array of every window's pending
+    # targets grows with the limit: the traced peak was 3.3 MB with one merged tail
     ctx = base_context(10)
     table = build(revgoldbach.table_limit(ctx, 10 ** 8, 10 ** 8 - 2))
-    assert scan_exceptions(ctx, 10 ** 8, table).exceptions == (11,)
+    tracemalloc.start()
+    try:
+        res = scan_exceptions(ctx, 10 ** 8, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exceptions == (11,)
+    assert peak < 2 * 10 ** 6
 
 
 def test_scan_memory_does_not_grow_with_the_limit():
