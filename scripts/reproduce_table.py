@@ -4,8 +4,8 @@
 Each row certifies every base in [b0, b1] with the listed segment count K
 and prints whether all passed, the seconds taken and the row's thinnest
 margin, the least threshold / max_bound - 1 over its bases.
-The full sweep covers 26000 <= b <= 31698 and takes about 3.2 s on one
-worker (rows 1.5 / 1.3-1.4 / 0.2 / 0.1 s, on a 2-core VM with Python 3.11
+The full sweep covers 26000 <= b <= 31698 and takes about 3.4 s on one
+worker (rows 1.8 / 1.3 / 0.2 / 0.1 s, on a 2-core VM with Python 3.11
 and numpy 2.4); pass --quick to spot-check the first and last 3 bases of
 each row instead, which takes under a second.
 """

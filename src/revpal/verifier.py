@@ -47,11 +47,9 @@ sine by a few 2^-53 * 2.1/b, a few ulp of the sines of at least 2/b on rows
 1..b-2 (the cap lemma); rows 0 and b - 1 have C_h from the library.  For h > b/2 the two products cancel by
 at most a factor of 5 (K = 3), about 3 for large K, as j <= ceil(K/2).  On
 rows 0 and b - 1 a value within _CAP_GUARD of the cap takes the cap, which
-bounds the true term from above.  Summation: a block holds
-the rows h0 <= h < h0 + step, step = _BLOCK_POINTS // (columns, at most 8);
-within it each segment's terms are summed pairwise along h (numpy's
-reduction over a contiguous axis), and the ceil(b / step) block sums (at
-most 8 for b <= 31698) are added one after another.
+bounds the true term from above.  Summation: each segment's b terms lie in
+one contiguous array and are summed by one pairwise reduction over h
+(numpy's, for a contiguous axis).
 """
 
 import math
@@ -70,12 +68,6 @@ SLACK = 1e-9  # relative margin: a base passes iff max_bound * (1 + SLACK) < b^(
 _CAP_GUARD = 1.0 + 1e-12
 # the largest K whose guarded cap kink stays within one segment of i_a
 _K_MAX = 10 ** 12
-
-# grid points per block of candidate_bounds; its two 256 kB buffers serve every
-# block and are its only block-sized arrays (_cap_reciprocal runs on the two
-# edge rows alone): a fresh block-sized array per block is a fresh mmap and
-# page faults
-_BLOCK_POINTS = 1 << 15
 
 
 def _cap_reciprocal(s: np.ndarray, b: int) -> np.ndarray:
@@ -156,32 +148,25 @@ def candidate_bounds(ctx: BaseContext, K: int) -> tuple[list[int], np.ndarray]:
     b = ctx.b
     i_a = int(math.asin(1.0 / b) / math.pi * K * b)
     # Python ints: the first np.unique or np.sort call pages in numpy's sort code
-    cols = sorted({0, 1}.union(range(max(i_a - 2, 0), min(i_a + 3, (K + 1) // 2) + 1)))
+    segments = sorted({0}.union(range(max(i_a - 2, 0), min(i_a + 2, (K + 1) // 2 - 1) + 1)))
+    cols = sorted({*segments, *(i + 1 for i in segments)})
     sin_h, cos_h = _row_factors(b)
     t = np.pi * np.array(cols) / (K * b)
-    cos_i, sin_i = np.cos(t), np.sin(t)
-    sums = np.zeros(len(cols) - 1)
-    step = _BLOCK_POINTS // len(cols)
-    x, y = np.empty((2, len(cols), min(step, b)))
-    for h0 in range(0, b, step):
-        w = min(step, b - h0)
-        xs, ys = x[:, :w], y[:, :w]
-        # xs[k, h - h0] = sin pi(h/b + cols[k]/(Kb)); h runs along the
-        # contiguous axis, so the sum over it is pairwise
-        np.multiply.outer(cos_i, sin_h[h0:h0 + w], out=xs)
-        xs += np.multiply.outer(sin_i, cos_h[h0:h0 + w], out=ys)
-        # max(g(x), g(y)) = g(min(x, y)): one reciprocal per column pair; only
-        # rows 0 and b - 1 can reach the cap, every other row is a plain 1/x
-        g = np.minimum(xs[:-1], xs[1:], out=ys[:-1])
-        lo, hi = int(h0 == 0), w - (h0 + w == b)
-        np.reciprocal(g[:, lo:hi], out=g[:, lo:hi])
-        if lo:
-            _cap_reciprocal(g[:, 0], b)
-        if hi < w:
-            _cap_reciprocal(g[:, w - 1], b)
-        sums += g.sum(axis=1)
-    pairs = [k for k in range(len(cols) - 1) if cols[k + 1] == cols[k] + 1]
-    return [cols[k] for k in pairs], sums[pairs]
+    bounds = []
+    x, y, z = np.empty((3, b))
+    for j, cos_j, sin_j in zip(cols, np.cos(t), np.sin(t)):
+        # x[h] = sin pi(h/b + j/(Kb)), formed in place
+        np.multiply(sin_h, cos_j, out=x)
+        x += np.multiply(cos_h, sin_j, out=z)
+        if j - 1 in segments:  # y still holds column j - 1
+            # max(g(x), g(y)) = g(min(x, y)): one reciprocal per column pair; only
+            # rows 0 and b - 1 can reach the cap, every other row is a plain 1/x
+            g = np.minimum(x, y, out=y)
+            np.reciprocal(g[1:b - 1], out=g[1:b - 1])
+            _cap_reciprocal(g[::b - 1], b)  # rows 0 and b - 1
+            bounds.append(g.sum())  # pairwise over the contiguous h
+        x, y = y, x
+    return segments, np.array(bounds)
 
 
 def certify_base(ctx: BaseContext, K: int) -> Certificate:

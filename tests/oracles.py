@@ -8,7 +8,7 @@ from revpal import revgoldbach
 from revpal.digits import BaseContext, reverse, reverse_array
 from revpal.revgoldbach import ScanResult, TargetClass, parity_class, prime_bound
 from revpal.sieve import FactorTable
-from revpal.verifier import _BLOCK_POINTS, _cap_reciprocal
+from revpal.verifier import _cap_reciprocal
 
 # the least k for which zeta's tail term k(k+1)(k+2)/720 would not fit a float
 ZETA_OVERFLOW_K = int("5643803094122362077939707069896083707827438283144585224311014275783412"
@@ -215,14 +215,21 @@ def f_h_term(b: int, h: int, theta: float) -> float:
     return float(b) if s * b <= 1 else 1 / s
 
 
+# grid points per block of segment_bounds
+_BLOCK = 2 ** 15
+
+
 def segment_bounds(ctx: BaseContext, K: int) -> np.ndarray:
     """Certified upper bound of f on each segment [i/(Kb), (i+1)/(Kb)],
     i = 0..K-1, by summing per-term endpoint maxima on the shared grid.
 
-    Evaluates the left ceil(K/2) segments, _BLOCK_POINTS grid points at a
-    time, and mirrors them (bounds[K-1-i] == bounds[i]): the oracle of
-    revpal.verifier.candidate_bounds, which evaluates only the candidate
-    segments the same way; see that module's docstring for the error sources.
+    Evaluates the left ceil(K/2) segments, _BLOCK grid points at a time,
+    and mirrors them (bounds[K-1-i] == bounds[i]): the oracle of
+    revpal.verifier.candidate_bounds.  That kernel evaluates only the
+    candidate segments, one grid column at a time, with its own row factors,
+    the cap on rows 0 and b - 1 alone and one pairwise sum over all b rows per
+    segment; this one caps every row and adds its block sums one after
+    another.  See that module's docstring for the error sources.
     """
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
@@ -234,7 +241,7 @@ def segment_bounds(ctx: BaseContext, K: int) -> np.ndarray:
     t = np.pi * np.arange(N + 1) / (K * b)
     cos_i, sin_i = np.cos(t), np.sin(t)
     left = np.zeros(N)
-    step = max(1, _BLOCK_POINTS // (N + 1))
+    step = max(1, _BLOCK // (N + 1))
     # two buffers for every block: a fresh block-sized array per block is a
     # fresh mmap and page faults each time
     x = np.empty((N + 1, min(step, b)))

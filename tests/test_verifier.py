@@ -167,6 +167,17 @@ def test_candidate_segments_hold_the_max_for_every_K_at_20000():
         _assert_candidates_match_every_segment(20000, K)
 
 
+@pytest.mark.parametrize("b", [2, 3, 7, 20000, 26000, 31698])
+def test_candidate_segments_are_the_docstring_set(b):
+    # segment 0 and i_a - 2..i_a + 2 within the left half, and nothing else:
+    # no pair of adjacent columns that is not a candidate, such as segment 1
+    # at i_a = 4
+    for K in range(2, 401):
+        i_a = int(math.asin(1.0 / b) / math.pi * K * b)
+        want = sorted({0, *range(max(i_a - 2, 0), min(i_a + 2, (K + 1) // 2 - 1) + 1)})
+        assert verifier.candidate_bounds(base_context(b), K)[0] == want, (b, K)
+
+
 def _window_bounds(ctx, K, lo, hi):
     """B_i for lo <= i < hi by candidate_bounds' kernel, one column at a time."""
     sin_h, cos_h = verifier._row_factors(ctx.b)
@@ -261,14 +272,16 @@ def test_candidate_bounds_refuse_K_past_the_guard_bound():
 
 
 def test_certify_base_memory_is_a_few_columns():
-    ctx = base_context(26000)
-    tracemalloc.start()
-    try:
-        certify_base(ctx, 367)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    # b = 31698 is the largest published base, where the b-length buffers are largest
+    for b, K in [(26000, 367), (31698, 8)]:
+        ctx = base_context(b)
+        tracemalloc.start()
+        try:
+            certify_base(ctx, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, (b, K, peak)
 
 
 @settings(max_examples=60, deadline=None)
